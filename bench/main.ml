@@ -752,6 +752,53 @@ let rm_rf dir =
     Unix.rmdir dir
   end
 
+(* Prover kernels of the group layer: a Straus vs Pippenger sweep at the
+   same terms (the data [Msm.straus_cutoff] is read off) and range-proof
+   generation at the shapes the client proves (σ: b_ip × k, μ: b_max × 1).
+   Each row is the best of three timings; small MSMs repeat inside a
+   timing so it lasts a few milliseconds. *)
+let run_prover_kernels () =
+  let module Range_proof = Zkp.Range_proof in
+  let best3 f =
+    let t () = snd (Telemetry.Clock.time f) in
+    Float.min (t ()) (Float.min (t ()) (t ()))
+  in
+  let sizes =
+    if config.smoke then [ 3; 65; 129; 257 ] else [ 3; 9; 17; 33; 65; 129; 193; 257; 385; 513 ]
+  in
+  let drbg = Prng.Drbg.create_string (ns_seed "bench-group/msm") in
+  let maxn = List.fold_left max 0 sizes in
+  let pts = Curve25519.Gens.derive_many "bench/group/msm" maxn in
+  pf "msm crossover (jobs=1, seconds per evaluation):\n%8s %12s %12s %8s\n" "points" "straus" "pippenger" "ratio";
+  List.iter
+    (fun n ->
+      let pairs = Array.init n (fun i -> (Scalar.random drbg, pts.(i))) in
+      if not (Point.equal (Msm.straus pairs) (Msm.pippenger ~jobs:1 pairs)) then
+        failwith "group bench: straus and pippenger disagree";
+      let reps = max 1 (256 / n) in
+      let per f = best3 (fun () -> for _ = 1 to reps do ignore (f ()) done) /. float_of_int reps in
+      let st = per (fun () -> Msm.straus pairs) in
+      let pp = per (fun () -> Msm.pippenger ~jobs:1 pairs) in
+      pf "%8d %12.6f %12.6f %8.2f\n" n st pp (pp /. st);
+      record ~target:"group" ~name:"msm-crossover-straus" ~jobs:1 ~n st;
+      record ~target:"group" ~name:"msm-crossover-pippenger" ~jobs:1 ~n pp)
+    sizes;
+  let shapes = if config.smoke then [ (32, 2); (64, 1) ] else [ (32, 2); (64, 1); (32, 4); (128, 1) ] in
+  let gens = Range_proof.make_gens ~label:"bench/group/bp" 128 in
+  let g = Curve25519.Gens.derive "bench/group/rp-g" and h = Curve25519.Gens.derive "bench/group/rp-h" in
+  pf "range-proof generation (seconds per proof):\n";
+  List.iter
+    (fun (bits, m) ->
+      let values = Array.init m (fun _ -> Bigint.of_bytes_le (Prng.Drbg.bytes drbg (bits / 8))) in
+      let blinds = Array.map (fun _ -> Scalar.random drbg) values in
+      let prove () =
+        Range_proof.prove drbg (Zkp.Transcript.create "bench/rp") ~gens ~g ~h ~bits ~values ~blinds
+      in
+      let s = best3 (fun () -> ignore (prove ())) in
+      pf "  %3d bits x %d values  %.4fs\n" bits m s;
+      record ~target:"group" ~name:(Printf.sprintf "range-prove@%dx%d" bits m) ~jobs:1 ~n:m s)
+    shapes
+
 let run_group () =
   pf "================ group: persistent table cache + dlog knobs ================\n";
   let n = if config.smoke then 4 else 6 in
@@ -853,6 +900,7 @@ let run_group () =
         (Curve25519.Dlog.table_size solver) solve_s;
       record ~target:"group" ~name:(Printf.sprintf "dlog-solve@m=%g" ms) ~d ~k ~n solve_s)
     [ 1.0; 4.0 ];
+  run_prover_kernels ();
   match !group_gate with
   | Some thr when speedup < thr ->
       pf "GATE FAIL: warm-cache precompute speedup %.2fx below threshold %.2fx\n" speedup thr;

@@ -46,10 +46,12 @@ let bands =
        calibration scalars *)
     ("client-commit", (0.7, 1.6));
     (* absolute proof-gen cost at CI scale is dominated by the range
-       proofs' O(k*b_ip + b_max) committed bits (~5 ge per bit), which the
-       asymptotic d/log d row drops; the marginal stage below carries the
-       tight check of the d-scaling claim *)
-    ("client-proofgen", (25.0, 90.0));
+       proofs' O(k*b_ip + b_max) committed bits, which the asymptotic
+       d/log d row drops; the marginal stage below carries the tight check
+       of the d-scaling claim.  Measured 27.9 since the prover stopped
+       materializing h' and folds each generator with one mul (47.9
+       before); the upper bound fails a return to the old prover *)
+    ("client-proofgen", (25.0, 45.0));
     ("proofgen-marginal", (0.8, 3.5));
     ("server-prep", (8.0, 25.0));
     ("server-verify", (2.0, 7.0));

@@ -1,6 +1,7 @@
-(* Pippenger bucket multi-scalar multiplication.
+(* Multi-scalar multiplication: interleaved-wNAF Straus up to
+   [straus_cutoff] terms, Pippenger's bucket method above it.
 
-   Two optimizations over the textbook loop:
+   Two optimizations of Pippenger over the textbook loop:
 
    - each scalar's little-endian c-bit digit array is extracted once up
      front with [Bigint.to_digits] (one limb pass per scalar) instead of
@@ -93,7 +94,7 @@ let run ?jobs ~c ~nwindows ~npoints ~digits ~points () =
   if Array.length partials = 0 then Point.identity
   else Parallel.tree_combine Point.add partials
 
-let msm ?jobs pairs =
+let pippenger ?jobs pairs =
   let n = Array.length pairs in
   if n = 0 then Point.identity
   else begin
@@ -104,6 +105,68 @@ let msm ?jobs pairs =
     in
     run ?jobs ~c ~nwindows ~npoints:n ~digits ~points:(Array.map snd pairs) ()
   end
+
+(* Interleaved-wNAF Straus: every scalar is recoded to width-5 wNAF
+   (odd digits, |d| <= 15), every point gets its own odd-multiples table
+   {P, 3P, ..., 15P}, and one doubling chain over the 256 digit positions
+   is shared by all points, adding or subtracting a table entry wherever
+   a digit is nonzero.  The n*8 table entries are flushed to Niels form
+   through one shared inversion, so the ~n*256/6 additions are madds.
+   Cost is ~256 doublings + ~51 additions per point with no per-window
+   overhead, against Pippenger's ceil(256/c) windows that each pay a
+   2^c-bucket suffix sum whatever n is; below [straus_cutoff] that fixed
+   cost dominates.  Tables live for one call only (8 Niels entries per
+   point), so the heap cost is bounded by the cutoff.  Zero scalars are
+   dropped before any table is built. *)
+let straus pairs =
+  let n = Array.length pairs in
+  Telemetry.Counter.incr c_evals;
+  Telemetry.Counter.add c_points n;
+  Telemetry.Counter.add c_window Scalar.wnaf_window;
+  Telemetry.Counter.incr c_chunks;
+  let live = Array.of_list (List.filter (fun (s, _) -> not (Scalar.is_zero s)) (Array.to_list pairs)) in
+  let m = Array.length live in
+  if m = 0 then Point.identity
+  else begin
+    let digits = Array.map (fun (s, _) -> Scalar.to_wnaf s) live in
+    let ext = Array.make (8 * m) Point.identity in
+    Array.iteri
+      (fun j (_, p) ->
+        let p2 = Point.double p in
+        ext.(8 * j) <- p;
+        for k = 1 to 7 do
+          ext.((8 * j) + k) <- Point.add ext.((8 * j) + k - 1) p2
+        done)
+      live;
+    let tbl = Point.to_niels_batch ext in
+    let top = ref 255 in
+    while !top > 0 && Array.for_all (fun ds -> ds.(!top) = 0) digits do
+      decr top
+    done;
+    let acc = ref Point.identity in
+    for i = !top downto 0 do
+      if i < !top then acc := Point.double !acc;
+      for j = 0 to m - 1 do
+        let d = digits.(j).(i) in
+        if d > 0 then acc := Point.madd !acc tbl.((8 * j) + ((d - 1) / 2))
+        else if d < 0 then acc := Point.msub !acc tbl.((8 * j) + ((-d - 1) / 2))
+      done
+    done;
+    !acc
+  end
+
+(* Straus/Pippenger crossover, like [seq_cutoff] a property of the group
+   layer rather than of any caller.  Sweeping both strategies at jobs=1
+   (the msm-crossover rows of [bench group], one core of an x86-64 Xeon)
+   gave Pippenger/Straus time ratios of ~3.3 at 3 points, ~1.5 at 65,
+   1.2-1.9 at 129, 1.0-1.1 at 193, 1.1-1.2 at 257 and 0.8-0.9 from 385
+   on: the crossover sits around 300 points.  256 keeps every size that
+   runs Straus at or above parity; it covers the IPA's cross-term MSMs
+   (3 to n+1 points for n <= 128) and the S commitment up to nt = 64. *)
+let straus_cutoff = 256
+
+let msm ?jobs pairs =
+  if Array.length pairs <= straus_cutoff then straus pairs else pippenger ?jobs pairs
 
 let msm_small ?jobs pairs =
   let n = Array.length pairs in

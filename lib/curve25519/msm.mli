@@ -1,4 +1,5 @@
-(** Multi-scalar multiplication (Pippenger's bucket method).
+(** Multi-scalar multiplication (Straus for small inputs, Pippenger's
+    bucket method above {!straus_cutoff}).
 
     Computes Σᵢ eᵢ·Pᵢ in O(n·b / log n) point additions instead of the
     naive O(n·b). This is the "mult-exponentiation" the paper leans on for
@@ -6,14 +7,27 @@
     precomputation, the client's VerCrt batch verification (Algorithm 3)
     and the server's e_t recomputation are all instances.
 
-    Both entry points split the point set into per-domain chunks executed
-    on the {!Parallel} pool ([?jobs] defaults to
-    [Parallel.default_jobs ()]); partial chunk sums merge in fixed order,
-    so the result is identical for every job count. *)
+    The Pippenger path of both entry points splits the point set into
+    per-domain chunks executed on the {!Parallel} pool ([?jobs] defaults
+    to [Parallel.default_jobs ()]); partial chunk sums merge in fixed
+    order, so the result is identical for every job count. *)
 
 (** [msm ?jobs pairs] for full-size scalar exponents. Empty input gives
-    the identity. *)
+    the identity. Inputs of at most {!straus_cutoff} terms run
+    interleaved-wNAF Straus (sequential); larger ones run the chunked
+    Pippenger bucket method. Both give the same group element. *)
 val msm : ?jobs:int -> (Scalar.t * Point.t) array -> Point.t
+
+(** Largest term count {!msm} evaluates with {!straus}. *)
+val straus_cutoff : int
+
+(** The two strategies {!msm} dispatches between, exposed for the
+    differential tests and the crossover sweep of the group bench; both
+    count toward [msm.evals]/[msm.points] like {!msm}. Callers should use
+    {!msm}. *)
+val straus : (Scalar.t * Point.t) array -> Point.t
+
+val pippenger : ?jobs:int -> (Scalar.t * Point.t) array -> Point.t
 
 (** [msm_small ?jobs pairs] for native-int exponents of either sign (e.g.
     the discretized Gaussian coefficients a_tl, |a| < 2^30); faster than

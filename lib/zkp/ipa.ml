@@ -4,53 +4,80 @@ module Msm = Curve25519.Msm
 
 type proof = { ls : Point.t array; rs : Point.t array; a : Scalar.t; b : Scalar.t }
 
-let dot a b =
-  let acc = ref Scalar.zero in
-  Array.iteri (fun i ai -> acc := Scalar.add !acc (Scalar.mul ai b.(i))) a;
-  !acc
-
 let is_pow2 n = n > 0 && n land (n - 1) = 0
 
-let prove tr ~g ~h ~u ~a ~b =
+(* The prover folds generator vectors without ever normalizing them.
+   At the start of every round the effective generators are
+
+     g_i = sg · G_i      h_i = sh · f^i · H_i      u' = w · u
+
+   with G/H the working point arrays, sg/sh uniform scalar scales, f the
+   caller's per-index h factor (y^{-1} in the range proof) and w the u
+   scale.  The cross terms L/R push those factors into their MSM
+   coefficients, and the textbook fold g'_i = x⁻¹·g_lo + x·g_hi becomes
+   x⁻¹·sg·(G_lo + x²·G_hi): one point multiplication and an addition,
+   with x⁻¹ absorbed into sg.  Likewise h'_i = x·h_lo + x⁻¹·h_hi =
+   x·sh·f^i·(H_lo + x⁻²·f^half·H_hi).  L and R are the same group
+   elements as with materialized generators, so the proof bytes are
+   identical.  The last round's generators are never used and are not
+   folded. *)
+let prove ?(h_factor = Scalar.one) ?(u_scale = Scalar.one) tr ~g ~h ~u ~a ~b =
   let n = Array.length g in
   if not (is_pow2 n) then invalid_arg "Ipa.prove: length must be a power of two";
   if Array.length h <> n || Array.length a <> n || Array.length b <> n then
     invalid_arg "Ipa.prove: length mismatch";
-  let g = ref (Array.copy g) and h = ref (Array.copy h) in
-  let a = ref (Array.copy a) and b = ref (Array.copy b) in
+  let gs = Array.copy g and hs = Array.copy h in
+  let a = Array.copy a and b = Array.copy b in
+  let fpow = Array.make n Scalar.one in
+  for i = 1 to n - 1 do
+    fpow.(i) <- Scalar.mul fpow.(i - 1) h_factor
+  done;
+  let sg = ref Scalar.one and sh = ref Scalar.one in
+  let len = ref n in
   let ls = ref [] and rs = ref [] in
-  while Array.length !a > 1 do
-    let n = Array.length !a in
-    let half = n / 2 in
-    let a_lo = Array.sub !a 0 half and a_hi = Array.sub !a half half in
-    let b_lo = Array.sub !b 0 half and b_hi = Array.sub !b half half in
-    let g_lo = Array.sub !g 0 half and g_hi = Array.sub !g half half in
-    let h_lo = Array.sub !h 0 half and h_hi = Array.sub !h half half in
-    (* L = g_hi^{a_lo} h_lo^{b_hi} u^{<a_lo, b_hi>} *)
-    let l =
-      Msm.msm
-        (Array.append
-           (Array.append (Array.map2 (fun s p -> (s, p)) a_lo g_hi) (Array.map2 (fun s p -> (s, p)) b_hi h_lo))
-           [| (dot a_lo b_hi, u) |])
-    in
-    let r =
-      Msm.msm
-        (Array.append
-           (Array.append (Array.map2 (fun s p -> (s, p)) a_hi g_lo) (Array.map2 (fun s p -> (s, p)) b_lo h_hi))
-           [| (dot a_hi b_lo, u) |])
-    in
+  while !len > 1 do
+    let half = !len / 2 in
+    (* L = g_hi^{a_lo} h_lo^{b_hi} u'^{<a_lo, b_hi>}, R = g_lo^{a_hi} h_hi^{b_lo} u'^{<a_hi, b_lo>} *)
+    let lt = Array.make ((2 * half) + 1) (Scalar.zero, u) in
+    let rt = Array.make ((2 * half) + 1) (Scalar.zero, u) in
+    let c_l = ref Scalar.zero and c_r = ref Scalar.zero in
+    for i = 0 to half - 1 do
+      let j = half + i in
+      c_l := Scalar.add !c_l (Scalar.mul a.(i) b.(j));
+      c_r := Scalar.add !c_r (Scalar.mul a.(j) b.(i));
+      lt.(i) <- (Scalar.mul a.(i) !sg, gs.(j));
+      lt.(j) <- (Scalar.mul b.(j) (Scalar.mul !sh fpow.(i)), hs.(i));
+      rt.(i) <- (Scalar.mul a.(j) !sg, gs.(i));
+      rt.(j) <- (Scalar.mul b.(i) (Scalar.mul !sh fpow.(j)), hs.(j))
+    done;
+    lt.(2 * half) <- (Scalar.mul !c_l u_scale, u);
+    rt.(2 * half) <- (Scalar.mul !c_r u_scale, u);
+    let l = Msm.msm lt and r = Msm.msm rt in
     Transcript.append_point tr ~label:"ipa/L" l;
     Transcript.append_point tr ~label:"ipa/R" r;
     ls := l :: !ls;
     rs := r :: !rs;
     let x = Transcript.challenge_nonzero tr ~label:"ipa/x" in
     let xinv = Scalar.inv x in
-    a := Array.init half (fun i -> Scalar.add (Scalar.mul a_lo.(i) x) (Scalar.mul a_hi.(i) xinv));
-    b := Array.init half (fun i -> Scalar.add (Scalar.mul b_lo.(i) xinv) (Scalar.mul b_hi.(i) x));
-    g := Array.init half (fun i -> Point.double_mul xinv g_lo.(i) x g_hi.(i));
-    h := Array.init half (fun i -> Point.double_mul x h_lo.(i) xinv h_hi.(i))
+    for i = 0 to half - 1 do
+      let j = half + i in
+      let a_lo = a.(i) and b_lo = b.(i) in
+      a.(i) <- Scalar.add (Scalar.mul a_lo x) (Scalar.mul a.(j) xinv);
+      b.(i) <- Scalar.add (Scalar.mul b_lo xinv) (Scalar.mul b.(j) x)
+    done;
+    if half > 1 then begin
+      let gmul = Scalar.square x in
+      let hmul = Scalar.mul (Scalar.square xinv) fpow.(half) in
+      for i = 0 to half - 1 do
+        gs.(i) <- Point.add gs.(i) (Point.mul gmul gs.(half + i));
+        hs.(i) <- Point.add hs.(i) (Point.mul hmul hs.(half + i))
+      done;
+      sg := Scalar.mul !sg xinv;
+      sh := Scalar.mul !sh x
+    end;
+    len := half
   done;
-  { ls = Array.of_list (List.rev !ls); rs = Array.of_list (List.rev !rs); a = !a.(0); b = !b.(0) }
+  { ls = Array.of_list (List.rev !ls); rs = Array.of_list (List.rev !rs); a = a.(0); b = b.(0) }
 
 let verify tr ~g ~h ~u ~p proof =
   let n = Array.length g in

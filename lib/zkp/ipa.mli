@@ -15,11 +15,22 @@ type proof = {
   b : Scalar.t;  (** final folded b *)
 }
 
-(** [prove tr ~g ~h ~u ~a ~b]. Lengths of [g], [h], [a], [b] must be an
-    equal power of two. The caller must already have absorbed P into the
-    transcript. *)
+(** [prove ?h_factor ?u_scale tr ~g ~h ~u ~a ~b]. Lengths of [g], [h],
+    [a], [b] must be an equal power of two. The caller must already have
+    absorbed P into the transcript. The argument runs over the
+    generators hᵢ' = fⁱ·hᵢ and u' = w·u for [h_factor] f and [u_scale] w
+    (both default to 1), without materializing them: the proof is
+    byte-identical to proving over precomputed h' and u'. *)
 val prove :
-  Transcript.t -> g:Point.t array -> h:Point.t array -> u:Point.t -> a:Scalar.t array -> b:Scalar.t array -> proof
+  ?h_factor:Scalar.t ->
+  ?u_scale:Scalar.t ->
+  Transcript.t ->
+  g:Point.t array ->
+  h:Point.t array ->
+  u:Point.t ->
+  a:Scalar.t array ->
+  b:Scalar.t array ->
+  proof
 
 (** [verify tr ~g ~h ~u ~p proof] checks the argument for commitment [p]
     with a single multi-scalar multiplication. *)

@@ -101,12 +101,14 @@ let prove ?g_table ?h_table drbg tr ~gens ~g ~h ~bits ~values ~blinds =
   in
   let ar = Array.map (fun b -> Scalar.sub b Scalar.one) al in
   let alpha = Scalar.random drbg in
-  let a_pt =
-    Msm.msm
-      (Array.append
-         [| (alpha, h) |]
-         (Array.append (Array.mapi (fun i b -> (b, gv.(i))) al) (Array.mapi (fun i b -> (b, hv.(i))) ar)))
-  in
+  (* A = h^alpha g^{a_L} h^{a_R}: with a_L in {0, 1} and a_R = a_L - 1
+     every generator term is a signed unit, so A is one table multiply
+     plus nt additions *)
+  let a_pt = ref (tmul h_table alpha h) in
+  Array.iteri
+    (fun i b -> a_pt := if Scalar.is_zero b then Point.sub !a_pt hv.(i) else Point.add !a_pt gv.(i))
+    al;
+  let a_pt = !a_pt in
   let sl = Array.init nt (fun _ -> Scalar.random drbg) in
   let sr = Array.init nt (fun _ -> Scalar.random drbg) in
   let rho = Scalar.random drbg in
@@ -151,12 +153,9 @@ let prove ?g_table ?h_table drbg tr ~gens ~g ~h ~bits ~values ~blinds =
   Transcript.append_scalar tr ~label:"rp/tau_x" tau_x;
   Transcript.append_scalar tr ~label:"rp/mu" mu;
   let w = Transcript.challenge_nonzero tr ~label:"rp/w" in
-  let u_x = Point.mul w gens.u in
-  (* h'_i = h_i^{y^-i}; the IPA runs over (gv, h') *)
-  let yinv = Scalar.inv y in
-  let yinv_pows = powers yinv nt in
-  let hv' = Array.init nt (fun i -> Point.mul yinv_pows.(i) hv.(i)) in
-  let ipa = Ipa.prove tr ~g:gv ~h:hv' ~u:u_x ~a:l ~b:r in
+  (* the IPA runs over (gv, h'_i = h_i^{y^-i}, u^w); y^-1 and w go in as
+     scalar factors, so h' and u^w are never materialized *)
+  let ipa = Ipa.prove ~h_factor:(Scalar.inv y) ~u_scale:w tr ~g:gv ~h:hv ~u:gens.u ~a:l ~b:r in
   { a = a_pt; s = s_pt; t1 = t1_pt; t2 = t2_pt; t_hat; tau_x; mu; ipa }
 
 let verify tr ~gens ~g ~h ~bits ~commitments proof =

@@ -140,6 +140,52 @@ let test_msm_matches () =
     check_point "msm_small == sum of mul_smalls" reference_small (Msm.msm_small small)
   done
 
+(* --- MSM strategy crossover ---
+
+   [Msm.msm] runs Straus up to [Msm.straus_cutoff] terms and Pippenger
+   above; both must agree with the naive sum on either side of the
+   switch, including the inputs each strategy special-cases (zero and
+   ℓ−1 scalars, identity points, a point repeated across terms), and
+   both must bump the msm.evals / msm.points counters. *)
+
+let c_evals = Telemetry.Counter.make "msm.evals"
+let c_points = Telemetry.Counter.make "msm.points"
+
+let crossover_sizes =
+  let c = Msm.straus_cutoff in
+  [ 1; 2; 3; c - 1; c; c + 1; 2 * c ]
+
+let crossover_terms n =
+  let ell_minus_1 = Scalar.of_bigint (B.sub Scalar.order B.one) in
+  let rep = rand_point () in
+  Array.init n (fun i ->
+      match i mod 6 with
+      | 1 -> (Scalar.zero, rand_point ())
+      | 2 -> (ell_minus_1, rand_point ())
+      | 3 -> (rand_scalar (), Point.identity)
+      | 4 -> (rand_scalar (), rep)
+      | _ -> (rand_scalar (), if i mod 12 = 5 then rep else rand_point ()))
+
+let with_telemetry f =
+  let was = Telemetry.enabled () in
+  Telemetry.enable ();
+  Fun.protect ~finally:(fun () -> if not was then Telemetry.disable ()) f
+
+let test_msm_crossover () =
+  with_telemetry @@ fun () ->
+  List.iter
+    (fun n ->
+      let pairs = crossover_terms n in
+      let want = Array.fold_left (fun acc (s, p) -> Point.add acc (Point.mul s p)) Point.identity pairs in
+      List.iter
+        (fun (name, f) ->
+          let e0 = Telemetry.Counter.value c_evals and p0 = Telemetry.Counter.value c_points in
+          check_point (Printf.sprintf "%s n=%d == naive" name n) want (f pairs);
+          Alcotest.(check int) (Printf.sprintf "%s n=%d evals" name n) (e0 + 1) (Telemetry.Counter.value c_evals);
+          Alcotest.(check int) (Printf.sprintf "%s n=%d points" name n) (p0 + n) (Telemetry.Counter.value c_points))
+        [ ("msm", fun ps -> Msm.msm ps); ("straus", Msm.straus); ("pippenger", fun ps -> Msm.pippenger ps) ])
+    crossover_sizes
+
 (* --- Dlog edge cases --- *)
 
 let test_dlog_zero_range () =
@@ -338,6 +384,7 @@ let () =
           Alcotest.test_case "double_mul" `Quick test_double_mul_matches;
           Alcotest.test_case "fixed-base table" `Quick test_table_matches;
           Alcotest.test_case "msm differential" `Quick test_msm_matches;
+          Alcotest.test_case "msm Straus/Pippenger crossover" `Quick test_msm_crossover;
         ] );
       ( "dlog",
         [

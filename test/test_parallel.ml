@@ -232,6 +232,49 @@ let test_msm_small_qcheck =
       in
       List.for_all (fun jobs -> Point.equal want (Msm.msm_small ~jobs pairs)) jobs_ladder)
 
+(* The Straus/Pippenger switch inside [Msm.msm], at every job count: the
+   sizes straddle [Msm.straus_cutoff], the terms mix random scalars with
+   zero and ℓ−1, identity points and one repeated point, and every
+   evaluation must count one msm.evals and n msm.points. *)
+let test_msm_crossover_qcheck =
+  let c = Msm.straus_cutoff in
+  let c_evals = Telemetry.Counter.make "msm.evals" in
+  let c_points = Telemetry.Counter.make "msm.points" in
+  QCheck.Test.make ~count:12 ~name:"msm == naive sum across the Straus/Pippenger crossover"
+    QCheck.(pair (oneofl [ 1; 2; 3; c - 1; c; c + 1; 2 * c ]) (int_bound 1_000_000))
+    (fun (n, seed) ->
+      let d = Prng.Drbg.create_string (Printf.sprintf "crossover/%d" seed) in
+      let ell_minus_1 = Scalar.of_bigint (Bigint.sub Scalar.order Bigint.one) in
+      let rep = random_point () in
+      let pairs =
+        Array.init n (fun _ ->
+            let s =
+              match Prng.Drbg.uniform_int d 4 with
+              | 0 -> Scalar.zero
+              | 1 -> ell_minus_1
+              | _ -> Scalar.random d
+            in
+            let p =
+              match Prng.Drbg.uniform_int d 4 with
+              | 0 -> Point.identity
+              | 1 -> rep
+              | _ -> random_point ()
+            in
+            (s, p))
+      in
+      let want = naive_msm pairs in
+      let was = Telemetry.enabled () in
+      Telemetry.enable ();
+      Fun.protect ~finally:(fun () -> if not was then Telemetry.disable ()) @@ fun () ->
+      List.for_all
+        (fun jobs ->
+          let e0 = Telemetry.Counter.value c_evals and p0 = Telemetry.Counter.value c_points in
+          let got = Msm.msm ~jobs pairs in
+          Point.equal want got
+          && Telemetry.Counter.value c_evals = e0 + 1
+          && Telemetry.Counter.value c_points = p0 + n)
+        jobs_ladder)
+
 (* --- commitment generation is jobs-invariant --- *)
 
 let test_commit_vec_jobs_invariant () =
@@ -321,6 +364,7 @@ let () =
           Alcotest.test_case "edge cases" `Quick test_msm_edge_cases;
           Alcotest.test_case "signed small exponents" `Quick test_msm_small_signed;
           QCheck_alcotest.to_alcotest test_msm_small_qcheck;
+          QCheck_alcotest.to_alcotest test_msm_crossover_qcheck;
         ] );
       ( "protocol",
         [

@@ -159,7 +159,7 @@ let test_wf_shape_validation () =
 
 (* --- ipa --- *)
 
-let bp_gens = Range_proof.make_gens ~label:"zkp-test" 64
+let bp_gens = Range_proof.make_gens ~label:"zkp-test" 128
 
 let test_ipa_roundtrip () =
   List.iter
@@ -179,6 +179,41 @@ let test_ipa_roundtrip () =
       let tv = Transcript.create "ipa" in
       Alcotest.(check bool) (Printf.sprintf "n=%d" n) true (Ipa.verify tv ~g:gv ~h:hv ~u ~p proof))
     [ 1; 2; 4; 16; 64 ]
+
+(* the factor form: proving over (h, u) with h_factor f and u_scale w
+   must give the very bytes of proving over materialized h'_i = f^i·h_i
+   and u' = w·u, and verify against them *)
+let test_ipa_factor_form () =
+  List.iter
+    (fun n ->
+      let gv = Array.sub bp_gens.Range_proof.gv 0 n and hv = Array.sub bp_gens.Range_proof.hv 0 n in
+      let u = bp_gens.Range_proof.u in
+      let f = Scalar.random drbg and w = Scalar.random drbg in
+      let fpow = Array.make n Scalar.one in
+      for i = 1 to n - 1 do
+        fpow.(i) <- Scalar.mul fpow.(i - 1) f
+      done;
+      let hv' = Array.mapi (fun i hi -> Point.mul fpow.(i) hi) hv in
+      let u' = Point.mul w u in
+      let a = Array.init n (fun _ -> Scalar.random drbg) in
+      let b = Array.init n (fun _ -> Scalar.random drbg) in
+      let c = Array.fold_left Scalar.add Scalar.zero (Array.map2 Scalar.mul a b) in
+      let p =
+        Curve25519.Msm.msm
+          (Array.concat
+             [ Array.map2 (fun s pt -> (s, pt)) a gv; Array.map2 (fun s pt -> (s, pt)) b hv'; [| (c, u') |] ])
+      in
+      let bytes (pr : Ipa.proof) =
+        Bytes.concat Bytes.empty
+          (List.map Point.compress (Array.to_list pr.Ipa.ls @ Array.to_list pr.Ipa.rs)
+          @ [ Scalar.to_bytes pr.Ipa.a; Scalar.to_bytes pr.Ipa.b ])
+      in
+      let factored = Ipa.prove ~h_factor:f ~u_scale:w (Transcript.create "ipa") ~g:gv ~h:hv ~u ~a ~b in
+      let plain = Ipa.prove (Transcript.create "ipa") ~g:gv ~h:hv' ~u:u' ~a ~b in
+      Alcotest.(check bytes) (Printf.sprintf "n=%d same bytes" n) (bytes plain) (bytes factored);
+      Alcotest.(check bool) (Printf.sprintf "n=%d verifies" n) true
+        (Ipa.verify (Transcript.create "ipa") ~g:gv ~h:hv' ~u:u' ~p factored))
+    [ 1; 2; 4; 64 ]
 
 let test_ipa_rejects_wrong_p () =
   let n = 8 in
@@ -225,6 +260,10 @@ let test_range_roundtrip () =
       (8, [| 37; 200 |]);
       (16, [| 65535; 0; 12345 |]) (* padded to m=4 *);
       (4, [| 15; 1; 2; 3; 4; 5 |]) (* padded to m=8 *);
+      (* nt = 128, the σ/μ shapes of the wide-model workload *)
+      (32, [| 0; 1; 7; 1 lsl 31 |]);
+      (64, [| max_int; 3 |]);
+      (128, [| 123456789 |]);
     ]
 
 let test_range_rejects_out_of_range () =
@@ -340,6 +379,89 @@ let test_ipa_mutations () =
       Alcotest.(check bool) name false (Ipa.verify tv ~g:gv ~h:hv ~u ~p bad))
     mutations
 
+(* --- golden proof bytes ---
+
+   The prover may be optimized freely as long as it emits the same group
+   elements in the same order from the same DRBG draws. These digests
+   pin the exact bytes of range proofs at the shapes the client uses
+   (σ: b_ip × k, μ: b_max × 1) plus a padded shape, and of one whole
+   client proof bundle; any change to the transcript, the DRBG draw order
+   or a committed point shows up here. *)
+
+let range_proof_bytes (p : Range_proof.proof) =
+  let buf = Buffer.create 1024 in
+  let pt x = Buffer.add_bytes buf (Point.compress x) in
+  let sc x = Buffer.add_bytes buf (Scalar.to_bytes x) in
+  pt p.Range_proof.a;
+  pt p.Range_proof.s;
+  pt p.Range_proof.t1;
+  pt p.Range_proof.t2;
+  sc p.Range_proof.t_hat;
+  sc p.Range_proof.tau_x;
+  sc p.Range_proof.mu;
+  Array.iter pt p.Range_proof.ipa.Ipa.ls;
+  Array.iter pt p.Range_proof.ipa.Ipa.rs;
+  sc p.Range_proof.ipa.Ipa.a;
+  sc p.Range_proof.ipa.Ipa.b;
+  Buffer.to_bytes buf
+
+let sha256_hex b = Hashfn.Sha256.hex_digest_string (Bytes.to_string b)
+
+let golden_range_digest (bits, m) =
+  let d = Prng.Drbg.create_string (Printf.sprintf "golden-range/%d/%d" bits m) in
+  let values = Array.init m (fun _ -> Bigint.of_bytes_le (Prng.Drbg.bytes d (bits / 8))) in
+  let blinds = Array.map (fun _ -> Scalar.random d) values in
+  let commitments = Array.map2 (fun v r -> Point.double_mul (Scalar.of_bigint v) g r h) values blinds in
+  let proof = Range_proof.prove d (Transcript.create "golden") ~gens:bp_gens ~g ~h ~bits ~values ~blinds in
+  let ok = Range_proof.verify (Transcript.create "golden") ~gens:bp_gens ~g ~h ~bits ~commitments proof in
+  (ok, sha256_hex (range_proof_bytes proof))
+
+let golden_range =
+  [
+    ((32, 2), "3f04d0972fddf91f2fbdde294483597e92190f4d05f83bdd0babc8ac979d262d");
+    ((64, 1), "9b8690fa42ce134561adf5a5cdb92efac61e9586df7abdca8267b284d9451984");
+    ((32, 4), "26c25bc89f20e93b48bc890ce6efea80ea52ebb111b697c88d7f7378bfcec600");
+    ((128, 1), "d401ecc56d86bb4eaadb16fc4cce365c5eb10d94378faf01e9b172c3109d6699");
+    ((16, 3), "d31ea54bf8ec9e0b8580edcaaefef4c6d42635e012916d21667d3a908e84942d");
+  ]
+
+let test_golden_range_bytes () =
+  List.iter
+    (fun (((bits, m) as shape), want) ->
+      let ok, got = golden_range_digest shape in
+      let name = Printf.sprintf "%dx%d" bits m in
+      Alcotest.(check bool) (name ^ " verifies") true ok;
+      Alcotest.(check string) (name ^ " proof digest") want got)
+    golden_range
+
+(* one full client proof bundle (Wf, squares, σ and μ range proofs) from
+   a fixed session seed, hashed over its wire encoding *)
+let golden_bundle_digest () =
+  let open Risefl_core in
+  let n = 3 and d = 16 and k = 2 in
+  let udrbg = Prng.Drbg.create_string "golden-bundle/updates" in
+  let updates = Array.init n (fun _ -> Array.init d (fun _ -> Prng.Drbg.uniform_int udrbg 80 - 40)) in
+  let bound =
+    1.25 *. Array.fold_left (fun acc u -> Float.max acc (Encoding.Fixed_point.l2_norm_encoded u)) 0.0 updates
+  in
+  let params = Params.make ~n_clients:n ~max_malicious:1 ~d ~k ~m_factor:1024.0 ~bound_b:bound () in
+  let setup = Setup.create ~label:"golden-bundle" params in
+  let root = Prng.Drbg.create_string "golden-bundle" in
+  let clients = Array.init n (fun i -> Client.create setup ~id:(i + 1) (Prng.Drbg.fork root (string_of_int i))) in
+  let server = Server.create setup (Prng.Drbg.fork root "server") in
+  let pks = Array.map Client.public_key clients in
+  Array.iter (fun c -> Client.install_directory c pks) clients;
+  Server.install_directory server pks;
+  let commits = Array.mapi (fun i c -> Some (Client.commit_round c ~round:1 ~update:updates.(i))) clients in
+  Server.begin_round server ~round:1 ~commits;
+  let s, hs = Server.prepare_check server in
+  let msg = Client.proof_round clients.(0) ~round:1 ~s ~hs in
+  sha256_hex (Serial.encode_proof_msg msg)
+
+let test_golden_bundle_bytes () =
+  Alcotest.(check string) "proof_round digest"
+    "1b2c43a717c75ad8d4be98939f5eb4f580f4041fced01b6057fac66457a7b1a7" (golden_bundle_digest ())
+
 let test_wf_cross_client_transcripts () =
   (* a proof bound to one transcript context must not verify in another *)
   let r, hs, vs, ss, z, es, os = make_wf_instance 2 in
@@ -382,6 +504,7 @@ let () =
       ( "ipa",
         [
           Alcotest.test_case "roundtrip" `Quick test_ipa_roundtrip;
+          Alcotest.test_case "factor form" `Quick test_ipa_factor_form;
           Alcotest.test_case "rejects" `Quick test_ipa_rejects_wrong_p;
         ] );
       ( "range",
@@ -399,5 +522,10 @@ let () =
         [
           Alcotest.test_case "ipa field mutations" `Quick test_ipa_mutations;
           Alcotest.test_case "wf cross-client transcript" `Quick test_wf_cross_client_transcripts;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "range proof bytes" `Quick test_golden_range_bytes;
+          Alcotest.test_case "proof bundle bytes" `Quick test_golden_bundle_bytes;
         ] );
     ]
