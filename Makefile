@@ -74,16 +74,14 @@ recovery-smoke:
 	@grep -q '"name": "wal-bytes-per-round"' /tmp/recovery-smoke.json \
 	  || { echo "recovery-smoke: WAL overhead records missing from bench JSON" >&2; exit 1; }
 
-# Group-layer gate: the fast-path differential suite (C fe-mul stub vs
-# pure OCaml, wNAF vs double-and-add, Straus vs Pippenger across the MSM
-# crossover, cached vs rebuilt tables bit-identical, BSGS edge cases),
-# once more with the C stub enabled for the whole suite, then the group
-# bench smoke — the build fails if the warm-cache precompute speedup
-# falls below 2x over a cold build, or if the range-prove and
-# msm-crossover records are missing.
+# Group-layer gate: the fast-path differential suite (wNAF vs
+# double-and-add, Straus vs Pippenger across the MSM crossover, cached vs
+# rebuilt tables bit-identical, BSGS edge cases), then the group bench
+# smoke — the build fails if the warm-cache precompute speedup falls
+# below 2x over a cold build, or if the range-prove, msm-crossover or
+# fe-kernel (per-op field/point cost) records are missing.
 group-smoke:
 	dune exec test/test_group_fast.exe
-	RISEFL_FE_STUB=1 dune exec test/test_group_fast.exe
 	dune exec bench/main.exe -- group --smoke --json /tmp/group-smoke.json --gate-group 2.0
 	@grep -q '"name": "precompute-speedup"' /tmp/group-smoke.json \
 	  || { echo "group-smoke: precompute records missing from bench JSON" >&2; exit 1; }
@@ -92,6 +90,9 @@ group-smoke:
 	@grep -q '"name": "msm-crossover-straus"' /tmp/group-smoke.json \
 	  && grep -q '"name": "msm-crossover-pippenger"' /tmp/group-smoke.json \
 	  || { echo "group-smoke: msm-crossover records missing from bench JSON" >&2; exit 1; }
+	@grep -q '"name": "fe-kernel/fe.invert-ns"' /tmp/group-smoke.json \
+	  && grep -q '"name": "fe-kernel/point.mul-ns"' /tmp/group-smoke.json \
+	  || { echo "group-smoke: fe-kernel records missing from bench JSON" >&2; exit 1; }
 
 # Deployment-transport gate: the transport suite (frame/proto units plus
 # forked serve/client deployments), then a real multi-process CLI

@@ -799,6 +799,56 @@ let run_prover_kernels () =
       record ~target:"group" ~name:(Printf.sprintf "range-prove@%dx%d" bits m) ~jobs:1 ~n:m s)
     shapes
 
+(* Per-operation cost of the field and point kernels.  Each trial times a
+   loop of [iters] calls sized to a few milliseconds; a row is the median
+   of the trials' ns/op, recorded as [fe-kernel/<op>-ns]. *)
+let run_fe_kernel () =
+  let module Fe = Curve25519.Fe in
+  let trials = if config.smoke then 5 else 15 in
+  let drbg = Prng.Drbg.create_string (ns_seed "bench-group/fe") in
+  let rand_fe () = Fe.of_bigint (Bigint.random ~bits:255 (Prng.Drbg.rand26 drbg)) in
+  let a = rand_fe () and b = rand_fe () in
+  let s = Scalar.random drbg in
+  let p = Point.mul_base (Scalar.random drbg) and q = Point.mul_base (Scalar.random drbg) in
+  let qn = (Point.to_niels_batch [| q |]).(0) in
+  let enc = Point.compress p in
+  (* the result escapes, so the compiler cannot drop the call *)
+  let keep f () = ignore (Sys.opaque_identity (f ())) in
+  let median xs =
+    let xs = List.sort compare xs in
+    List.nth xs (List.length xs / 2)
+  in
+  let ns_per_op iters f =
+    let trial () =
+      let (), secs =
+        Telemetry.Clock.time (fun () ->
+            for _ = 1 to iters do
+              f ()
+            done)
+      in
+      secs *. 1e9 /. float_of_int iters
+    in
+    median (List.init trials (fun _ -> trial ()))
+  in
+  pf "field/point kernels (median of %d trials, ns/op):\n" trials;
+  List.iter
+    (fun (op, iters, f) ->
+      let ns = ns_per_op iters f in
+      pf "  %-28s %12.1f\n" op ns;
+      record ~target:"group" ~name:(Printf.sprintf "fe-kernel/%s-ns" op) ~jobs:1 ns)
+    [
+      ("fe.mul", 40_000, keep (fun () -> Fe.mul a b));
+      ("fe.square", 40_000, keep (fun () -> Fe.square a));
+      ("fe.add", 200_000, keep (fun () -> Fe.add a b));
+      ("fe.invert", 400, keep (fun () -> Fe.invert a));
+      ("fe.pow_p58", 400, keep (fun () -> Fe.pow_p58 a));
+      ("point.add", 4_000, keep (fun () -> Point.add p q));
+      ("point.double", 4_000, keep (fun () -> Point.double p));
+      ("point.madd", 4_000, keep (fun () -> Point.madd p qn));
+      ("point.mul", 20, keep (fun () -> Point.mul s p));
+      ("point.decompress_unchecked", 400, keep (fun () -> Point.decompress_unchecked enc));
+    ]
+
 let run_group () =
   pf "================ group: persistent table cache + dlog knobs ================\n";
   let n = if config.smoke then 4 else 6 in
@@ -901,6 +951,7 @@ let run_group () =
       record ~target:"group" ~name:(Printf.sprintf "dlog-solve@m=%g" ms) ~d ~k ~n solve_s)
     [ 1.0; 4.0 ];
   run_prover_kernels ();
+  run_fe_kernel ();
   match !group_gate with
   | Some thr when speedup < thr ->
       pf "GATE FAIL: warm-cache precompute speedup %.2fx below threshold %.2fx\n" speedup thr;

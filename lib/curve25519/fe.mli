@@ -25,7 +25,8 @@ val square : t -> t
 (** [mul_small x c] multiplies by a small constant [0 <= c < 2^30]. *)
 val mul_small : t -> int -> t
 
-(** [invert x] is [x^(p-2)] — the multiplicative inverse (0 maps to 0). *)
+(** [invert x] is [x^(p-2)] — the multiplicative inverse (0 maps to 0) —
+    by the ref10 addition chain: 254 squarings and 11 multiplications. *)
 val invert : t -> t
 
 (** [invert_batch xs] inverts every element with a single field
@@ -34,7 +35,8 @@ val invert : t -> t
 val invert_batch : t array -> t array
 
 (** [pow_p58 x] is [x^((p-5)/8)], the core step of the square-root used in
-    point decompression. *)
+    point decompression; it shares {!invert}'s addition chain up to
+    [x^(2^250-1)]. *)
 val pow_p58 : t -> t
 
 (** Canonical 32-byte little-endian encoding (top bit clear). *)
@@ -72,23 +74,3 @@ val edwards_d : t
 val edwards_d2 : t
 
 val pp : Format.formatter -> t -> unit
-
-(** Runtime selection of the multiply/square kernel.
-
-    The default is the pure-OCaml ref10 port. When the stub is enabled
-    ({!Backend.set_stub} or the [RISEFL_FE_STUB=1] environment variable,
-    read once at startup), {!mul} and {!square} route through a C stub
-    that replicates the same schoolbook product and carry chain with
-    [int64], producing bit-identical limb arrays — so proofs, verdicts
-    and C* are unchanged whichever kernel is active. *)
-module Backend : sig
-  (** [true] in this build (the stub is compiled in unconditionally;
-      the flag exists so callers can feature-test). *)
-  val stub_available : bool
-
-  (** Route {!mul}/{!square} through the C stub ([true]) or the pure
-      OCaml kernels ([false]). Takes effect immediately, process-wide. *)
-  val set_stub : bool -> unit
-
-  val using_stub : unit -> bool
-end

@@ -28,6 +28,8 @@ let test_fe_roundtrip () =
     check_fe "roundtrip" x (Fe.to_bigint (Fe.of_bigint x))
   done
 
+let p58 = B.shift_right (B.sub Fe.p (B.of_int 5)) 3
+
 let test_fe_ops_vs_bigint () =
   for _ = 1 to 100 do
     let a = rand_fe () and b = rand_fe () in
@@ -36,8 +38,59 @@ let test_fe_ops_vs_bigint () =
     check_fe "sub" (fe_ref_op B.sub ab bb) (Fe.to_bigint (Fe.sub a b));
     check_fe "mul" (fe_ref_op B.mul ab bb) (Fe.to_bigint (Fe.mul a b));
     check_fe "square" (fe_ref_op B.mul ab ab) (Fe.to_bigint (Fe.square a));
-    check_fe "neg" (B.erem (B.neg ab) Fe.p) (Fe.to_bigint (Fe.neg a))
-  done
+    check_fe "neg" (B.erem (B.neg ab) Fe.p) (Fe.to_bigint (Fe.neg a));
+    check_fe "pow_p58" (B.mod_pow ab p58 Fe.p) (Fe.to_bigint (Fe.pow_p58 a))
+  done;
+  check_fe "pow_p58 0 = 0" B.zero (Fe.to_bigint (Fe.pow_p58 Fe.zero))
+
+(* The kernels skip carrying after add/sub/neg, so mul and square see
+   sums of up to three carried values (double's [sub h (square (add x
+   y))], madd's [sub (add z z) c]) and sums of a freshly decoded,
+   unreduced element with a carried one (add's [sub y x] after
+   decompression).  Build those at the largest limb magnitudes and check
+   every product against Bigint: an intermediate past the 63-bit range
+   would wrap and show up as a wrong value. *)
+let test_fe_uncarried_headroom () =
+  let offsets = [| 0; 26; 51; 77; 102; 128; 153; 179; 204; 230 |] in
+  (* carried extreme: each even limb 2^25 - 1, each odd limb 2^24 - 1 *)
+  let top =
+    Array.fold_left B.add B.zero
+      (Array.mapi
+         (fun i off -> B.shift_left (B.of_int ((1 lsl if i land 1 = 0 then 25 else 24) - 1)) off)
+         offsets)
+  in
+  let hi = Fe.mul_small (Fe.of_bigint top) 1 in
+  let lo = Fe.neg hi in
+  (* unreduced decode: every limb at its 26/25-bit maximum, value 2^255 - 1 *)
+  let raw = Fe.of_bytes (Bytes.make 32 '\xff') in
+  let rand = rand_fe () in
+  let inputs =
+    [
+      ("hi", hi);
+      ("lo", lo);
+      ("raw", raw);
+      ("hi+raw", Fe.add hi raw);
+      ("raw-lo", Fe.sub raw lo);
+      ("lo-raw", Fe.sub lo raw);
+      ("(hi+hi)-lo", Fe.sub (Fe.add hi hi) lo);
+      ("(lo+lo)-hi", Fe.sub (Fe.add lo lo) hi);
+      ("(hi+hi)-sq", Fe.sub (Fe.add hi hi) (Fe.square (Fe.add hi raw)));
+      ("(r+r)-lo", Fe.sub (Fe.add rand rand) lo);
+    ]
+  in
+  List.iter
+    (fun (na, a) ->
+      let ab = Fe.to_bigint a in
+      check_fe ("square " ^ na) (fe_ref_op B.mul ab ab) (Fe.to_bigint (Fe.square a));
+      List.iter
+        (fun (nb, b) ->
+          let bb = Fe.to_bigint b in
+          check_fe
+            (Printf.sprintf "mul %s %s" na nb)
+            (fe_ref_op B.mul ab bb)
+            (Fe.to_bigint (Fe.mul a b)))
+        inputs)
+    inputs
 
 let test_fe_invert () =
   for _ = 1 to 20 do
@@ -329,6 +382,7 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_fe_roundtrip;
           Alcotest.test_case "ops vs bigint" `Quick test_fe_ops_vs_bigint;
+          Alcotest.test_case "un-carried headroom" `Quick test_fe_uncarried_headroom;
           Alcotest.test_case "invert" `Quick test_fe_invert;
           Alcotest.test_case "mul_small" `Quick test_fe_mul_small;
           Alcotest.test_case "sqrt(-1)" `Quick test_fe_sqrt_m1;

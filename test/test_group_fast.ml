@@ -1,11 +1,9 @@
-(* Group-layer fast paths: the C field-mul stub, wNAF scalar
-   multiplication, signed fixed-base tables, batched-affine MSM, the
-   center-out BSGS solver, and the persistent table cache.  Every fast
-   path is differentially tested against a slow reference, and the cache
-   against corruption: a bad cache file must read as a miss, never as
-   wrong data. *)
+(* Group-layer fast paths: wNAF scalar multiplication, signed
+   fixed-base tables, batched-affine MSM, the center-out BSGS solver,
+   and the persistent table cache.  Every fast path is differentially
+   tested against a slow reference, and the cache against corruption: a
+   bad cache file must read as a miss, never as wrong data. *)
 
-module Fe = Curve25519.Fe
 module Scalar = Curve25519.Scalar
 module Point = Curve25519.Point
 module Msm = Curve25519.Msm
@@ -16,7 +14,6 @@ module Group_cache = Risefl_core.Group_cache
 
 let drbg = Prng.Drbg.create_string "test-group-fast"
 
-let rand_fe () = Fe.of_bigint (B.random ~bits:300 (Prng.Drbg.rand26 drbg))
 let rand_scalar () = Scalar.random drbg
 let rand_point () = Point.mul_base (rand_scalar ())
 
@@ -32,31 +29,6 @@ let with_temp_dir f =
         Unix.rmdir dir
       end)
     (fun () -> f dir)
-
-(* --- C field-mul stub vs the pure-OCaml kernel --- *)
-
-let test_fe_stub_differential () =
-  Alcotest.(check bool) "stub compiled in" true Fe.Backend.stub_available;
-  let was = Fe.Backend.using_stub () in
-  Fun.protect ~finally:(fun () -> Fe.Backend.set_stub was) @@ fun () ->
-  for _ = 1 to 200 do
-    let a = rand_fe () and b = rand_fe () in
-    Fe.Backend.set_stub false;
-    let mul_ml = Fe.to_bytes (Fe.mul a b) in
-    let sq_ml = Fe.to_bytes (Fe.square a) in
-    Fe.Backend.set_stub true;
-    let mul_c = Fe.to_bytes (Fe.mul a b) in
-    let sq_c = Fe.to_bytes (Fe.square a) in
-    Alcotest.(check bytes) "stub mul == ocaml mul" mul_ml mul_c;
-    Alcotest.(check bytes) "stub sq == ocaml sq" sq_ml sq_c
-  done;
-  (* a compressed point exercises the full carry/inversion tower *)
-  let p = rand_point () and s = rand_scalar () in
-  Fe.Backend.set_stub false;
-  let c_ml = Point.compress (Point.mul s p) in
-  Fe.Backend.set_stub true;
-  let c_c = Point.compress (Point.mul s p) in
-  Alcotest.(check bytes) "stub scalarmul compress identical" c_ml c_c
 
 (* --- wNAF variable-base mul vs double-and-add --- *)
 
@@ -375,8 +347,6 @@ let test_group_cache_bit_identity () =
 let () =
   Alcotest.run "group-fast"
     [
-      ( "fe-stub",
-        [ Alcotest.test_case "C kernel differential" `Quick test_fe_stub_differential ] );
       ( "wnaf",
         [
           Alcotest.test_case "digit invariants + reconstruction" `Quick test_wnaf_digits;

@@ -172,6 +172,12 @@ let test_proto_roundtrip () =
 (* ------------------------------------------------------------------ *)
 (* forked serve/client deployments *)
 
+(* Unix.fork is illegal once any domain has been spawned (OCaml 5). The
+   set-ups below derive generators through the Parallel pool and the
+   in-process reference runs would use it too; the params here are tiny,
+   so pin everything inline before any of it runs. *)
+let () = Parallel.set_default_jobs 1
+
 let n = 3
 let m = 1
 let d = 8
@@ -463,10 +469,6 @@ let test_serve_churn () =
     cli_outs
 
 let () =
-  (* Unix.fork is illegal once any domain has been spawned (OCaml 5), and
-     the in-process reference runs would otherwise warm the Parallel
-     pool; the params here are tiny, so run everything inline *)
-  Parallel.set_default_jobs 1;
   Alcotest.run "transport"
     [
       ( "frame",
