@@ -25,11 +25,11 @@ bench-smoke:
 	@grep -q '"name": "msm-full"' BENCH_RISEFL.json || { echo "bench-smoke: expected msm-full records" >&2; exit 1; }
 	@echo "bench-smoke: BENCH_RISEFL.json OK ($$(grep -c '"target"' BENCH_RISEFL.json) records)"
 
-# Batched-verifier gate: the differential/soundness corpus (batched and
-# naive verdicts must be bit-identical, every single-field corruption
-# rejected with the same C*) at a reduced stride, plus the verify bench
-# smoke point — the build fails if the batched path falls below a 2x
-# jobs=1 speedup over the naive reference.
+# Batched-verifier gate: the differential/soundness corpus (verify_proofs
+# and the naive oracle's verdicts must be bit-identical, every
+# single-field corruption rejected with the same C*) at a reduced stride,
+# plus the verify bench smoke point — the build fails if verify_proofs
+# falls below a 2x jobs=1 speedup over the naive reference.
 verify-smoke:
 	BATCH_STRIDE=4 dune exec test/test_batch_verify.exe
 	dune exec bench/main.exe -- verify --smoke --json /tmp/verify-smoke.json --gate-verify 2.0
@@ -136,13 +136,14 @@ serve-smoke:
 	@grep -q '"name": "loopback-round-s"' /tmp/serve-smoke.json \
 	  || { echo "serve-smoke: transport records missing from bench JSON" >&2; exit 1; }
 
-# Streaming-verification gate: the quick differential suite (Acc
-# flush/capacity units, streamed-vs-barrier bit-identity across the
-# jobs x shards matrix, batch-boundary edges, late agg-stage conviction,
-# stream counters), a CLI round diffed barrier-vs-streamed, then the
-# stream bench smoke — the build fails if the streamed path's peak
-# resident memory grows more than 1.25x across the client ladder while
-# the barrier path's doubles.
+# Streaming-verification gate: the quick differential suite (small
+# sharded batches vs the default one-batch round, bit for bit across the
+# jobs x shards matrix and against the plaintext oracle, batch-boundary
+# edges, late agg-stage conviction, stream counters), the default CLI
+# round diffed against --shards 2 --stream-batch 2, then the stream bench
+# smoke — the build fails if the streamed path's peak resident memory
+# grows more than 1.25x across the client ladder while the one-batch
+# path's doubles.
 stream-smoke:
 	STREAM_STRIDE=2 dune exec test/test_stream.exe -- -q
 	dune build bin/risefl_cli.exe
@@ -150,14 +151,14 @@ stream-smoke:
 	BIN=_build/default/bin/risefl_cli.exe; \
 	DIR=/tmp/risefl-stream; rm -rf $$DIR; mkdir -p $$DIR; \
 	ARGS="--clients 6 --dimension 16 --samples 4 --seed stream-smoke"; \
-	$$BIN round $$ARGS | grep -E "flagged|aggregate" > $$DIR/barrier.txt; \
-	$$BIN round $$ARGS --stream --shards 2 --stream-batch 2 \
+	$$BIN round $$ARGS | grep -E "flagged|aggregate" > $$DIR/one-batch.txt; \
+	$$BIN round $$ARGS --shards 2 --stream-batch 2 \
 	  | tee $$DIR/stream-full.txt | grep -E "flagged|aggregate" > $$DIR/stream.txt; \
-	diff $$DIR/barrier.txt $$DIR/stream.txt \
-	  || { echo "stream-smoke: streamed round diverged from the barrier round" >&2; exit 1; }; \
+	diff $$DIR/one-batch.txt $$DIR/stream.txt \
+	  || { echo "stream-smoke: sharded round diverged from the one-batch round" >&2; exit 1; }; \
 	grep -q "stream: 6 folded, 6 evicted" $$DIR/stream-full.txt \
 	  || { echo "stream-smoke: stream counters missing from CLI output" >&2; exit 1; }; \
-	echo "stream-smoke: barrier/streamed CLI rounds bit-identical"
+	echo "stream-smoke: one-batch/sharded CLI rounds bit-identical"
 	dune exec bench/main.exe -- stream --smoke --json /tmp/stream-smoke.json --gate-stream 1.25
 	@grep -q '"name": "stream-peak-growth"' /tmp/stream-smoke.json \
 	  || { echo "stream-smoke: peak-memory records missing from bench JSON" >&2; exit 1; }

@@ -13,7 +13,7 @@
      faults  fault-injected transport degradation ladder (EXPERIMENTS.md)
      recovery  WAL overhead (bytes/round, fsyncs, wall-clock) + crash recovery
      serve   deployment transport: socket-loopback round latency + counters
-     stream  streaming verification: barrier vs arrival-ordered fold, time + memory
+     stream  streaming verification: one batch vs arrival-ordered batches, time + memory
      topology commit-stage bytes per client, all-to-all vs k-regular sharing
      churn   elastic membership: per-epoch enrollment/rotation costs + overhead
      all     everything above
@@ -658,10 +658,11 @@ let run_phases () =
   | None -> failwith "phases: round did not complete"
 
 (* ------------------------------------------------------------------ *)
-(* Naive vs batched server verification (DESIGN.md "Batch
-   verification").  One committed round is built per ladder point; each
-   timing re-enters at begin_round so both paths verify the identical
-   proof set, and their verdicts are cross-checked every run.           *)
+(* Naive vs batched server verification (DESIGN.md "Proof
+   verification"): Server.verify_proofs_naive against
+   Server.verify_proofs.  One committed round is built per ladder point;
+   each timing re-enters at begin_round so both paths verify the
+   identical proof set, and their verdicts are cross-checked every run. *)
 
 let verify_gate = ref None (* --gate-verify threshold on jobs=1 speedup *)
 
@@ -709,16 +710,17 @@ let run_verify () =
       in
       List.iter
         (fun jobs ->
-          let time_verify ~batched =
+          let time_verify verify =
             Server.begin_round server ~round:1 ~commits;
-            let (), s =
-              Telemetry.Clock.time (fun () ->
-                  Server.verify_proofs ~jobs ~batched server ~round:1 ~proofs)
-            in
+            let (), s = Telemetry.Clock.time (fun () -> verify server) in
             (Server.malicious server, s)
           in
-          let bad_n, naive_s = time_verify ~batched:false in
-          let bad_b, batched_s = time_verify ~batched:true in
+          let bad_n, naive_s =
+            time_verify (fun server -> Server.verify_proofs_naive ~jobs server ~round:1 ~proofs)
+          in
+          let bad_b, batched_s =
+            time_verify (fun server -> Server.verify_proofs ~jobs server ~round:1 ~proofs)
+          in
           if bad_n <> bad_b then failwith "verify bench: naive/batched verdict mismatch";
           if bad_b <> [] then failwith "verify bench: honest round rejected";
           record ~target:"verify" ~name:"verify-naive" ~jobs ~d ~k ~n naive_s;
@@ -1145,14 +1147,15 @@ let run_serve () =
     snap.Telemetry.counters
 
 (* ------------------------------------------------------------------ *)
-(* Streaming verification: barrier vs arrival-ordered fold, wall time
-   and resident memory.  Both paths start from the identical committed
-   round; [peak] is the max live-words delta over the post-commit
-   baseline while the proof stage holds its inputs.  The barrier path
-   must retain every proof frame (and the un-evicted commit records)
-   until the batch verify; the streamed path folds each frame on
-   arrival and evicts, so its delta stays bounded by the flush batch
-   plus the compressed per-client spill — near-flat in n.              *)
+(* Streaming verification: one batch vs small arrival-ordered batches,
+   wall time and resident memory.  Both runs start from the identical
+   committed round; [peak] is the max live-words delta over the
+   post-commit baseline while the proof stage holds its inputs.  The
+   one-batch run (Server.verify_proofs) has its caller retain every
+   proof frame until the stage's single MSM; the streamed run folds each
+   frame on arrival and evicts after every small batch, so its delta
+   stays bounded by the batch plus the compressed per-client spill —
+   near-flat in n.                                                      *)
 
 let stream_gate = ref None (* --gate-stream cap on streamed peak growth across the ladder *)
 
@@ -1161,7 +1164,7 @@ let live_peak () =
   Telemetry.live_words ()
 
 let run_stream () =
-  pf "================ stream: barrier vs streaming verification ================\n";
+  pf "================ stream: one batch vs streaming verification ================\n";
   let d = if config.smoke then 16 else 64 in
   let k = if config.smoke then 4 else 16 in
   let ladder =
@@ -1172,7 +1175,8 @@ let run_stream () =
   let shards = 2 and batch = 4 in
   pf "d=%d k=%d, streaming cfg: shards=%d batch=%d\n" d k shards batch;
   pf "peak = max live-words delta over the post-commit baseline during the proof stage\n\n";
-  pf "%-6s | %12s %14s | %12s %14s | %8s\n" "n" "barrier(s)" "peak(words)" "stream(s)"
+  pf "one batch = Server.verify_proofs; its caller retains all proofs until the stage's MSM\n\n";
+  pf "%-6s | %12s %14s | %12s %14s | %8s\n" "n" "one-batch(s)" "peak(words)" "stream(s)"
     "peak(words)" "ratio";
   let stream_peaks = ref [] in
   List.iter
@@ -1234,23 +1238,22 @@ let run_stream () =
         if Server.malicious server <> [] then failwith "stream bench: honest round rejected";
         (stage_s, !peak)
       in
-      let barrier_s, barrier_w = run ~streamed:false in
+      let one_s, one_w = run ~streamed:false in
       let stream_s, stream_w = run ~streamed:true in
       let ratio =
-        if barrier_w > 0 then float_of_int stream_w /. float_of_int barrier_w else 0.0
+        if one_w > 0 then float_of_int stream_w /. float_of_int one_w else 0.0
       in
       stream_peaks := stream_w :: !stream_peaks;
-      pf "%-6d | %12.3f %14d | %12.3f %14d | %7.2f\n" n barrier_s barrier_w stream_s stream_w
-        ratio;
-      record ~target:"stream" ~name:"barrier-proof-stage-s" ~d ~k ~n barrier_s;
+      pf "%-6d | %12.3f %14d | %12.3f %14d | %7.2f\n" n one_s one_w stream_s stream_w ratio;
+      record ~target:"stream" ~name:"one-batch-proof-stage-s" ~d ~k ~n one_s;
       record ~target:"stream" ~name:"stream-proof-stage-s" ~d ~k ~n stream_s;
-      record ~target:"stream" ~name:"barrier-peak-words" ~d ~k ~n (float_of_int barrier_w);
+      record ~target:"stream" ~name:"one-batch-peak-words" ~d ~k ~n (float_of_int one_w);
       record ~target:"stream" ~name:"stream-peak-words" ~d ~k ~n (float_of_int stream_w);
       record ~target:"stream" ~name:"stream-peak-ratio" ~d ~k ~n ratio)
     ladder;
   (* flat-memory gate: the streamed peak at the top of the ladder must stay
      within [thr]x of the smallest point's, while n itself grows by the
-     ladder factor (the barrier column is the contrast, not the gate) *)
+     ladder factor (the one-batch column is the contrast, not the gate) *)
   let growth =
     match List.rev !stream_peaks with
     | first :: (_ :: _ as rest) when first > 0 ->

@@ -136,35 +136,30 @@ let wal_arg =
           "Arm the durable runtime: append every accepted frame to FILE (write-ahead, fsynced) \
            so an interrupted round can be finished with the resume subcommand.")
 
-let stream_arg =
-  Arg.(
-    value & flag
-    & info [ "stream" ]
-        ~doc:
-          "Verify proofs through the streaming pipeline: each arrived frame is folded into the \
-           round's sharded RLC accumulators and its decoded bulk evicted, bounding resident \
-           memory; verdicts and the aggregate are bit-identical to the barrier path.")
-
 let shards_arg =
   Arg.(
     value & opt int 1
     & info [ "shards" ] ~docv:"S"
         ~doc:
-          "Independent streaming-accumulator shards (client i lands in shard (i-1) mod S); \
-           implies $(b,--stream) when > 1.")
+          "Independent proof-verification shards (client i lands in shard (i-1) mod S). Each \
+           arrived proof frame is buffered into its shard, and each full batch is judged by one \
+           MSM and its decoded bulk evicted; verdicts and the aggregate do not depend on S.")
 
 let stream_batch_arg =
   Arg.(
-    value & opt int 64
+    value & opt (some int) None
     & info [ "stream-batch" ] ~docv:"B"
-        ~doc:"Frames buffered per shard before a partial-MSM flush (streaming mode).")
+        ~doc:
+          "Proof frames buffered per shard before its batch MSM. Default: the whole proof stage \
+           in one batch with one shard, 64 with more.")
 
-let make_stream_cfg ~stream ~shards ~batch =
-  if shards < 1 || batch < 1 then begin
+let make_stream_cfg ~shards ~batch =
+  if shards < 1 || (match batch with Some b -> b < 1 | None -> false) then begin
     Printf.eprintf "--shards and --stream-batch must be >= 1\n";
     exit 2
   end;
-  if stream || shards > 1 then Some (Risefl_core.Server.stream_cfg ~shards ~batch ()) else None
+  if shards = 1 && batch = None then None
+  else Some (Risefl_core.Server.stream_cfg ~shards ?batch ())
 
 let print_stream_stats server =
   match Risefl_core.Server.stream_stats server with
@@ -296,11 +291,11 @@ let round_cmd =
              dropout's neighborhood.")
   in
   let run n m d k bound seed attackers dropouts agg_dropouts jobs cache_dir dlog_mem faults
-      deadline trace rounds crash wal_file retransmit no_recover stream_flag shards stream_batch
+      deadline trace rounds crash wal_file retransmit no_recover shards stream_batch
       topology_mode degree churn_spec =
     if jobs > 0 then Parallel.set_default_jobs jobs;
     configure_group_cache cache_dir dlog_mem;
-    let stream = make_stream_cfg ~stream:stream_flag ~shards ~batch:stream_batch in
+    let stream = make_stream_cfg ~shards ~batch:stream_batch in
     let topology = make_topology ~n ~m ~topology:topology_mode ~degree in
     let churn = make_churn churn_spec in
     if churn <> None && no_recover then begin
@@ -407,7 +402,7 @@ let round_cmd =
            report.Driver.crashes_recovered
            (String.concat ";" (List.map string_of_int report.Driver.final_banned))
      end);
-    if stream <> None then print_stream_stats (Driver.session_server session);
+    print_stream_stats (Driver.session_server session);
     (match reliable with
     | Some rel ->
         print_reliable_counters rel;
@@ -430,7 +425,7 @@ let round_cmd =
       const run $ n_arg $ m_arg $ d_arg $ k_arg $ bound_arg $ seed_arg $ attackers_arg
       $ dropouts_arg $ agg_dropouts_arg $ jobs_arg $ cache_dir_arg $ dlog_mem_arg $ faults_arg
       $ deadline_arg $ trace_arg $ rounds_arg $ crash_arg $ wal_arg $ retransmit_arg
-      $ no_recover_arg $ stream_arg $ shards_arg $ stream_batch_arg $ topology_arg $ degree_arg
+      $ no_recover_arg $ shards_arg $ stream_batch_arg $ topology_arg $ degree_arg
       $ churn_arg)
 
 (* --- resume --- *)
@@ -441,11 +436,11 @@ let resume_cmd =
       required & opt (some string) None
       & info [ "wal" ] ~docv:"FILE" ~doc:"Write-ahead log of the interrupted run.")
   in
-  let run n m d k bound seed attackers jobs cache_dir dlog_mem wal_file stream_flag shards
-      stream_batch topology_mode degree =
+  let run n m d k bound seed attackers jobs cache_dir dlog_mem wal_file shards stream_batch
+      topology_mode degree =
     if jobs > 0 then Parallel.set_default_jobs jobs;
     configure_group_cache cache_dir dlog_mem;
-    let stream = make_stream_cfg ~stream:stream_flag ~shards ~batch:stream_batch in
+    let stream = make_stream_cfg ~shards ~batch:stream_batch in
     let topology = make_topology ~n ~m ~topology:topology_mode ~degree in
     let records, status = Round_log.replay wal_file in
     let frames = List.length (List.filter (function Round_log.Frame _ -> true | _ -> false) records) in
@@ -482,7 +477,7 @@ let resume_cmd =
             ~round
         in
         Round_log.close wal;
-        if stream <> None then print_stream_stats (Driver.session_server session);
+        print_stream_stats (Driver.session_server session);
         print_outcome ~d ~round outcome
   in
   Cmd.v
@@ -490,7 +485,7 @@ let resume_cmd =
        ~doc:"Replay a write-ahead log and finish its interrupted round bit-identically.")
     Term.(
       const run $ n_arg $ m_arg $ d_arg $ k_arg $ bound_arg $ seed_arg $ attackers_arg $ jobs_arg
-      $ cache_dir_arg $ dlog_mem_arg $ wal_req $ stream_arg $ shards_arg $ stream_batch_arg
+      $ cache_dir_arg $ dlog_mem_arg $ wal_req $ shards_arg $ stream_batch_arg
       $ topology_arg $ degree_arg)
 
 (* --- serve / client: the socket deployment --- *)
@@ -547,10 +542,10 @@ let serve_cmd =
              restart serve with the same $(b,--wal) to finish the round (requires $(b,--wal)).")
   in
   let run n m d k bound seed jobs cache_dir dlog_mem listen rounds stage_deadline wal_file crash
-      trace verbose stream_flag shards stream_batch topology_mode degree churn_spec =
+      trace verbose shards stream_batch topology_mode degree churn_spec =
     if jobs > 0 then Parallel.set_default_jobs jobs;
     configure_group_cache cache_dir dlog_mem;
-    let stream = make_stream_cfg ~stream:stream_flag ~shards ~batch:stream_batch in
+    let stream = make_stream_cfg ~shards ~batch:stream_batch in
     let topology = make_topology ~n ~m ~topology:topology_mode ~degree in
     let churn = make_churn churn_spec in
     if trace <> None then begin
@@ -627,7 +622,7 @@ let serve_cmd =
       $ dlog_mem_arg $ addr_conv "listen" $ rounds_arg $ deadline_s_arg $ wal_arg $ crash_arg
       $ trace_arg
       $ Arg.(value & flag & info [ "verbose" ] ~doc:"Log transport events to stderr.")
-      $ stream_arg $ shards_arg $ stream_batch_arg $ topology_arg $ degree_arg $ churn_arg)
+      $ shards_arg $ stream_batch_arg $ topology_arg $ degree_arg $ churn_arg)
 
 let client_cmd =
   let id_arg =

@@ -689,25 +689,21 @@ let run_round_core_inner ?(predicate = Predicate.L2) ?(serialize = false) ?trans
     else span "check" "tables" (fun () -> Parallel.parallel_map Curve25519.Point.Table.make hs)
   in
   let proof_time = ref 0.0 in
-  (* streamed rounds fold each arrived proof straight into the server's
-     per-shard accumulators instead of holding the stage's frames for a
-     post-barrier verify; the first honest client's frame size is captured
-     on the way through (the frame itself is not retained) *)
-  let stream_st =
-    Option.map (fun cfg -> Server.stream_begin ~predicate server ~round ~cfg) stream
-  in
+  (* each arrived proof folds straight into the server's verification
+     stream (by default one shard whose single batch is the whole stage)
+     instead of being retained; the first honest client's frame size is
+     captured on the way through *)
+  let cfg = match stream with Some cfg -> cfg | None -> Server.stream_cfg ~batch:n () in
+  let stream_st = Server.stream_begin ~predicate server ~round ~cfg in
   let acct_proof_up = ref 0 in
   let first_honest = match List.rev !honest_ids with [] -> 0 | i :: _ -> i + 1 in
-  let consume =
-    Option.map
-      (fun st ~sender (m : Wire.proof_msg) ->
-        if sender = first_honest then acct_proof_up := Wire.proof_msg_size m;
-        Server.stream_feed st ~sender m)
-      stream_st
+  let consume ~sender (m : Wire.proof_msg) =
+    if sender = first_honest then acct_proof_up := Wire.proof_msg_size m;
+    span "proof" "server" (fun () -> Server.stream_feed stream_st ~sender m)
   in
-  let proofs, proof_offenders =
+  let (_ : Wire.proof_msg option array), proof_offenders =
     span "proof" "wire" @@ fun () ->
-    exchange ~consume ~stage:Netsim.Proof ~encode:Serial.encode_proof_msg
+    exchange ~consume:(Some consume) ~stage:Netsim.Proof ~encode:Serial.encode_proof_msg
       ~decode:Serial.decode_proof
       ~sender_of:(fun (m : Wire.proof_msg) -> m.Wire.sender)
       ~compute:(fun () ->
@@ -725,15 +721,8 @@ let run_round_core_inner ?(predicate = Predicate.L2) ?(serialize = false) ?trans
             end))
   in
   note_offenders proof_offenders;
-  let (), verify_time =
-    match stream_st with
-    | Some st ->
-        span "proof" "server" (fun () -> Server.stream_finish st);
-        ((), Server.stream_elapsed_s st)
-    | None ->
-        span "proof" "server" (fun () ->
-            time (fun () -> Server.verify_proofs ~predicate server ~round ~proofs))
-  in
+  span "proof" "server" (fun () -> Server.stream_finish stream_st);
+  let verify_time = Server.stream_elapsed_s stream_st in
   check_quorum "proof";
   observe_live ();
   (* --- round 3: secure aggregation --- *)
@@ -819,9 +808,7 @@ let run_round_core_inner ?(predicate = Predicate.L2) ?(serialize = false) ?trans
     | [] -> (0, 0)
     | i :: _ ->
         let flag = match flags.(i) with Some f -> Wire.flag_msg_size f | None -> 0 in
-        let proof =
-          match proofs.(i) with Some pr -> Wire.proof_msg_size pr | None -> !acct_proof_up
-        in
+        let proof = !acct_proof_up in
         let agg = match agg_msgs.(i) with Some a -> Wire.agg_msg_size a | None -> 0 in
         let up = acct_commit_up + flag + proof + agg in
         (* downloads: the eagerly-settled shares+checks total, the (s, h)

@@ -194,14 +194,15 @@ type remote = {
     {!recover_round}). All stages always run; quorum loss surfaces as
     [failure = Some (Insufficient_quorum _)], never as an exception.
 
-    With [stream] the proof stage runs the server's streaming
-    verification pipeline ({!Server.stream_begin}): each arrived frame
-    is folded into the round's sharded RLC accumulators and its decoded
-    bulk evicted, instead of the whole stage being retained for one
-    post-barrier {!Server.verify_proofs}. Verdicts, C* and the aggregate
-    are bit-identical to the barrier path for every (jobs, shards,
-    arrival-order) combination; resident decoded state drops from
-    O(n·d + n²) to O(d + batch·d).
+    The proof stage always runs the server's streaming verification
+    pipeline ({!Server.stream_begin}): each arrived frame is buffered
+    into its shard's batch, each full batch is judged by one RLC MSM, and
+    the survivors' decoded bulk is evicted. [stream] sets the shards and
+    batch size; without it the stage is one shard whose single batch is
+    every proof (one MSM for the round, as {!Server.verify_proofs}).
+    Verdicts, C* and the aggregate are identical for every (jobs, shards,
+    batch, arrival-order) combination; with a small batch, resident
+    decoded state drops from O(n·d + n²) to O(d + batch·d).
 
     With [topology] (default [Full]) the round's share graph is selected:
     [Kregular k] derives a seeded k-regular neighborhood graph from

@@ -458,80 +458,37 @@ let rec bisect_failures ?jobs cands total =
     @ if Point.is_identity right_sum then [] else bisect_failures ?jobs right right_sum
   end
 
-let verify_proofs ?(predicate = Predicate.L2) ?jobs ?(batched = true) t ~round ~proofs =
-  if Array.length proofs <> n_of t then invalid_arg "Server.verify_proofs: wrong size";
+(* Naive reference path: every equation evaluated directly, per-client in
+   parallel — the differential-testing oracle for the batched pipeline
+   below. Each client gets a DRBG forked from the server key by (round,
+   id) alone, so the VerCrt challenge randomness — and with it the
+   accept/reject outcome — is identical whatever the job count or
+   execution order. Verdicts are collected first and C* is updated
+   sequentially afterwards. *)
+let verify_proofs_naive ?(predicate = Predicate.L2) ?jobs t ~round ~proofs =
+  if Array.length proofs <> n_of t then invalid_arg "Server.verify_proofs_naive: wrong size";
   Predicate.validate t.setup.Setup.params predicate;
   let ctx = make_predicate_ctx t predicate in
   let shift_pt = shift_point t in
-  if not batched then begin
-    (* Naive reference path: every equation evaluated directly, per-client
-       in parallel. Kept verbatim as the differential-testing baseline.
-       Each client gets a DRBG forked from the server key by (round, id)
-       alone, so the VerCrt challenge randomness — and with it the
-       accept/reject outcome — is identical whatever the job count or
-       execution order. Verdicts are collected first and C* is updated
-       sequentially afterwards. *)
-    let verdicts =
-      Parallel.parallel_mapi ?jobs
-        (fun idx pr ->
-          let i = idx + 1 in
-          if t.bad.(idx) || not t.active.(idx) then None
-          else
-            match pr with
-            | None -> Some "no proof"
-            | Some (msg : Wire.proof_msg) ->
-                if msg.Wire.sender <> i then Some "proof sender mismatch"
-                else begin
-                  let drbg = Prng.Drbg.fork t.drbg (Printf.sprintf "vercrt/r%d/c%d" round i) in
-                  if verify_one t ~round ~ctx ~drbg shift_pt msg then None else Some "proof failed"
-                end)
-        proofs
-    in
-    Array.iteri
-      (fun idx v -> match v with Some reason -> mark t (idx + 1) reason | None -> ())
-      verdicts
-  end
-  else begin
-    (* Batched path: accumulate every client's equations (parallel per
-       client — pure scalar work), then decide the whole round with ONE
-       MSM over the concatenated terms. On failure, bisect the term
-       blocks to attribute blame; the RLC coefficients make each client's
-       block nonzero (w.h.p.) exactly when its naive verdict is reject,
-       so C* matches the naive path bit for bit. *)
-    let checks =
-      Parallel.parallel_mapi ?jobs
-        (fun idx pr ->
-          let i = idx + 1 in
-          if t.bad.(idx) || not t.active.(idx) then None
-          else
-            match pr with
-            | None -> Some (Error "no proof")
-            | Some (msg : Wire.proof_msg) ->
-                if msg.Wire.sender <> i then Some (Error "proof sender mismatch")
-                else begin
-                  let drbg = Prng.Drbg.fork t.drbg (Printf.sprintf "vercrt/r%d/c%d" round i) in
-                  let rlc = Prng.Drbg.fork t.drbg (Printf.sprintf "rlc/r%d/c%d" round i) in
-                  match accumulate_one t ~round ~ctx ~drbg ~rlc shift_pt msg with
-                  | None -> Some (Error "proof failed")
-                  | Some terms -> Some (Ok terms)
-                end)
-        proofs
-    in
-    let cands = ref [] in
-    Array.iteri
-      (fun idx v ->
-        match v with
-        | None -> ()
-        | Some (Error reason) -> mark t (idx + 1) reason
-        | Some (Ok terms) -> cands := (idx, terms) :: !cands)
-      checks;
-    let cands = Array.of_list (List.rev !cands) in
-    if Array.length cands > 0 then begin
-      let total = Curve25519.Msm.msm ?jobs (Array.concat (Array.to_list (Array.map snd cands))) in
-      if not (Point.is_identity total) then
-        List.iter (fun idx -> mark t (idx + 1) "proof failed") (bisect_failures ?jobs cands total)
-    end
-  end
+  let verdicts =
+    Parallel.parallel_mapi ?jobs
+      (fun idx pr ->
+        let i = idx + 1 in
+        if t.bad.(idx) || not t.active.(idx) then None
+        else
+          match pr with
+          | None -> Some "no proof"
+          | Some (msg : Wire.proof_msg) ->
+              if msg.Wire.sender <> i then Some "proof sender mismatch"
+              else begin
+                let drbg = Prng.Drbg.fork t.drbg (Printf.sprintf "vercrt/r%d/c%d" round i) in
+                if verify_one t ~round ~ctx ~drbg shift_pt msg then None else Some "proof failed"
+              end)
+      proofs
+  in
+  Array.iteri
+    (fun idx v -> match v with Some reason -> mark t (idx + 1) reason | None -> ())
+    verdicts
 
 (* --- streaming verification pipeline --- *)
 
@@ -542,10 +499,9 @@ let stream_cfg ?(shards = 1) ?(batch = 64) () =
   if batch < 1 then invalid_arg "Server.stream_cfg: batch must be >= 1";
   { shards; batch }
 
-(* One shard: an independent RLC accumulator plus partial aggregate and
-   partial combined check over the client subset [(i-1) mod shards]. *)
+(* One shard: a buffered batch plus partial aggregate and partial
+   combined check over the client subset [(i-1) mod shards]. *)
 type stream_shard = {
-  sh_acc : Curve25519.Msm.Acc.t;
   mutable sh_batch : (int * Wire.proof_msg) list; (* (sender, msg), newest first *)
   mutable sh_batch_n : int;
   mutable sh_aggy : Point.t array; (* [||] until the first survivor *)
@@ -591,8 +547,6 @@ let stream_begin ?(predicate = Predicate.L2) ?jobs t ~round ~cfg =
     sshards =
       Array.init cfg.shards (fun _ ->
           {
-            sh_acc =
-              Curve25519.Msm.Acc.create ~coalesce:[| t.setup.Setup.g; t.setup.Setup.q |] ();
             sh_batch = [];
             sh_batch_n = 0;
             sh_aggy = [||];
@@ -626,14 +580,19 @@ let spill_decode bytes =
       | None -> assert false (* we compressed a valid point ourselves *))
 
 (* Fold one shard's buffered batch: accumulate each client's equations in
-   parallel (pure scalar work), run ONE partial-MSM flush over the batch,
-   and on a non-identity contribution bisect the batch — while its term
-   blocks are still resident — for exact per-client blame. Honest blocks
-   sum to the identity individually, so any batch of complete blocks can
-   be judged independently of arrival order or batch boundaries; survivors
-   then fold their y into the shard's running aggregate and their check
-   string into the shard's running combined check, after which their
-   decoded material is evicted (y spilled compressed). *)
+   parallel (pure scalar work), judge the whole batch by ONE MSM over its
+   concatenated term blocks, and on a non-identity sum bisect the blocks —
+   while they are still resident — for exact per-client blame. Honest
+   blocks sum to the identity individually, so any batch of complete
+   blocks is judged independently of arrival order or batch boundaries,
+   and nothing carries from one batch to the next: the survivors of a
+   failed batch are exactly the blocks in identity-sum halves of the
+   bisection. Only exact group arithmetic may judge a batch: wire points
+   are not subgroup-checked, so a corrupted frame can carry a small-order
+   component T, and identities such as (ℓ−s)·P = −s·P fail for it.
+   Survivors then fold their y into the shard's running aggregate and
+   their check string into the shard's running combined check, after
+   which their decoded material is evicted (y spilled compressed). *)
 let flush_shard st sh =
   if sh.sh_batch_n > 0 then begin
     let t = st.sv in
@@ -645,7 +604,7 @@ let flush_shard st sh =
     Telemetry.Gauge.observe g_stream_peak_batch bn;
     st.sflushes <- st.sflushes + 1;
     Telemetry.Counter.incr c_stream_flushes;
-    (* same per-client forks as the barrier path: (round, id) alone, so
+    (* per-client forks by (round, id) alone, as in the naive path, so
        verdicts cannot depend on arrival order, batching or job count *)
     let checks =
       Parallel.parallel_map ?jobs:st.sjobs
@@ -671,30 +630,15 @@ let flush_shard st sh =
     let cands = Array.of_list (List.rev !cands) in
     st.sfolded <- st.sfolded + Array.length cands;
     Telemetry.Counter.add c_stream_folded (Array.length cands);
-    let failed =
-      if Array.length cands = 0 then []
-      else begin
-        Array.iter
-          (fun (_, terms) ->
-            Array.iter (fun (s, p) -> Curve25519.Msm.Acc.push sh.sh_acc s p) terms)
-          cands;
-        let before = Curve25519.Msm.Acc.carry sh.sh_acc in
-        let after = Curve25519.Msm.Acc.flush ?jobs:st.sjobs sh.sh_acc in
-        let contribution = Point.sub after before in
-        if Point.is_identity contribution then []
-        else bisect_failures ?jobs:st.sjobs cands contribution
-      end
-    in
-    List.iter (fun idx -> mark t (idx + 1) "proof failed") failed;
-    (* cancel convicted blocks out of the running carry by pushing their
-       negation: the next flush (or the final merged eval) restores the
-       invariant that the accumulator holds exactly the surviving —
-       individually identity — blocks *)
-    Array.iter
-      (fun (idx, terms) ->
-        if List.mem idx failed then
-          Array.iter (fun (s, p) -> Curve25519.Msm.Acc.push sh.sh_acc (Scalar.neg s) p) terms)
-      cands;
+    if Array.length cands > 0 then begin
+      let total =
+        Curve25519.Msm.msm ?jobs:st.sjobs (Array.concat (Array.to_list (Array.map snd cands)))
+      in
+      if not (Point.is_identity total) then
+        List.iter
+          (fun idx -> mark t (idx + 1) "proof failed")
+          (bisect_failures ?jobs:st.sjobs cands total)
+    end;
     (* survivors: fold aggregate contribution, then evict *)
     Array.iter
       (fun (idx, _) ->
@@ -758,17 +702,8 @@ let stream_finish st =
               if (not fed) && (not t.bad.(idx)) && t.active.(idx) then
                 mark t (idx + 1) "no proof")
             st.sfed;
-          (* deterministic shard merge (ascending shard index), then the
-             final small eval: every surviving block was checked identity
-             at its flush, so the merged accumulator must evaluate to the
-             identity — this is an internal soundness invariant, not a
-             per-client check *)
-          let merged =
-            Curve25519.Msm.Acc.create ~coalesce:[| t.setup.Setup.g; t.setup.Setup.q |] ()
-          in
-          Array.iter (fun sh -> Curve25519.Msm.Acc.merge merged sh.sh_acc) st.sshards;
-          if not (Curve25519.Msm.Acc.is_identity ?jobs:st.sjobs merged) then
-            failwith "Server.stream_finish: merged accumulator is not the identity";
+          (* deterministic merge of the shards' running sums, in
+             ascending shard order *)
           let aggy = ref [||] and check = ref None in
           Array.iter
             (fun sh ->
@@ -803,6 +738,14 @@ let stream_finish st =
 
 let stream_elapsed_s st = st.selapsed
 let stream_stats t = t.stream_last
+
+(* The whole proof stage as one batch: a single shard whose batch holds
+   every present proof, i.e. one MSM over the round's term blocks. *)
+let verify_proofs ?predicate ?jobs t ~round ~proofs =
+  if Array.length proofs <> n_of t then invalid_arg "Server.verify_proofs: wrong size";
+  let st = stream_begin ?predicate ?jobs t ~round ~cfg:(stream_cfg ~batch:(n_of t) ()) in
+  Array.iteri (fun idx pr -> Option.iter (stream_feed st ~sender:(idx + 1)) pr) proofs;
+  stream_finish st
 
 (* --- crash-recovery snapshots --- *)
 
@@ -914,70 +857,44 @@ let finish_aggregate t ~combined_check ~prod ~agg_msgs =
 
 let sub_check a b = Array.mapi (fun i ai -> Point.sub ai b.(i)) a
 
-(* Streaming aggregation: the running sums already cover every included
-   client; the honest set at this point is exactly included minus the
-   late convictions (a client folded during the stream is convicted
-   afterwards only by an agg-stage decode failure), so subtracting each
-   late client's spilled y and check yields the same group elements the
-   barrier path folds over [honest t] directly. *)
-let aggregate_streamed t sa ~agg_msgs =
-  let threshold = Params.shamir_t t.setup.Setup.params in
-  if honest t = [] then Error (Insufficient_quorum { valid = 0; needed = threshold })
-  else begin
-    let late = ref [] in
-    Array.iteri (fun idx inc -> if inc && t.bad.(idx) then late := idx :: !late) sa.sa_included;
-    let late = List.rev !late in
-    let combined_check =
-      List.fold_left
-        (fun acc idx ->
-          match (acc, t.commits.(idx)) with
-          | Some a, Some c -> Some (sub_check a c.Wire.check)
-          | _ -> acc)
-        sa.sa_check late
-    in
-    match combined_check with
-    | None -> Error No_check_string
-    | Some combined_check ->
-        let late_y = List.filter_map (fun idx -> Option.map spill_decode sa.sa_spill.(idx)) late in
-        let prod l =
-          List.fold_left (fun acc y -> Point.sub acc y.(l)) sa.sa_aggy.(l) late_y
-        in
-        finish_aggregate t ~combined_check ~prod ~agg_msgs
-  end
+(* The round's aggregation inputs, read off the finished proof stream:
+   its running sums cover every included client, and [drop idx] names
+   the included clients to take back out — late convictions (a client
+   folded during the stream but convicted afterwards, e.g. by an agg-stage
+   decode failure) and, under a k-regular topology, excluded dropouts.
+   Eviction kept each included client's check string (in [commits]) and
+   compressed y (in the spill), so both subtractions are exact. Returns
+   the combined check string and the per-coordinate product Π y_il. *)
+let streamed_sums t ~caller ~drop =
+  let sa =
+    match t.stream_agg with
+    | Some sa when sa.sa_round = t.round -> sa
+    | _ -> invalid_arg (caller ^ ": no verified proof stage this round")
+  in
+  let late = ref [] in
+  Array.iteri (fun idx inc -> if inc && drop idx then late := idx :: !late) sa.sa_included;
+  let late = List.rev !late in
+  let combined_check =
+    List.fold_left
+      (fun acc idx ->
+        match (acc, t.commits.(idx)) with
+        | Some a, Some c -> Some (sub_check a c.Wire.check)
+        | _ -> acc)
+      sa.sa_check late
+  in
+  let late_y = List.filter_map (fun idx -> Option.map spill_decode sa.sa_spill.(idx)) late in
+  (combined_check, fun l -> List.fold_left (fun acc y -> Point.sub acc y.(l)) sa.sa_aggy.(l) late_y)
 
 let aggregate t ~agg_msgs =
-  match t.stream_agg with
-  | Some sa when sa.sa_round = t.round -> aggregate_streamed t sa ~agg_msgs
-  | _ ->
-      let threshold = Params.shamir_t t.setup.Setup.params in
-      let hs = honest t in
-      if hs = [] then Error (Insufficient_quorum { valid = 0; needed = threshold })
-      else begin
-        (* combined check string over the honest dealers *)
-        let combined_check =
-          List.fold_left
-            (fun acc i ->
-              match t.commits.(i - 1) with
-              | None -> acc
-              | Some c -> (
-                  match acc with
-                  | None -> Some c.Wire.check
-                  | Some a -> Some (Vsss.add_checks a c.Wire.check)))
-            None hs
-        in
-        match combined_check with
-        | None -> Error No_check_string
-        | Some combined_check ->
-            let prod l =
-              List.fold_left
-                (fun acc i ->
-                  match t.commits.(i - 1) with
-                  | None -> acc
-                  | Some c -> Point.add acc c.Wire.y.(l))
-                Point.identity hs
-            in
-            finish_aggregate t ~combined_check ~prod ~agg_msgs
-      end
+  let combined_check, prod =
+    streamed_sums t ~caller:"Server.aggregate" ~drop:(fun idx -> t.bad.(idx))
+  in
+  let threshold = Params.shamir_t t.setup.Setup.params in
+  if honest t = [] then Error (Insufficient_quorum { valid = 0; needed = threshold })
+  else
+    match combined_check with
+    | None -> Error No_check_string
+    | Some combined_check -> finish_aggregate t ~combined_check ~prod ~agg_msgs
 
 (* --- k-regular aggregation ------------------------------------------ *)
 
@@ -1058,53 +975,9 @@ let aggregate_kregular t ~topo ~honest ~recover ~agg_msgs =
         end)
       honest;
     let excluded = List.rev !excluded in
-    let is_excluded i = List.mem i excluded in
     let combined_check, prod =
-      match t.stream_agg with
-      | Some sa when sa.sa_round = t.round ->
-          (* streamed round: subtract late convictions and excluded
-             dropouts from the running sums; eviction kept each included
-             client's check string (in commits) and compressed y (in the
-             spill), so both removals are exact *)
-          let late = ref [] in
-          Array.iteri
-            (fun idx inc ->
-              if inc && (t.bad.(idx) || is_excluded (idx + 1)) then late := idx :: !late)
-            sa.sa_included;
-          let late = List.rev !late in
-          let cc =
-            List.fold_left
-              (fun acc idx ->
-                match (acc, t.commits.(idx)) with
-                | Some a, Some c -> Some (sub_check a c.Wire.check)
-                | _ -> acc)
-              sa.sa_check late
-          in
-          let late_y =
-            List.filter_map (fun idx -> Option.map spill_decode sa.sa_spill.(idx)) late
-          in
-          (cc, fun l -> List.fold_left (fun acc y -> Point.sub acc y.(l)) sa.sa_aggy.(l) late_y)
-      | _ ->
-          let hs' = List.filter (fun i -> (not t.bad.(i - 1)) && not (is_excluded i)) honest in
-          let cc =
-            List.fold_left
-              (fun acc i ->
-                match t.commits.(i - 1) with
-                | None -> acc
-                | Some c -> (
-                    match acc with
-                    | None -> Some c.Wire.check
-                    | Some a -> Some (Vsss.add_checks a c.Wire.check)))
-              None hs'
-          in
-          ( cc,
-            fun l ->
-              List.fold_left
-                (fun acc i ->
-                  match t.commits.(i - 1) with
-                  | None -> acc
-                  | Some c -> Point.add acc c.Wire.y.(l))
-                Point.identity hs' )
+      streamed_sums t ~caller:"Server.aggregate_kregular" ~drop:(fun idx ->
+          t.bad.(idx) || List.mem (idx + 1) excluded)
     in
     match combined_check with
     | None -> Error No_check_string

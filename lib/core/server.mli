@@ -81,33 +81,49 @@ val process_flags :
     Returns (s, h) for broadcast. *)
 val prepare_check : t -> Bytes.t * Point.t array
 
-(** [verify_proofs ?predicate ?jobs ?batched t ~round ~proofs] — full
-    §4.4.2 verification for every client: e*-consistency against y_i
-    (batch check), ρ, τ, σ, μ (plus the w-linkage material under the
-    cosine predicate). Clients whose proof fails (or is absent) are added
-    to C*.
+(** [verify_proofs ?predicate ?jobs t ~round ~proofs] — full §4.4.2
+    verification for every client: e*-consistency against y_i (batch
+    check), ρ, τ, σ, μ (plus the w-linkage material under the cosine
+    predicate). Clients whose proof fails (or is absent) are added to C*.
 
-    With [batched] (the default) every verifier equation of every client
-    is folded into a single random-linear-combination MSM: each equation
-    contributes ρ_j·(LHS − RHS) with an independent coefficient ρ_j drawn
-    from a DRBG forked by (round, client), scaled by a per-client outer
-    coefficient σ_i, and the whole round is accepted by ONE
-    Pippenger evaluation returning the identity. On failure the
-    per-client term blocks are bisected to recover exact C* attribution.
-    A batch containing a cheating equation survives with probability
-    ≤ (#equations)/ℓ ≈ 2⁻²⁴⁰ over the coefficient draw.
-    [batched:false] selects the naive per-equation reference path (the
-    differential-testing baseline).
+    Every verifier equation of every client is folded into a single
+    random-linear-combination MSM: each equation contributes
+    ρ_j·(LHS − RHS) with an independent coefficient ρ_j drawn from a DRBG
+    forked by (round, client), scaled by a per-client outer coefficient
+    σ_i, and the round is accepted by ONE evaluation returning the
+    identity. On failure the per-client term blocks are bisected to
+    recover exact C* attribution. A batch containing a cheating equation
+    survives with probability ≤ (#equations)/ℓ ≈ 2⁻²⁴⁰ over the
+    coefficient draw.
 
-    Clients accumulate/verify in parallel on [jobs] domains (default
+    This is the streaming pipeline below run as one batch:
+    {!stream_begin} with one shard and a batch of n, one {!stream_feed}
+    per present proof, then {!stream_finish}. It therefore also installs
+    the running sums {!aggregate} reads, and evicts the commits' decoded
+    bulk.
+
+    Clients accumulate in parallel on [jobs] domains (default
     [Parallel.default_jobs ()]); the accepted/rejected sets are identical
-    for every job count and for both paths — all per-client randomness
-    (VerCrt challenges, RLC coefficients) is forked from the server key
-    by (round, id), not drawn from a shared stream. *)
+    for every job count — all per-client randomness (VerCrt challenges,
+    RLC coefficients) is forked from the server key by (round, id), not
+    drawn from a shared stream. *)
 val verify_proofs :
   ?predicate:Predicate.t ->
   ?jobs:int ->
-  ?batched:bool ->
+  t ->
+  round:int ->
+  proofs:Wire.proof_msg option array ->
+  unit
+
+(** [verify_proofs_naive ?predicate ?jobs t ~round ~proofs] — the
+    reference oracle for {!verify_proofs}: every verifier equation
+    evaluated directly, client by client. Same C* as {!verify_proofs}
+    (w.h.p.), several times slower, and it installs no streamed sums, so
+    {!aggregate} cannot follow it. Kept for differential tests and the
+    verify bench. *)
+val verify_proofs_naive :
+  ?predicate:Predicate.t ->
+  ?jobs:int ->
   t ->
   round:int ->
   proofs:Wire.proof_msg option array ->
@@ -118,31 +134,28 @@ val honest : t -> int list
 
 (** {2 Streaming verification pipeline}
 
-    The barrier path above ({!verify_proofs}) needs every proof frame —
-    and every commit's decoded y vector — resident at once: O(n·d) points
-    plus O(n²) share ciphertexts. The streaming pipeline instead folds
-    each proof into the round's RLC accumulator {e as it arrives}, checks
-    complete per-client term blocks batch-by-batch (honest blocks sum to
-    the identity individually, so any batch of complete blocks is
-    independently checkable), folds each survivor's y into a running
-    aggregate and its check string into a running combined check, spills
-    the survivor's y compressed (32 B/point) for possible late-conviction
-    subtraction, and then {e evicts} the decoded bulk — bounding resident
-    decoded state to O(d + batch·d) regardless of n.
+    The server's one batched verifier. It folds each proof {e as it
+    arrives}: frames buffer per shard, and a full batch is judged by one
+    MSM over its clients' complete term blocks (honest blocks sum to the
+    identity individually, so any batch of complete blocks is
+    independently checkable), bisected on failure. Survivors fold their y
+    into a running aggregate and their check string into a running
+    combined check, spill their y compressed (32 B/point) for possible
+    late-conviction subtraction, and then have their decoded bulk
+    {e evicted} — bounding resident decoded state to O(d + batch·d)
+    regardless of n.
 
-    Sharding splits clients across [shards] independent accumulators
-    (client i lands in shard (i−1) mod shards); {!stream_finish} merges
-    them in ascending shard order, so results are deterministic in
-    (jobs, shards, arrival order): all per-client randomness is forked by
-    (round, id) and the group arithmetic is exact and commutative, making
-    verdicts, C* and the final aggregate bit-identical to the barrier
-    path. (Sole caveat, shared in kind with batched-vs-naive: two
-    dishonest blocks cancelling {e exactly} across different batches —
-    probability ≈ 2⁻²⁵² per pair — would be accepted by the one-shot
-    barrier eval but convicted by the per-batch checks.) *)
+    Sharding splits clients across [shards] independent batches (client
+    i lands in shard (i−1) mod shards); {!stream_finish} merges their
+    running sums in ascending shard order. Results are deterministic in
+    (jobs, shards, batch, arrival order): all per-client randomness is
+    forked by (round, id) and the group arithmetic is exact and
+    commutative. (Sole caveat: two dishonest blocks cancelling
+    {e exactly} — probability ≈ 2⁻²⁵² per pair — are accepted when they
+    share a batch and convicted when they do not.) *)
 
-(** Streaming knobs: [shards] independent accumulators, flush a shard
-    after [batch] buffered frames. *)
+(** Streaming knobs: [shards] independent batches, flush a shard after
+    [batch] buffered frames. *)
 type stream_cfg = { shards : int; batch : int }
 
 (** [stream_cfg ?shards ?batch ()] — validated constructor (both >= 1);
@@ -154,9 +167,9 @@ type stream
 
 (** Counters from the last streamed round (see {!stream_stats}). *)
 type stream_stats = {
-  folded : int;  (** proof frames folded into an accumulator *)
+  folded : int;  (** proof frames that reached a batch MSM *)
   evicted : int;  (** commit records whose decoded bulk was dropped *)
-  flushes : int;  (** partial-MSM evaluations *)
+  flushes : int;  (** batch MSM evaluations *)
   peak_batch : int;  (** largest batch at any flush *)
 }
 
@@ -174,15 +187,13 @@ val stream_begin :
 val stream_feed : stream -> sender:int -> Wire.proof_msg -> unit
 
 (** [stream_finish st] — drain partial batches (shard order), mark
-    clients that never fed as malicious ("no proof"), merge the shard
-    accumulators and install the streamed aggregate so the next
-    {!aggregate} call uses the running sums. Idempotent.
-    @raise Failure if the merged accumulator violates the internal
-    identity invariant (cannot happen absent a soundness bug). *)
+    clients that never fed as malicious ("no proof"), merge the shards'
+    running sums and install them for {!aggregate} and
+    {!aggregate_kregular}. Idempotent. *)
 val stream_finish : stream -> unit
 
-(** Cumulative seconds spent folding/flushing/finishing (the streamed
-    round's analogue of the barrier verify-stage wall time). *)
+(** Cumulative seconds spent flushing and finishing: the proof stage's
+    server verify time. *)
 val stream_elapsed_s : stream -> float
 
 (** Stats from the last {!stream_finish} on this server, if any. *)
@@ -232,8 +243,11 @@ val pp_agg_error : Format.formatter -> agg_error -> unit
 
 (** [aggregate t ~agg_msgs] — verify each aggregated share against the
     summed check strings, recover r = Σ r_i, and solve each coordinate
-    with BSGS. Returns the aggregated encoded update Σ_{i∈H} u_i, or a
-    typed error; never raises on hostile input. *)
+    with BSGS. The sums come from this round's finished proof stream
+    ({!verify_proofs} or {!stream_finish}), less any client convicted
+    since. Returns the aggregated encoded update Σ_{i∈H} u_i, or a typed
+    error; never raises on hostile input.
+    @raise Invalid_argument if no proof stage was verified this round. *)
 val aggregate : t -> agg_msgs:Wire.agg_msg option array -> (int array, agg_error) result
 
 (** [aggregate_kregular t ~topo ~honest ~recover ~agg_msgs] — the
@@ -248,10 +262,12 @@ val aggregate : t -> agg_msgs:Wire.agg_msg option array -> (int array, agg_error
     at least the neighborhood threshold of shares verify against the
     dropout's retained check string, otherwise the dropout's update is
     excluded (removed from the product and the combined check — not
-    convicted). Streamed rounds subtract excluded/late clients from the
-    running sums via the spill. The recovered R is checked against the
-    combined commitment (Π z_i) before decoding; a mismatch — any
-    tampered masked sum — yields [Aggregate_mismatch]. *)
+    convicted). Like {!aggregate} it reads the finished proof stream's
+    running sums, subtracting excluded and late-convicted clients via the
+    spill. The recovered R is checked against the combined commitment
+    (Π z_i) before decoding; a mismatch — any tampered masked sum —
+    yields [Aggregate_mismatch].
+    @raise Invalid_argument if no proof stage was verified this round. *)
 val aggregate_kregular :
   t ->
   topo:Risefl_topology.Topology.t ->

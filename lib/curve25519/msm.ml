@@ -201,23 +201,15 @@ module Acc = struct
     mutable scalars : Scalar.t array;
     mutable points : Point.t array;
     mutable n : int;
-    mutable carry : Point.t;
     cbases : Point.t array;
     csums : Scalar.t array;
   }
 
-  (* Term buffers start small and double on demand; [reset]/[flush] return
-     them to this capacity so a long-lived accumulator (one per shard per
-     session in the streaming verifier) doesn't ratchet up to the largest
-     batch it ever saw. *)
-  let initial_capacity = 64
-
   let create ?(coalesce = [||]) () =
     {
-      scalars = Array.make initial_capacity Scalar.zero;
-      points = Array.make initial_capacity Point.identity;
+      scalars = Array.make 64 Scalar.zero;
+      points = Array.make 64 Point.identity;
       n = 0;
-      carry = Point.identity;
       cbases = coalesce;
       csums = Array.make (Array.length coalesce) Scalar.zero;
     }
@@ -242,46 +234,10 @@ module Acc = struct
       t.n <- t.n + 1
     end
 
-  let size t =
-    let extra = ref 0 in
-    Array.iter (fun s -> if not (Scalar.is_zero s) then incr extra) t.csums;
-    t.n + !extra
-
   let terms t =
     let extra = ref [] in
     Array.iteri
       (fun i s -> if not (Scalar.is_zero s) then extra := (s, t.cbases.(i)) :: !extra)
       t.csums;
     Array.append (Array.init t.n (fun i -> (t.scalars.(i), t.points.(i)))) (Array.of_list !extra)
-
-  let capacity t = Array.length t.scalars
-
-  let clear_terms t =
-    t.n <- 0;
-    Array.fill t.csums 0 (Array.length t.csums) Scalar.zero;
-    if Array.length t.scalars > initial_capacity then begin
-      t.scalars <- Array.make initial_capacity Scalar.zero;
-      t.points <- Array.make initial_capacity Point.identity
-    end
-
-  let reset t =
-    clear_terms t;
-    t.carry <- Point.identity
-
-  let flush ?jobs t =
-    if size t > 0 then t.carry <- Point.add t.carry (msm ?jobs (terms t));
-    clear_terms t;
-    t.carry
-
-  let carry t = t.carry
-
-  let merge dst src =
-    if not (Point.is_identity src.carry) then dst.carry <- Point.add dst.carry src.carry;
-    Array.iter (fun (s, p) -> push dst s p) (terms src)
-
-  let eval ?jobs t =
-    let m = msm ?jobs (terms t) in
-    if Point.is_identity t.carry then m else Point.add t.carry m
-
-  let is_identity ?jobs t = Point.is_identity (eval ?jobs t)
 end

@@ -48,11 +48,11 @@ val seq_cutoff : int
 
     Verifier equations [LHS = RHS] are folded by pushing the terms of
     [rho_j * (LHS - RHS)] for an independently random [rho_j] per
-    equation; the whole accumulated batch is accepted iff {!eval} returns
-    the identity. A dishonest term set survives with probability at most
-    (#equations)/ℓ over the choice of the [rho_j] (ℓ the group order,
-    ~2^252), because the accumulated sum is a nonzero ℓ-linear form in
-    the [rho_j] evaluated at a random point. *)
+    equation; the accumulated batch is accepted iff the MSM over
+    {!terms} is the identity. A dishonest term set survives with
+    probability at most (#equations)/ℓ over the choice of the [rho_j]
+    (ℓ the group order, ~2^252), because the accumulated sum is a nonzero
+    ℓ-linear form in the [rho_j] evaluated at a random point. *)
 module Acc : sig
   type t
 
@@ -65,49 +65,8 @@ module Acc : sig
   (** [push t s p] — add the term [s·p]. *)
   val push : t -> Scalar.t -> Point.t -> unit
 
-  (** Number of MSM terms currently held (coalesced bases with a nonzero
-      running coefficient count as one each). *)
-  val size : t -> int
-
   (** Materialize the current term list (coalesced bases last, only if
       their running coefficient is nonzero). The accumulator remains
       usable. *)
   val terms : t -> (Scalar.t * Point.t) array
-
-  (** Current term-buffer capacity in slots (exposed for the ratchet
-      tests: {!reset}/{!flush} must return grown buffers to
-      {!initial_capacity}). *)
-  val capacity : t -> int
-
-  (** The capacity {!create} allocates and {!reset}/{!flush} shrink back
-      to. *)
-  val initial_capacity : int
-
-  (** [reset t] — drop all buffered terms {e and} the carry, and return
-      any grown term buffers to {!initial_capacity}. The accumulator is
-      as fresh as after {!create} (same coalesce set). *)
-  val reset : t -> unit
-
-  (** [flush ?jobs t] — partial evaluation: fold the buffered terms into
-      an internal running {e carry} point with one MSM, empty the buffers
-      (shrinking them back to {!initial_capacity}), and return the carry
-      so far. After a flush, {!eval} = carry + MSM(new terms); a streamed
-      sequence of pushes interleaved with flushes therefore evaluates to
-      the same group element as one deferred eval over all terms. *)
-  val flush : ?jobs:int -> t -> Point.t
-
-  (** The running carry (identity until the first {!flush}). *)
-  val carry : t -> Point.t
-
-  (** [merge dst src] — fold [src]'s carry and buffered terms into [dst]
-      (deterministic: carry first, then [src]'s terms in their buffer
-      order, re-coalesced against [dst]'s coalesce set). [src] is not
-      modified. Used to merge per-shard accumulators shard-ordered. *)
-  val merge : t -> t -> unit
-
-  (** Evaluate carry + buffered terms with one Pippenger MSM. *)
-  val eval : ?jobs:int -> t -> Point.t
-
-  (** [is_identity ?jobs t] = [Point.is_identity (eval ?jobs t)]. *)
-  val is_identity : ?jobs:int -> t -> bool
 end

@@ -31,8 +31,8 @@ type config = {
   crash : (int * Netsim.stage * Driver.crash_point) option;
       (** die (SIGKILL) at this point; requires [wal_path] *)
   stream : Risefl_core.Server.stream_cfg option;
-      (** verify proofs through the streaming pipeline (arrival-ordered
-          folding + eviction) instead of the post-barrier batch; recovery
+      (** shards and batch size of the proof-verification stream; [None]
+          is one shard whose single batch is the whole stage. Recovery
           replays logged proof frames through the same intake *)
   topology : Risefl_topology.Topology.mode;
       (** the session's share topology. Under [Kregular k] the server

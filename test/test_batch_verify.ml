@@ -1,5 +1,6 @@
 (* Differential + soundness tests for the batched (random-linear-
-   combination) verifier against the naive per-equation path.
+   combination) verifier, [Server.verify_proofs], against the naive
+   per-equation oracle, [Server.verify_proofs_naive].
 
    - Valid proofs: both paths accept, across jobs ∈ {1, 2, 4}.
    - Structural failures (missing proof, sender mismatch): identical C*.
@@ -64,14 +65,15 @@ let clients, server, commits, proofs =
   let proofs = Array.map (fun c -> Client.proof_round c ~round:1 ~s ~hs) clients in
   (clients, server, commits, proofs)
 
-let verdict ~batched ~jobs trial_proofs =
+let verdict ~naive ~jobs trial_proofs =
   Server.begin_round server ~round:1 ~commits;
-  Server.verify_proofs ~jobs ~batched server ~round:1 ~proofs:trial_proofs;
+  if naive then Server.verify_proofs_naive ~jobs server ~round:1 ~proofs:trial_proofs
+  else Server.verify_proofs ~jobs server ~round:1 ~proofs:trial_proofs;
   Server.malicious server
 
 let check_both ~name ~jobs ~expected trial_proofs =
-  let naive = verdict ~batched:false ~jobs trial_proofs in
-  let batched = verdict ~batched:true ~jobs trial_proofs in
+  let naive = verdict ~naive:true ~jobs trial_proofs in
+  let batched = verdict ~naive:false ~jobs trial_proofs in
   Alcotest.(check (list int)) (name ^ " naive verdict (jobs=" ^ string_of_int jobs ^ ")") expected naive;
   Alcotest.(check (list int)) (name ^ " batched = naive (jobs=" ^ string_of_int jobs ^ ")") naive batched
 

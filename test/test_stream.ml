@@ -1,15 +1,15 @@
 (* Streaming verification pipeline tests.
 
-   - Msm.Acc streaming primitives: flush/carry/merge evaluate to the
-     same group element as one deferred eval, and reset/flush return
-     grown term buffers to the initial capacity (the ratchet guard).
-   - Differential: a streamed round (arrival-ordered folding, sharded
-     accumulators, eviction) must reproduce the barrier round's
-     (aggregate, C*, failure) bit for bit across
-     jobs ∈ {1,2,4} × shards ∈ {1,2,4}, including under seeded Netsim
-     reordering/duplication/delay, with corrupted proofs (in-batch
-     bisection parity) and with agg-stage decode failures (the
-     late-conviction subtraction path).
+   - Differential: a round with small sharded batches (arrival-ordered
+     folding, eviction) must reproduce the default round's — one shard,
+     one batch holding the whole proof stage — (aggregate, C*, failure)
+     bit for bit across jobs ∈ {1,2,4} × shards ∈ {1,2,4}, including
+     under seeded Netsim reordering/duplication/delay, with corrupted
+     proofs (in-batch bisection parity) and with agg-stage decode
+     failures (the late-conviction subtraction path).
+   - Plaintext oracle: the honest and corruption rows are also checked
+     against values computed in the clear — C* is exactly the scripted
+     corrupters and the aggregate is Σ u_i over the clients outside C*.
    - Crash mid-proof-stream + WAL recovery: replaying the logged frames
      through the streaming intake resumes the fold bit-identically.
    - Batch-size edges: batch = 1 (flush per frame) and batch > n (one
@@ -24,9 +24,6 @@ module Setup = Risefl_core.Setup
 module Driver = Risefl_core.Driver
 module Server = Risefl_core.Server
 module Round_log = Risefl_core.Round_log
-module Point = Curve25519.Point
-module Scalar = Curve25519.Scalar
-module Acc = Curve25519.Msm.Acc
 
 let fail fmt = Alcotest.failf fmt
 
@@ -36,68 +33,7 @@ let stride =
   | None -> 2
 
 (* ------------------------------------------------------------------ *)
-(* Acc streaming primitives *)
-
-let rand_terms ~seed count =
-  let drbg = Prng.Drbg.create_string seed in
-  Array.init count (fun _ ->
-      let s = Scalar.random drbg in
-      (s, Point.mul (Scalar.random drbg) Point.base))
-
-let test_acc_flush_equals_eval () =
-  let terms = rand_terms ~seed:"acc-flush" 50 in
-  let oneshot = Acc.create () in
-  Array.iter (fun (s, p) -> Acc.push oneshot s p) terms;
-  let want = Acc.eval oneshot in
-  (* same terms, flushed every 7 pushes *)
-  let streamed = Acc.create () in
-  Array.iteri
-    (fun i (s, p) ->
-      Acc.push streamed s p;
-      if i mod 7 = 6 then ignore (Acc.flush streamed))
-    terms;
-  if not (Point.equal want (Acc.eval streamed)) then
-    fail "interleaved flushes changed the evaluated sum";
-  (* carry is the whole sum after a terminal flush *)
-  if not (Point.equal want (Acc.flush streamed)) then fail "terminal flush is not the full sum";
-  if Acc.size streamed <> 0 then fail "flush left buffered terms behind"
-
-let test_acc_capacity_ratchet () =
-  let acc = Acc.create () in
-  if Acc.capacity acc <> Acc.initial_capacity then fail "fresh accumulator at wrong capacity";
-  let terms = rand_terms ~seed:"acc-cap" (3 * Acc.initial_capacity) in
-  Array.iter (fun (s, p) -> Acc.push acc s p) terms;
-  if Acc.capacity acc <= Acc.initial_capacity then fail "buffers did not grow under load";
-  ignore (Acc.flush acc);
-  if Acc.capacity acc <> Acc.initial_capacity then
-    fail "flush did not shrink buffers back to the initial capacity (got %d)" (Acc.capacity acc);
-  (* grow again, then reset: same shrink, and the carry is dropped too *)
-  Array.iter (fun (s, p) -> Acc.push acc s p) terms;
-  Acc.reset acc;
-  if Acc.capacity acc <> Acc.initial_capacity then fail "reset did not shrink buffers";
-  if Acc.size acc <> 0 || not (Point.is_identity (Acc.carry acc)) then
-    fail "reset left terms or a carry behind"
-
-let test_acc_merge () =
-  let terms = rand_terms ~seed:"acc-merge" 40 in
-  let oneshot = Acc.create () in
-  Array.iter (fun (s, p) -> Acc.push oneshot s p) terms;
-  let want = Acc.eval oneshot in
-  (* split round-robin across 3 shards, flush two of them mid-way *)
-  let shards = Array.init 3 (fun _ -> Acc.create ()) in
-  Array.iteri
-    (fun i (s, p) ->
-      Acc.push shards.(i mod 3) s p;
-      if i = 20 then ignore (Acc.flush shards.(0));
-      if i = 30 then ignore (Acc.flush shards.(1)))
-    terms;
-  let merged = Acc.create () in
-  Array.iter (fun sh -> Acc.merge merged sh) shards;
-  if not (Point.equal want (Acc.eval merged)) then
-    fail "sharded merge changed the evaluated sum"
-
-(* ------------------------------------------------------------------ *)
-(* streamed round vs barrier round *)
+(* small sharded batches vs the default one-batch round *)
 
 let n = 5
 let m = 2
@@ -114,6 +50,16 @@ let updates =
 let summary (stats : Driver.stats) =
   (stats.Driver.aggregate, stats.Driver.flagged, stats.Driver.failure)
 
+(* the plaintext oracle: C* is exactly [cstar], the aggregate is the sum
+   of every other client's update, and nothing fails *)
+let oracle ~updates ~cstar =
+  let agg = Array.make d 0 in
+  Array.iteri
+    (fun i u ->
+      if not (List.mem (i + 1) cstar) then Array.iteri (fun l x -> agg.(l) <- agg.(l) + x) u)
+    updates;
+  (Some agg, cstar, None)
+
 (* fresh session per run (same seed => bit-identical client messages);
    [mk_transport] builds a fresh fault schedule per run for the same
    reason *)
@@ -123,11 +69,14 @@ let run_one ?stream ?mk_transport ~jobs ~behaviours () =
   let transport = Option.map (fun mk -> mk ()) mk_transport in
   summary (Driver.run_round ?stream ?transport ~serialize:true session ~updates ~behaviours ~round:1)
 
+(* honest rows only: the oracle expects an empty C* *)
 let check_matrix ~name ?mk_transport ~behaviours () =
   let idx = ref 0 in
   List.iter
     (fun jobs ->
       let want = run_one ?mk_transport ~jobs ~behaviours () in
+      if want <> oracle ~updates ~cstar:[] then
+        fail "%s: default round (jobs=%d) differs from the plaintext oracle" name jobs;
       List.iter
         (fun shards ->
           if !idx mod stride = 0 then begin
@@ -136,8 +85,8 @@ let check_matrix ~name ?mk_transport ~behaviours () =
                 let stream = Server.stream_cfg ~shards ~batch () in
                 let got = run_one ~stream ?mk_transport ~jobs ~behaviours () in
                 if got <> want then
-                  fail "%s: streamed (jobs=%d shards=%d batch=%d) differs from barrier" name jobs
-                    shards batch)
+                  fail "%s: streamed (jobs=%d shards=%d batch=%d) differs from one batch" name
+                    jobs shards batch)
               [ 2 ]
           end;
           incr idx)
@@ -154,7 +103,7 @@ let test_stream_batch_edges () =
   List.iter
     (fun batch ->
       let got = run_one ~stream:(Server.stream_cfg ~shards:2 ~batch ()) ~jobs:2 ~behaviours () in
-      if got <> want then fail "batch=%d: streamed round differs from barrier" batch)
+      if got <> want then fail "batch=%d: streamed round differs from one batch" batch)
     [ 1; 3; 64 ]
 
 (* seeded reordering, duplication and delay — no loss or corruption, so
@@ -176,7 +125,8 @@ let test_stream_reordered_matrix () =
     ~behaviours:(Driver.honest_all n) ()
 
 (* corrupted proofs: the in-batch bisection must attribute exactly the
-   barrier path's C*, whichever shard/batch the offenders land in *)
+   one-batch round's C* — the scripted corrupters — whichever shard/batch
+   the offenders land in *)
 let test_stream_corruption_parity () =
   let behaviours = Array.make n Driver.Honest in
   behaviours.(0) <- Driver.Oversized 100.0;
@@ -198,8 +148,9 @@ let test_stream_corruption_parity () =
   in
   List.iter
     (fun jobs ->
-      let ((_, cstar, _) as want) = run jobs in
-      if List.length cstar < 2 then fail "oversized clients were not convicted";
+      let want = run jobs in
+      if want <> oracle ~updates:updates' ~cstar:[ 1; 4 ] then
+        fail "corruption: one-batch round (jobs=%d) differs from the plaintext oracle" jobs;
       List.iter
         (fun shards ->
           List.iter
@@ -294,12 +245,6 @@ let test_stream_stats () =
 let () =
   Alcotest.run "stream"
     [
-      ( "acc",
-        [
-          Alcotest.test_case "flush/carry = deferred eval" `Quick test_acc_flush_equals_eval;
-          Alcotest.test_case "capacity ratchet" `Quick test_acc_capacity_ratchet;
-          Alcotest.test_case "sharded merge" `Quick test_acc_merge;
-        ] );
       ( "differential",
         [
           Alcotest.test_case "honest, jobs x shards" `Quick test_stream_honest_matrix;

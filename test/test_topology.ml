@@ -377,27 +377,30 @@ let test_crash_resume_kregular () =
   if agg_of outcome <> uncrashed then
     fail "kregular crash/resume aggregate differs from uncrashed run"
 
+(* A flipped byte can decode to a point with a small-order component.
+   The proof stage must still end in a typed outcome, and the verdicts
+   must not depend on how the stage is batched: the default round (one
+   shard, one batch) and small sharded batches agree on the aggregate and C*. *)
 let test_netsim_faults_kregular () =
   let plan =
     match Netsim.plan_of_string "drop=0.1,flip=0.05,dup=0.05,trunc=0.05" with
     | Ok p -> p
     | Error e -> fail "bad plan: %s" e
   in
-  let run () =
+  let run ?stream () =
     let net = Netsim.create ~plan ~deadline:4 ~seed:"topo-faults" () in
     let session = Driver.create_session setup8 ~seed:"topo-e2e" in
-    Driver.run_round_outcome ~transport:net ~topology:(Topology.Kregular 4) session
+    Driver.run_round_outcome ~transport:net ?stream ~topology:(Topology.Kregular 4) session
       ~updates:updates8 ~behaviours:(Driver.honest_all n8) ~round:1
   in
-  (* typed outcome, no escape; and deterministic in the fault seed *)
-  let a = run () and b = run () in
+  let a = run () and b = run ~stream:(Server.stream_cfg ~shards:2 ~batch:2 ()) () in
   match (a, b) with
   | Driver.Completed sa, Driver.Completed sb ->
       if sa.Driver.aggregate <> sb.Driver.aggregate || sa.Driver.flagged <> sb.Driver.flagged
-      then fail "faulted kregular round not deterministic"
+      then fail "faulted kregular round depends on the stream batching"
   | oa, ob ->
       if Driver.outcome_to_string oa <> Driver.outcome_to_string ob then
-        fail "faulted kregular outcomes diverge"
+        fail "faulted kregular outcomes diverge across stream batching"
 
 let () =
   Alcotest.run "topology"
