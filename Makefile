@@ -1,6 +1,6 @@
 # Convenience entry points; everything is ordinary dune underneath.
 
-.PHONY: all check test bench bench-smoke fuzz-smoke verify-smoke telemetry-smoke recovery-smoke group-smoke serve-smoke stream-smoke topology-smoke churn-smoke clean
+.PHONY: all check test examples bench bench-smoke fuzz-smoke verify-smoke telemetry-smoke recovery-smoke group-smoke serve-smoke stream-smoke topology-smoke churn-smoke clean
 
 all: check
 
@@ -10,6 +10,13 @@ check:
 	dune runtest
 
 test: check
+
+# Run every example end to end; any non-zero exit fails the target.
+examples:
+	dune build @examples/all
+	@set -e; for e in quickstart healthcare_collab baseline_faceoff norm_check_tour attack_audit; do \
+	  echo "== $$e"; ./_build/default/examples/$$e.exe; \
+	done
 
 # Full benchmark sweep (slow); mirrors EXPERIMENTS.md.
 bench:
@@ -139,7 +146,7 @@ serve-smoke:
 # Streaming-verification gate: the quick differential suite (small
 # sharded batches vs the default one-batch round, bit for bit across the
 # jobs x shards matrix and against the plaintext oracle, batch-boundary
-# edges, late agg-stage conviction, stream counters), the default CLI
+# edges, a garbled agg frame, stream counters), the default CLI
 # round diffed against --shards 2 --stream-batch 2, then the stream bench
 # smoke — the build fails if the streamed path's peak resident memory
 # grows more than 1.25x across the client ladder while the one-batch

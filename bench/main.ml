@@ -161,7 +161,9 @@ let risefl_point ~n ~m ~d ~k ~seed =
   let bound = 1.25 *. max_norm updates in
   let params = risefl_params ~n ~m ~d ~k ~bound in
   let setup = Setup.create ~label:(Printf.sprintf "bench/%d/%d" d k) params in
-  Driver.run_iteration setup ~updates ~behaviours:(Driver.honest_all n) ~seed ~round:1
+  Driver.completed_exn
+    (Driver.run_round_outcome (Driver.create_session setup ~seed) ~updates
+       ~behaviours:(Driver.honest_all n) ~round:1)
 
 let mb bytes = float_of_int bytes /. 1048576.0
 
@@ -911,7 +913,9 @@ let run_group () =
   let iterate label =
     let setup, setup_s = Telemetry.Clock.time (fun () -> Setup.create ~label params) in
     let stats =
-      Driver.run_iteration setup ~updates ~behaviours:(Driver.honest_all n) ~seed ~round:1
+      Driver.completed_exn
+        (Driver.run_round_outcome (Driver.create_session setup ~seed) ~updates
+           ~behaviours:(Driver.honest_all n) ~round:1)
     in
     (setup_s, stats)
   in
@@ -994,7 +998,7 @@ let run_faults () =
         let (), dt =
           Telemetry.Clock.time (fun () ->
               match
-                Driver.run_round_outcome session ~transport:net ~updates
+                Driver.run_round_outcome session ~endpoint:(Netsim.endpoint net) ~updates
                   ~behaviours:(Driver.honest_all n) ~round:!round_counter
               with
               | Driver.Completed stats ->

@@ -317,9 +317,13 @@ let round_cmd =
       (fun i -> if i >= 1 && i <= n then behaviours.(i - 1) <- Driver.Agg_silent)
       agg_dropouts;
     print_topology ~seed ~n topology;
-    let transport =
+    (* the round's one link: the fault plan (ideal when only
+       --retransmit asked for a link), with the ack/retransmission layer
+       over it under --retransmit *)
+    let net =
       match faults with
-      | None -> None
+      | None when not retransmit -> None
+      | None -> Some (Netsim.create ~plan:Netsim.ideal ~deadline ~seed:("cli/" ^ seed) ())
       | Some spec -> (
           match Netsim.plan_of_string spec with
           | Ok plan -> Some (Netsim.create ~plan ~deadline ~seed:("cli/" ^ seed) ())
@@ -327,15 +331,10 @@ let round_cmd =
               Printf.eprintf "bad --faults spec: %s\n" e;
               exit 2)
     in
-    let reliable =
-      if not retransmit then None
-      else
-        let net =
-          match transport with
-          | Some net -> net
-          | None -> Netsim.create ~plan:Netsim.ideal ~deadline ~seed:("cli/" ^ seed) ()
-        in
-        Some (Reliable.create net)
+    let endpoint, reliable =
+      match Option.map Netsim.endpoint net with
+      | Some ep when retransmit -> (None, Some (Reliable.create_ep ep))
+      | ep -> (ep, None)
     in
     let crash =
       match crash with
@@ -366,7 +365,7 @@ let round_cmd =
        end;
        let crash = Option.map (fun (_, stage, at) -> (stage, at)) crash in
        match
-         Driver.run_round_outcome ?transport ?reliable ?wal ?crash ?stream ~topology session
+         Driver.run_round_outcome ?endpoint ?reliable ?wal ?crash ?stream ~topology session
            ~updates:(updates_for 1) ~behaviours ~round:1
        with
        | outcome -> print_outcome ~d ~round:1 outcome
@@ -380,7 +379,7 @@ let round_cmd =
          Option.map (fun spec -> Driver.churn_cohort_for session ~spec ~rounds) churn
        in
        let report =
-         Driver.run_session ?transport ?reliable ?wal ?crash ?stream ?cohort_for ~topology
+         Driver.run_session ?endpoint ?reliable ?wal ?crash ?stream ?cohort_for ~topology
            session ~updates_for ~behaviours ~rounds
        in
        List.iter
@@ -403,11 +402,8 @@ let round_cmd =
            (String.concat ";" (List.map string_of_int report.Driver.final_banned))
      end);
     print_stream_stats (Driver.session_server session);
-    (match reliable with
-    | Some rel ->
-        print_reliable_counters rel;
-        print_transport_counters (Reliable.net rel)
-    | None -> Option.iter print_transport_counters transport);
+    Option.iter print_reliable_counters reliable;
+    Option.iter print_transport_counters net;
     Option.iter Round_log.close wal;
     match trace with
     | None -> ()
@@ -449,17 +445,7 @@ let resume_cmd =
       | Store.Wal.Complete -> ""
       | Store.Wal.Torn { offset; reason } ->
           Printf.sprintf ", torn tail at byte %d (%s)" offset reason);
-    (* the round to finish: the last Round_start without a Round_end *)
-    let pending =
-      List.fold_left
-        (fun acc r ->
-          match r with
-          | Round_log.Round_start { round } -> Some round
-          | Round_log.Round_end { round; _ } when acc = Some round -> None
-          | _ -> acc)
-        None records
-    in
-    match pending with
+    match Round_log.pending_round records with
     | None -> print_endline "nothing to recover: every logged round is sealed"
     | Some round ->
         Printf.printf "recovering round %d (same parameters and seed as the original run)\n" round;

@@ -15,7 +15,11 @@ let setup = Setup.create ~label:"attack-audit" params
 let base_updates () = Array.init 5 (fun i -> Array.init 24 (fun l -> (((i * 7) + (l * 11)) mod 60) - 30))
 
 let run name behaviours updates =
-  let stats = Driver.run_iteration setup ~updates ~behaviours ~seed:("audit-" ^ name) ~round:1 in
+  let stats =
+    Driver.completed_exn
+      (Driver.run_round_outcome (Driver.create_session setup ~seed:("audit-" ^ name)) ~updates
+         ~behaviours ~round:1)
+  in
   Printf.printf "%-28s flagged=[%s]  aggregated=%b\n" name
     (String.concat ";" (List.map string_of_int stats.Driver.flagged))
     (stats.Driver.aggregate <> None);
@@ -78,8 +82,10 @@ let () =
         let behaviours = Driver.honest_all 5 in
         behaviours.(2) <- Driver.Oversized c;
         let stats =
-          Driver.run_iteration setup ~updates ~behaviours
-            ~seed:(Printf.sprintf "grey-%f-%d" c trial) ~round:1
+          Driver.completed_exn
+            (Driver.run_round_outcome
+               (Driver.create_session setup ~seed:(Printf.sprintf "grey-%f-%d" c trial))
+               ~updates ~behaviours ~round:1)
         in
         if not (List.mem 3 stats.Driver.flagged) then incr passes
       done;

@@ -60,7 +60,11 @@ let () =
     Risefl_core.Params.make ~n_clients:n ~max_malicious:1 ~d ~k ~m_factor:1024.0 ~bound_b:bound ()
   in
   let setup = Risefl_core.Setup.create ~label:"faceoff-risefl" params in
-  let stats = Driver.run_iteration setup ~updates ~behaviours:(Driver.honest_all n) ~seed:"f-rf" ~round:1 in
+  let stats =
+    Driver.completed_exn
+      (Driver.run_round_outcome (Driver.create_session setup ~seed:"f-rf") ~updates
+         ~behaviours:(Driver.honest_all n) ~round:1)
+  in
   show "RiseFL" stats.Driver.client_commit_s stats.Driver.client_proof_s
     stats.Driver.client_share_verify_s
     (stats.Driver.server_prep_s +. stats.Driver.server_verify_s)

@@ -76,7 +76,10 @@ let () =
   updates.(3) <- Array.map (fun x -> -40 * x) updates.(3);
   behaviours.(3) <- Risefl_core.Driver.Oversized 40.0;
   let stats =
-    Risefl_core.Driver.run_iteration setup ~updates ~behaviours ~seed:"healthcare-round" ~round:1
+    Risefl_core.Driver.(
+      completed_exn
+        (run_round_outcome (create_session setup ~seed:"healthcare-round") ~updates ~behaviours
+           ~round:1))
   in
   Printf.printf "flagged hospitals: [%s]  (hospital 4 mounted the attack)\n"
     (String.concat "; " (List.map string_of_int stats.Risefl_core.Driver.flagged));

@@ -34,7 +34,10 @@ let () =
   (* 4. Run one full iteration: hybrid commitments, share verification,
      probabilistic L2 proof generation + verification, secure aggregation. *)
   let stats =
-    Driver.run_iteration setup ~updates ~behaviours:(Driver.honest_all 5) ~seed:"quickstart" ~round:1
+    Driver.completed_exn
+      (Driver.run_round_outcome
+         (Driver.create_session setup ~seed:"quickstart")
+         ~updates ~behaviours:(Driver.honest_all 5) ~round:1)
   in
 
   (* 5. The server ends with exactly the sum of the updates — and nothing

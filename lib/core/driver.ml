@@ -1,4 +1,5 @@
 module Scalar = Curve25519.Scalar
+module Topology = Risefl_topology.Topology
 
 type behaviour =
   | Honest
@@ -195,8 +196,8 @@ type remote = {
          the pairwise mask; (responder, (share, mask)) per answer *)
 }
 
-(* internal: the one early exit of the lifecycle; caught before
-   run_round_core returns, never escapes *)
+(* internal: the quorum lifecycle's one early exit; caught in [run],
+   never escapes *)
 exception Abort of round_outcome
 
 module TI = Netsim.Transport_intf
@@ -251,430 +252,421 @@ let effective_topology setup ~cohort mode =
   let p = setup.Setup.params in
   let n = p.Params.n_clients in
   match mode with
-  | Risefl_topology.Topology.Kregular k
+  | Topology.Kregular k
     when Array.length cohort >= 4 && Array.length cohort < n && k >= Array.length cohort - 1 ->
       let nc = Array.length cohort in
       let gamma = float_of_int p.Params.max_malicious /. float_of_int n in
       let k' =
-        min
-          (Risefl_topology.Topology.recommend_degree ~n:nc ~dropout:0.05 ~corruption:gamma
-             ~sigma:40)
-          (nc - 1)
+        min (Topology.recommend_degree ~n:nc ~dropout:0.05 ~corruption:gamma ~sigma:40) (nc - 1)
       in
       Telemetry.Counter.incr c_degree_clamped;
-      Risefl_topology.Topology.Kregular (max 2 k')
+      Topology.Kregular (max 2 k')
   | t -> t
 
-let run_round_core_inner ?(predicate = Predicate.L2) ?(serialize = false) ?transport ?endpoint
-    ?reliable ?remote ?wal ?crash ?recovery ?stream ?epoch
-    ?(topology = Risefl_topology.Topology.Full) ~lifecycle session ~updates ~behaviours ~round =
-  (* a transport, a reliability layer or a write-ahead log implies the
-     wire: bytes are the only thing they can fault, retransmit or log *)
-  let serialize =
-    serialize || Option.is_some transport || Option.is_some endpoint || Option.is_some reliable
-    || Option.is_some remote || Option.is_some wal || Option.is_some recovery
-  in
-  (* a Netsim transport is just one endpoint backend; unify here so the
-     exchange below speaks only the shared interface *)
-  let endpoint =
-    match endpoint with Some _ -> endpoint | None -> Option.map Netsim.endpoint transport
-  in
-  let setup = session.setup in
-  let clients = session.clients and server = session.server in
-  let p = setup.Setup.params in
+(* --- the round engine: one private record, one function per stage --- *)
+
+(* one round in flight: its inputs, links and membership, fixed when the
+   round opens, plus the accounting the stages fill in *)
+type rd = {
+  s : session;
+  round : int;
+  n : int;
+  needed : int;
+  updates : int array array;
+  behaviours : behaviour array;
+  serialize : bool;
+  endpoint : TI.endpoint option;
+  reliable : Reliable.t option;
+  remote : remote option;
+  wal : Round_log.t option;
+  crash : (Netsim.stage * crash_point) option;
+  recovery : recovery option;
+  epoch : Membership.epoch option;
+  cohort_opt : int array option;
+  in_cohort : bool array;
+  topo : Topology.t option;
+  acct : int;  (* the first honest in-cohort client's index, or -1 *)
+  n_honest : int;
+  mutable decode_failures : int list;
+  mutable up : int;  (* the accounting client's uploads so far *)
+  mutable down : int;  (* ... and its share/check-string downloads *)
+}
+
+let open_round ?(serialize = false) ?endpoint ?reliable ?remote ?wal ?crash ?recovery ?epoch
+    ?(topology = Topology.Full) session ~updates ~behaviours ~round =
+  let p = session.setup.Setup.params in
   let n = p.Params.n_clients in
   if Array.length updates <> n || Array.length behaviours <> n then
-    invalid_arg "Driver.run_round: need one update and one behaviour per client";
-  (* (round, stage, role)-attributed spans for the trace; no-ops unless
-     telemetry is enabled *)
-  let span stage role f =
-    Telemetry.Span.with_
-      ~attrs:[ ("round", string_of_int round); ("stage", stage); ("role", role) ]
-      (stage ^ "." ^ role) f
-  in
-  let needed = Params.shamir_t p in
+    invalid_arg "Driver.run_round_outcome: need one update and one behaviour per client";
   (* the round's membership: an epoch freezes the cohort and the
      post-rotation directory before any frame moves. The fixed-set path
      (no epoch) is the full universe, and a full-cohort epoch selects
      every legacy branch ([cohort_opt = None]) so its bytes are identical
      to the fixed-set run by construction. *)
-  (match epoch with Some ep -> apply_epoch session ep | None -> ());
+  Option.iter (apply_epoch session) epoch;
   let cohort =
-    match epoch with
-    | Some ep -> ep.Membership.ep_cohort
-    | None -> Array.init n (fun i -> i + 1)
+    match epoch with Some ep -> ep.Membership.ep_cohort | None -> Array.init n (fun i -> i + 1)
   in
-  let cohort_opt = if Array.length cohort = n then None else Some cohort in
-  let in_cohort =
-    match cohort_opt with
-    | None -> Array.make n true
-    | Some xs ->
-        let a = Array.make n false in
-        Array.iter (fun id -> if id >= 1 && id <= n then a.(id - 1) <- true) xs;
-        a
+  let in_cohort = Array.make n false in
+  Array.iter (fun id -> if id >= 1 && id <= n then in_cohort.(id - 1) <- true) cohort;
+  let topology = effective_topology session.setup ~cohort topology in
+  let honest =
+    List.filter (fun i -> behaviours.(i) = Honest && in_cohort.(i)) (List.init n Fun.id)
   in
-  let topology = effective_topology setup ~cohort topology in
-  (* the round's share topology: a pure function of (session seed, round,
-     cohort), never logged — recovery re-derives the identical graph
-     here. [plan] normalizes Full / tiny cohorts / degree >= n-1 to None,
-     which runs the unchanged all-to-all path (bit-identical bytes). *)
-  let topo = Risefl_topology.Topology.plan ~mode:topology ~seed:session.seed ~round ~cohort in
-  let decode_failures = ref [] in
-  let wal_append r = match wal with Some w -> Round_log.append w r | None -> () in
-  (* in-process recovery replays the outbox; only the durable runtime
-     caches (plain serialize/transport rounds behave exactly as before) *)
-  let durable = Option.is_some wal || Option.is_some recovery in
-  let crash_check stage at =
-    match crash with
-    | Some (cs, ca) when cs = stage && ca = at ->
-        (match wal with Some w -> Round_log.sync w | None -> ());
-        raise (Server_crashed { stage; at })
-    | _ -> ()
-  in
-  let rec_frames_for stage =
-    match recovery with
-    | None -> []
-    | Some ctx -> Option.value ~default:[] (Hashtbl.find_opt ctx.rec_frames stage)
-  in
-  let rec_done stage =
-    match recovery with None -> false | Some ctx -> Hashtbl.mem ctx.rec_done stage
-  in
-  (* One client → server exchange. Without a transport this is the
-     encode/decode round-trip (or the identity); with one, every frame
-     crosses the fault plan and the server keeps whatever decodes by the
-     deadline; with a reliability layer, unacked frames retransmit under
-     backoff and arrivals are de-duplicated by (round, stage, sender, seq).
-     First frame per sender wins; an undecodable frame poisons its sender
-     for the stage (a later clean duplicate does not restore it) and lands
-     the sender in C*. Under a write-ahead log every accepted frame is
-     appended (and fsynced) before the server processes it; under
-     recovery, the logged frames replay first and only the unlogged
-     senders re-enter delivery. With [consume], each accepted first frame
-     is handed to the callback instead of being retained in the returned
-     array (which stays all-[None]) — the streaming intake. *)
-  let exchange : 'a. consume:(sender:int -> 'a -> unit) option -> stage:Netsim.stage ->
-      encode:('a -> Bytes.t) -> decode:(Bytes.t -> ('a, Serial.error) result) ->
-      sender_of:('a -> int) -> compute:(unit -> 'a option array) -> 'a option array * int list =
-    fun ~consume ~stage ~encode ~decode ~sender_of ~compute ->
-    if not serialize then begin
-      match consume with
-      | None -> (compute (), [])
-      | Some f ->
-          let msgs = compute () in
-          Array.iteri (fun i m -> match m with Some m -> f ~sender:(i + 1) m | None -> ()) msgs;
-          (Array.make n None, [])
-    end
-    else begin
-      (* 1. this process's outgoing payloads, computed exactly once per
-         (round, stage) when durable. A remote round computes nothing
-         locally — the clients live in other processes. *)
-      let key = (round, stage) in
-      let outgoing =
-        if Option.is_some remote then Array.make n None
-        else
-          match if durable then Hashtbl.find_opt session.outbox key else None with
-          | Some cached -> cached
-          | None ->
-              let msgs = compute () in
-              let bytes = Array.map (Option.map encode) msgs in
-              if durable then Hashtbl.replace session.outbox key bytes;
-              bytes
-      in
-      (* 2. frames already accepted (and logged) before the crash *)
-      let logged = rec_frames_for stage in
-      let already = List.map (fun (s, _, _) -> s) logged in
-      let stage_done = rec_done stage in
-      (* 3. fresh deliveries for everyone else (remote rounds collect
-         push-side below instead, after the write-ahead intake is armed) *)
-      let fresh =
-        if stage_done || Option.is_some remote then []
-        else
-          match (reliable, endpoint) with
-          | Some rel, _ -> Reliable.exchange rel ~round ~stage ~already outgoing
-          | None, Some ep ->
-              ep.TI.ep_begin_stage ~round ~stage;
-              Array.iteri
-                (fun i payload ->
-                  match payload with
-                  | Some frame when not (List.mem (i + 1) already) ->
-                      ep.TI.ep_send ~attempt:0 ~sender:(i + 1) frame
-                  | _ -> ())
-                outgoing;
-              List.map (fun (s, f) -> (s, 0, f)) (ep.TI.ep_deliver ~deadline:None)
-          | None, None ->
-              let out = ref [] in
-              Array.iteri
-                (fun i payload ->
-                  match payload with
-                  | Some frame when not (List.mem (i + 1) already) ->
-                      out := (i + 1, 0, frame) :: !out
-                  | _ -> ())
-                outgoing;
-              List.rev !out
-      in
-      (* 4. server intake: WAL append (write-ahead), dedup, decode *)
-      let delivered = Array.make n None in
-      let taken = Array.make n false in
-      let poisoned = Array.make n false in
-      let offenders = ref [] in
-      (* only the reliable layer (and the socket transport, which carries
-         its headers) stamps meaningful sequence numbers; those frames
-         de-duplicate by (sender, seq) so a duplicate straddling a crash
-         cannot be double-processed on replay. The bare transport keeps
-         its historical semantics (every copy is judged). *)
-      let dedup = Option.is_some reliable || Option.is_some remote in
-      let seen = Hashtbl.create 7 in
-      crash_check stage Stage_start;
-      let idx = ref 0 in
-      let process ~replayed (sender, seq, frame) =
-        if sender >= 1 && sender <= n then begin
-          if not replayed then begin
-            crash_check stage (Stage_frame !idx);
-            wal_append (Round_log.Frame { round; stage; sender; seq; frame })
-          end;
-          incr idx;
-          if (not dedup) || not (Hashtbl.mem seen (sender, seq)) then begin
-            Hashtbl.replace seen (sender, seq) ();
-            if not poisoned.(sender - 1) then begin
-              match decode frame with
-              | Ok m when sender_of m = sender ->
-                  if not taken.(sender - 1) then begin
-                    taken.(sender - 1) <- true;
-                    match consume with
-                    | Some f -> f ~sender m
-                    | None -> delivered.(sender - 1) <- Some m
-                  end
-              | Ok _ | Error _ ->
-                  (* wrong inner sender id counts as undecodable too *)
-                  poisoned.(sender - 1) <- true;
-                  delivered.(sender - 1) <- None;
-                  offenders := sender :: !offenders
-            end
-          end
-        end
-      in
-      List.iter (process ~replayed:true) logged;
-      (match remote with
-      | Some r when not stage_done ->
-          r.r_collect ~round ~stage ~already ~push:(process ~replayed:false)
-      | _ -> List.iter (process ~replayed:false) fresh);
-      if not stage_done then wal_append (Round_log.Stage_done { round; stage });
-      crash_check stage Stage_end;
-      (delivered, List.sort_uniq compare !offenders)
-    end
-  in
-  let note_offenders offenders =
-    List.iter (fun i -> Server.mark_decode_failure server i) offenders;
-    decode_failures := !decode_failures @ offenders
-  in
-  let check_quorum stage =
-    if lifecycle then begin
-      let survivors = List.length (Server.honest server) in
-      if survivors < needed then begin
-        let offenders = List.sort_uniq compare !decode_failures in
-        if offenders <> [] then raise (Abort (Aborted_decode offenders))
-        else raise (Abort (Aborted_insufficient_quorum { stage; survivors; needed }))
-      end
-    end
-  in
-  let is_active i = in_cohort.(i) && behaviours.(i) <> Drop_out in
-  let honest_ids = ref [] in
-  Array.iteri
-    (fun i b -> if b = Honest && in_cohort.(i) then honest_ids := i :: !honest_ids)
+  {
+    s = session;
+    round;
+    n;
+    needed = Params.shamir_t p;
+    updates;
     behaviours;
-  let n_honest = List.length !honest_ids in
-  let avg_over_honest total = if n_honest = 0 then 0.0 else total /. float_of_int n_honest in
-  (* a fresh durable round opens with its boundary snapshot — the restore
-     point recovery rolls the server back to before replaying frames *)
-  if Option.is_none recovery then begin
-    (* the epoch precedes Round_start: replay that finds a Round_start
-       is guaranteed to know its round's exact cohort, and a torn epoch
-       means the round never started (it simply re-runs fresh) *)
-    (match epoch with Some ep -> wal_append (Round_log.Epoch ep) | None -> ());
-    wal_append (Round_log.Round_start { round });
-    match wal with
-    | Some w -> Round_log.append w (Round_log.Snapshot (Server.snapshot server))
-    | None -> ()
-  end;
-  (* --- round 1: commitments --- *)
-  let commit_time = ref 0.0 in
-  let commits, commit_offenders =
-    span "commit" "wire" @@ fun () ->
-    exchange ~consume:None ~stage:Netsim.Commit ~encode:Serial.encode_commit_msg ~decode:Serial.decode_commit
+    (* a link, a write-ahead log or a replay implies the wire: bytes are
+       the only thing they can fault, retransmit or log *)
+    serialize =
+      serialize || Option.is_some endpoint || Option.is_some reliable || Option.is_some remote
+      || Option.is_some wal || Option.is_some recovery;
+    endpoint;
+    reliable;
+    remote;
+    wal;
+    crash;
+    recovery;
+    epoch;
+    cohort_opt = (if Array.length cohort = n then None else Some cohort);
+    in_cohort;
+    (* the round's share topology: a pure function of (session seed,
+       round, cohort), never logged — recovery re-derives the identical
+       graph. [plan] normalizes Full / tiny cohorts / degree >= n-1 to
+       None, the unchanged all-to-all path (bit-identical bytes). *)
+    topo = Topology.plan ~mode:topology ~seed:session.seed ~round ~cohort;
+    acct = (match honest with i :: _ -> i | [] -> -1);
+    n_honest = List.length honest;
+    decode_failures = [];
+    up = 0;
+    down = 0;
+  }
+
+(* (round, stage, role)-attributed spans for the trace; no-ops unless
+   telemetry is enabled *)
+let span rd stage role f =
+  Telemetry.Span.with_
+    ~attrs:[ ("round", string_of_int rd.round); ("stage", stage); ("role", role) ]
+    (stage ^ "." ^ role) f
+
+let wal_append rd r = Option.iter (fun w -> Round_log.append w r) rd.wal
+
+let crash_check rd stage at =
+  if rd.crash = Some (stage, at) then begin
+    Option.iter Round_log.sync rd.wal;
+    raise (Server_crashed { stage; at })
+  end
+
+let is_active rd i = rd.in_cohort.(i) && rd.behaviours.(i) <> Drop_out
+
+(* each active client's stage message from [f]; the honest clients' wall
+   time is summed into [total] *)
+let timed rd total f =
+  Array.init rd.n (fun i ->
+      if not (is_active rd i) then None
+      else begin
+        let m, dt = time (fun () -> f i) in
+        if rd.behaviours.(i) = Honest then total := !total +. dt;
+        m
+      end)
+
+(* One client → server exchange; every frame the server accepts goes to
+   [consume]. Without the wire this hands over the computed messages
+   directly. On the wire, every frame crosses the round's link (fault
+   plan, retransmission with receive-side dedup by (round, stage, sender,
+   seq), or a remote collector) and the server keeps whatever decodes by
+   the deadline. First frame per sender wins; an undecodable frame
+   poisons its sender for the stage (a later clean duplicate does not
+   restore it) and the sender is returned as an offender. Under a
+   write-ahead log every accepted frame is appended (and fsynced) before
+   the server processes it; under recovery, the logged frames replay
+   first and only the unlogged senders re-enter delivery. *)
+let exchange rd ~stage ~encode ~decode ~sender_of ~compute ~consume =
+  let n = rd.n and round = rd.round in
+  if not rd.serialize then begin
+    Array.iteri (fun i m -> Option.iter (consume ~sender:(i + 1)) m) (compute ());
+    []
+  end
+  else begin
+    (* 1. this process's outgoing payloads, computed exactly once per
+       (round, stage) when durable: client randomness is one sequential
+       stream per client, so in-process recovery replays these bytes
+       instead of re-running the clients. A remote round computes
+       nothing locally — the clients live in other processes. *)
+    let durable = Option.is_some rd.wal || Option.is_some rd.recovery in
+    let outgoing =
+      if Option.is_some rd.remote then Array.make n None
+      else
+        match if durable then Hashtbl.find_opt rd.s.outbox (round, stage) else None with
+        | Some cached -> cached
+        | None ->
+            let bytes = Array.map (Option.map encode) (compute ()) in
+            if durable then Hashtbl.replace rd.s.outbox (round, stage) bytes;
+            bytes
+    in
+    (* 2. frames already accepted (and logged) before the crash *)
+    let logged, stage_done =
+      match rd.recovery with
+      | None -> ([], false)
+      | Some ctx ->
+          ( Option.value ~default:[] (Hashtbl.find_opt ctx.rec_frames stage),
+            Hashtbl.mem ctx.rec_done stage )
+    in
+    let already = List.map (fun (s, _, _) -> s) logged in
+    (* 3. fresh deliveries for everyone else (remote rounds collect
+       push-side below instead, after the write-ahead intake is armed) *)
+    let pending =
+      List.filter_map
+        (fun i ->
+          match outgoing.(i) with
+          | Some frame when not (List.mem (i + 1) already) -> Some (i + 1, frame)
+          | _ -> None)
+        (List.init n Fun.id)
+    in
+    let fresh =
+      if stage_done || Option.is_some rd.remote then []
+      else
+        match (rd.reliable, rd.endpoint) with
+        | Some rel, _ -> Reliable.exchange rel ~round ~stage ~already outgoing
+        | None, Some ep ->
+            ep.TI.ep_begin_stage ~round ~stage;
+            List.iter (fun (sender, frame) -> ep.TI.ep_send ~attempt:0 ~sender frame) pending;
+            List.map (fun (s, f) -> (s, 0, f)) (ep.TI.ep_deliver ~deadline:None)
+        | None, None -> List.map (fun (s, f) -> (s, 0, f)) pending
+    in
+    (* 4. server intake: WAL append (write-ahead), dedup, decode. Only the
+       reliable layer (and the socket transport, which carries its
+       headers) stamps meaningful sequence numbers; those frames
+       de-duplicate by (sender, seq) so a duplicate straddling a crash
+       cannot be double-processed on replay. The bare link keeps its
+       historical semantics (every copy is judged). *)
+    let taken = Array.make n false and poisoned = Array.make n false in
+    let offenders = ref [] in
+    let dedup = Option.is_some rd.reliable || Option.is_some rd.remote in
+    let seen = Hashtbl.create 7 in
+    crash_check rd stage Stage_start;
+    let idx = ref 0 in
+    let process ~replayed (sender, seq, frame) =
+      if sender >= 1 && sender <= n then begin
+        if not replayed then begin
+          crash_check rd stage (Stage_frame !idx);
+          wal_append rd (Round_log.Frame { round; stage; sender; seq; frame })
+        end;
+        incr idx;
+        if ((not dedup) || not (Hashtbl.mem seen (sender, seq))) && not poisoned.(sender - 1)
+        then begin
+          Hashtbl.replace seen (sender, seq) ();
+          match decode frame with
+          | Ok m when sender_of m = sender ->
+              if not taken.(sender - 1) then begin
+                taken.(sender - 1) <- true;
+                consume ~sender m
+              end
+          | Ok _ | Error _ ->
+              (* a wrong inner sender id counts as undecodable too *)
+              poisoned.(sender - 1) <- true;
+              offenders := sender :: !offenders
+        end
+      end
+    in
+    List.iter (process ~replayed:true) logged;
+    (match rd.remote with
+    | Some r when not stage_done ->
+        r.r_collect ~round ~stage ~already ~push:(process ~replayed:false)
+    | _ -> List.iter (process ~replayed:false) fresh);
+    if not stage_done then wal_append rd (Round_log.Stage_done { round; stage });
+    crash_check rd stage Stage_end;
+    List.sort_uniq compare !offenders
+  end
+
+(* an exchange that keeps one accepted message per sender; a poisoned
+   sender's slot ends empty *)
+let collect rd ~stage ~encode ~decode ~sender_of ~compute =
+  let got = Array.make rd.n None in
+  let offenders =
+    exchange rd ~stage ~encode ~decode ~sender_of ~compute ~consume:(fun ~sender m ->
+        got.(sender - 1) <- Some m)
+  in
+  List.iter (fun i -> got.(i - 1) <- None) offenders;
+  (got, offenders)
+
+let note_offenders rd offenders =
+  List.iter (Server.mark_decode_failure rd.s.server) offenders;
+  rd.decode_failures <- rd.decode_failures @ offenders
+
+(* the lifecycle's one early exit: fewer than t = m+1 survivors *)
+let abort rd ~stage ~survivors ~needed =
+  match List.sort_uniq compare rd.decode_failures with
+  | [] -> raise (Abort (Aborted_insufficient_quorum { stage; survivors; needed }))
+  | offenders -> raise (Abort (Aborted_decode offenders))
+
+let check_quorum rd stage =
+  let survivors = List.length (Server.honest rd.s.server) in
+  if survivors < rd.needed then abort rd ~stage ~survivors ~needed:rd.needed;
+  observe_live ()
+
+(* round 1: commitments; returns the honest clients' commit time *)
+let commit_stage rd =
+  let clients = rd.s.clients and round = rd.round and topo = rd.topo in
+  let t = ref 0.0 in
+  let commits, offenders =
+    span rd "commit" "wire" @@ fun () ->
+    collect rd ~stage:Netsim.Commit ~encode:Serial.encode_commit_msg ~decode:Serial.decode_commit
       ~sender_of:(fun (m : Wire.commit_msg) -> m.Wire.sender)
       ~compute:(fun () ->
-        span "commit" "client" @@ fun () ->
-        Array.init n (fun i ->
-            if not (is_active i) then None
-            else begin
-              let msg, dt =
-                time (fun () ->
-                    match behaviours.(i) with
-                    | Oversized _ ->
-                        (* updates.(i) is already the scaled malicious vector *)
-                        Client.commit_round_unchecked ?topo ?cohort:cohort_opt clients.(i) ~round
-                          ~update:updates.(i)
-                    | _ ->
-                        Client.commit_round ?topo ?cohort:cohort_opt clients.(i) ~round
-                          ~update:updates.(i))
-              in
-              if behaviours.(i) = Honest then commit_time := !commit_time +. dt;
-              match behaviours.(i) with
-              | Bad_share_to targets ->
-                  (* positions are recipient ids only on the all-to-all
-                     path; under a topology they are ranks in the sorted
-                     neighbor list (a non-neighbor target is a no-op) *)
-                  let recips =
-                    match topo with
-                    | None -> Array.init n (fun j -> j + 1)
-                    | Some tp -> Risefl_topology.Topology.neighbors tp (i + 1)
-                  in
-                  let enc_shares =
-                    Array.mapi
-                      (fun j s -> if List.mem recips.(j) targets then corrupt_sealed s else s)
-                      msg.Wire.enc_shares
-                  in
-                  Some { msg with Wire.enc_shares }
-              | _ -> Some msg
-            end))
+        span rd "commit" "client" @@ fun () ->
+        timed rd t (fun i ->
+            let commit =
+              match rd.behaviours.(i) with
+              | Oversized _ ->
+                  (* updates.(i) is already the scaled malicious vector *)
+                  Client.commit_round_unchecked
+              | _ -> Client.commit_round
+            in
+            let update = rd.updates.(i) in
+            let msg = commit ?topo ?cohort:rd.cohort_opt clients.(i) ~round ~update in
+            match rd.behaviours.(i) with
+            | Bad_share_to targets ->
+                (* positions are recipient ids only on the all-to-all
+                   path; under a topology they are ranks in the sorted
+                   neighbor list (a non-neighbor target is a no-op) *)
+                let recips =
+                  match topo with
+                  | None -> Array.init rd.n (fun j -> j + 1)
+                  | Some tp -> Topology.neighbors tp (i + 1)
+                in
+                let enc_shares =
+                  Array.mapi
+                    (fun j s -> if List.mem recips.(j) targets then corrupt_sealed s else s)
+                    msg.Wire.enc_shares
+                in
+                Some { msg with Wire.enc_shares }
+            | _ -> Some msg))
   in
-  span "commit" "server"
-    (fun () -> Server.begin_round ?topo ?cohort:cohort_opt server ~round ~commits);
+  span rd "commit" "server" (fun () ->
+      Server.begin_round ?topo ?cohort:rd.cohort_opt rd.s.server ~round ~commits);
   (* begin_round reset C*, so decode offenders are marked after it *)
-  note_offenders commit_offenders;
+  note_offenders rd offenders;
   (* epoch-level convictions: a rejected rotation proof is an
      identity-level offence, applied at the same point bans are *)
-  (match epoch with
-  | Some ep ->
+  Option.iter
+    (fun ep ->
       List.iter
-        (fun i -> Server.convict server i ~reason:"rotation proof rejected")
-        ep.Membership.ep_convicts
-  | None -> ());
-  check_quorum "commit";
-  observe_live ();
-  (* communication accounting that reads the commit bulk is settled here —
-     once, eagerly — so [commits] is syntactically dead beyond this point
-     and the streaming pipeline's evictions actually free the round's
-     O(n²) share ciphertexts and O(n·d) commitment points *)
-  let acct_commit_up, acct_shares_down =
-    match List.rev !honest_ids with
-    | [] -> (0, 0)
-    | i :: _ ->
-        let commit = match commits.(i) with Some c -> Wire.commit_msg_size c | None -> 0 in
-        (* downloads: forwarded shares + check strings. All-to-all: one
-           sealed share from every peer. k-regular: a share only from the
-           k neighbor dealers (located by this client's rank in their
-           sorted neighbor lists); check strings still arrive from every
-           dealer with the commit broadcast. *)
-        let shares_down =
-          Array.fold_left
-            (fun acc c ->
-              match c with
-              | None -> acc
-              | Some (cm : Wire.commit_msg) ->
-                  if cm.Wire.sender = i + 1 then acc
-                  else
-                    let share_bytes =
-                      match topo with
-                      | None -> (
-                          (* all-to-all shares are indexed by cohort rank
-                             (= id−1 only for the full cohort) *)
-                          match cohort_opt with
-                          | None -> Channel.sealed_size cm.Wire.enc_shares.(i)
-                          | Some xs ->
-                              let rank = ref (-1) in
-                              Array.iteri (fun j x -> if x = i + 1 then rank := j) xs;
-                              if !rank < 0 then 0
-                              else Channel.sealed_size cm.Wire.enc_shares.(!rank))
-                      | Some tp ->
-                          let ns = Risefl_topology.Topology.neighbors tp cm.Wire.sender in
-                          let rank = ref (-1) in
-                          Array.iteri (fun j x -> if x = i + 1 then rank := j) ns;
-                          if !rank < 0 then 0
-                          else Channel.sealed_size cm.Wire.enc_shares.(!rank)
-                    in
-                    acc + share_bytes + (Wire.point_size * Array.length cm.Wire.check))
-            0 commits
-        in
-        (commit, shares_down)
-  in
-  (* --- round 2 step 1: share verification and flags --- *)
+        (fun i -> Server.convict rd.s.server i ~reason:"rotation proof rejected")
+        ep.Membership.ep_convicts)
+    rd.epoch;
+  check_quorum rd "commit";
+  (* communication accounting that reads the commit bulk is settled here,
+     once, so [commits] is dead beyond this point and the streaming
+     pipeline's evictions actually free the round's O(n²) share
+     ciphertexts and O(n·d) commitment points. Downloads: one sealed
+     share from every dealer whose recipient list holds this client (all
+     of the cohort, or the k-regular graph neighbors), plus every
+     dealer's check string. *)
+  let a = rd.acct in
+  if a >= 0 then begin
+    Option.iter (fun c -> rd.up <- Wire.commit_msg_size c) commits.(a);
+    Array.iter
+      (Option.iter (fun (cm : Wire.commit_msg) ->
+           if cm.Wire.sender <> a + 1 then begin
+             let recips =
+               match (topo, rd.cohort_opt) with
+               | Some tp, _ -> Topology.neighbors tp cm.Wire.sender
+               | None, Some xs -> xs
+               | None, None -> Array.init rd.n (fun j -> j + 1)
+             in
+             let rank = ref (-1) in
+             Array.iteri (fun j x -> if x = a + 1 then rank := j) recips;
+             if !rank >= 0 then rd.down <- rd.down + Channel.sealed_size cm.Wire.enc_shares.(!rank);
+             rd.down <- rd.down + (Wire.point_size * Array.length cm.Wire.check)
+           end))
+      commits
+  end;
+  !t
+
+(* round 2 step 1: share verification and flags; returns the honest
+   clients' share-verification time *)
+let flag_stage rd =
+  let clients = rd.s.clients and round = rd.round in
   (* clients receive the server's *validated* view of the commits: a
      structurally invalid commit never reaches a client *)
-  let present_commits =
-    Array.of_list (List.filter_map Fun.id (Array.to_list (Server.round_commits server)))
+  let present =
+    Array.of_list (List.filter_map Fun.id (Array.to_list (Server.round_commits rd.s.server)))
   in
-  (match remote with
-  | Some r -> r.r_commits ~round (Array.map Serial.encode_commit_msg present_commits)
-  | None -> ());
-  let share_verify_time = ref 0.0 in
-  let flags, flag_offenders =
-    span "flag" "wire" @@ fun () ->
-    exchange ~consume:None ~stage:Netsim.Flag ~encode:Serial.encode_flag_msg ~decode:Serial.decode_flag
+  Option.iter (fun r -> r.r_commits ~round (Array.map Serial.encode_commit_msg present)) rd.remote;
+  let t = ref 0.0 in
+  let flags, offenders =
+    span rd "flag" "wire" @@ fun () ->
+    collect rd ~stage:Netsim.Flag ~encode:Serial.encode_flag_msg ~decode:Serial.decode_flag
       ~sender_of:(fun (m : Wire.flag_msg) -> m.Wire.sender)
       ~compute:(fun () ->
-        span "flag" "client" @@ fun () ->
-        Array.init n (fun i ->
-            if not (is_active i) then None
-            else begin
-              let base, dt =
-                time (fun () ->
-                    Client.receive_shares ?topo ?cohort:cohort_opt clients.(i) ~round
-                      ~msgs:present_commits)
-              in
-              if behaviours.(i) = Honest then share_verify_time := !share_verify_time +. dt;
-              match behaviours.(i) with
-              | False_flags extra ->
-                  Some
-                    { base with Wire.suspects = List.sort_uniq compare (extra @ base.Wire.suspects) }
-              | _ -> Some base
-            end))
+        span rd "flag" "client" @@ fun () ->
+        timed rd t (fun i ->
+            let base =
+              Client.receive_shares ?topo:rd.topo ?cohort:rd.cohort_opt clients.(i) ~round
+                ~msgs:present
+            in
+            match rd.behaviours.(i) with
+            | False_flags extra ->
+                let suspects = List.sort_uniq compare (extra @ base.Wire.suspects) in
+                Some { base with Wire.suspects }
+            | _ -> Some base))
   in
-  note_offenders flag_offenders;
+  note_offenders rd offenders;
   let reveal dealer requests =
-    match remote with
+    match rd.remote with
     | Some r -> r.r_reveal ~dealer ~requests
-    | None ->
-        if not (is_active (dealer - 1)) then None
-        else (
+    | None -> (
+        if not (is_active rd (dealer - 1)) then None
+        else
           match Client.reveal_shares clients.(dealer - 1) ~requests with
           | shares -> Some shares
           | exception Client.Server_misbehaving _ -> None)
   in
-  let cleared = span "flag" "server" (fun () -> Server.process_flags server ~flags ~reveal) in
-  (match remote with
+  let cleared =
+    span rd "flag" "server" (fun () -> Server.process_flags rd.s.server ~flags ~reveal)
+  in
+  (match rd.remote with
   | Some r -> r.r_cleared ~round cleared
   | None ->
       List.iter
         (fun (flagger, dealer, value) ->
-          if is_active (flagger - 1) then
+          if is_active rd (flagger - 1) then
             Client.accept_cleared_share clients.(flagger - 1) ~from:dealer ~value)
         cleared);
-  check_quorum "flag";
-  observe_live ();
-  (* --- round 2 step 2: probabilistic integrity check --- *)
+  check_quorum rd "flag";
+  if rd.acct >= 0 then
+    Option.iter (fun f -> rd.up <- rd.up + Wire.flag_msg_size f) flags.(rd.acct);
+  !t
+
+(* round 2 step 2: the probabilistic integrity check; returns (server
+   check preparation, honest clients' proof time, server verification)
+   seconds *)
+let proof_stage rd ~predicate ~stream =
+  let round = rd.round in
   let (s_value, hs), prep_time =
-    span "check" "server" (fun () -> time (fun () -> Server.prepare_check server))
+    span rd "check" "server" (fun () -> time (fun () -> Server.prepare_check rd.s.server))
   in
   (* the check string is a pure redraw of the server DRBG: under recovery
      it must reproduce the logged value bit for bit, and a fresh durable
      round logs it as the audit record *)
-  (match recovery with
+  (match rd.recovery with
   | Some { rec_s = Some logged_s; _ } ->
       if not (Bytes.equal logged_s s_value) then
         failwith "Driver: recovery check-string mismatch (wrong seed or corrupt WAL?)"
-  | Some { rec_s = None; _ } | None -> ());
-  (match recovery with
-  | Some { rec_s = Some _; _ } -> ()
-  | _ -> wal_append (Round_log.Check { round; s = s_value }));
+  | _ -> wal_append rd (Round_log.Check { round; s = s_value }));
   (* the (s, h) broadcast crosses the wire too when serializing; the
      server → client links are assumed reliable in this simulation, so a
      failed round-trip of our own encoding would be a codec bug *)
   let s_value, hs =
-    if not serialize then (s_value, hs)
+    if not rd.serialize then (s_value, hs)
     else begin
       let bcast = Serial.encode_broadcast ~s:s_value ~hs in
-      (match remote with Some r -> r.r_check ~round bcast | None -> ());
+      Option.iter (fun r -> r.r_check ~round bcast) rd.remote;
       match Serial.decode_broadcast_r bcast with
       | Ok (s, hs) -> (s, hs)
       | Error e -> failwith ("Driver: broadcast round-trip failed: " ^ Serial.error_to_string e)
@@ -685,88 +677,73 @@ let run_round_core_inner ?(predicate = Predicate.L2) ?(serialize = false) ?trans
      repaid k+1 ladder multiplications per client). A remote server never
      proves, so it skips the table build — remote clients build their own. *)
   let hs_tables =
-    if Option.is_some remote then [||]
-    else span "check" "tables" (fun () -> Parallel.parallel_map Curve25519.Point.Table.make hs)
+    if Option.is_some rd.remote then [||]
+    else span rd "check" "tables" (fun () -> Parallel.parallel_map Curve25519.Point.Table.make hs)
   in
-  let proof_time = ref 0.0 in
   (* each arrived proof folds straight into the server's verification
      stream (by default one shard whose single batch is the whole stage)
-     instead of being retained; the first honest client's frame size is
-     captured on the way through *)
-  let cfg = match stream with Some cfg -> cfg | None -> Server.stream_cfg ~batch:n () in
-  let stream_st = Server.stream_begin ~predicate server ~round ~cfg in
-  let acct_proof_up = ref 0 in
-  let first_honest = match List.rev !honest_ids with [] -> 0 | i :: _ -> i + 1 in
-  let consume ~sender (m : Wire.proof_msg) =
-    if sender = first_honest then acct_proof_up := Wire.proof_msg_size m;
-    span "proof" "server" (fun () -> Server.stream_feed stream_st ~sender m)
-  in
-  let (_ : Wire.proof_msg option array), proof_offenders =
-    span "proof" "wire" @@ fun () ->
-    exchange ~consume:(Some consume) ~stage:Netsim.Proof ~encode:Serial.encode_proof_msg
-      ~decode:Serial.decode_proof
+     instead of being retained *)
+  let cfg = match stream with Some cfg -> cfg | None -> Server.stream_cfg ~batch:rd.n () in
+  let st = Server.stream_begin ~predicate rd.s.server ~round ~cfg in
+  let t = ref 0.0 in
+  let offenders =
+    span rd "proof" "wire" @@ fun () ->
+    exchange rd ~stage:Netsim.Proof ~encode:Serial.encode_proof_msg ~decode:Serial.decode_proof
       ~sender_of:(fun (m : Wire.proof_msg) -> m.Wire.sender)
       ~compute:(fun () ->
-        span "proof" "client" @@ fun () ->
-        Array.init n (fun i ->
-            if not (is_active i) then None
-            else begin
-              let result, dt =
-                time (fun () ->
-                    Client.try_proof_round ~predicate ~hs_tables ?cohort:cohort_opt clients.(i)
-                      ~round ~s:s_value ~hs)
-              in
-              if behaviours.(i) = Honest then proof_time := !proof_time +. dt;
-              result
-            end))
+        span rd "proof" "client" @@ fun () ->
+        timed rd t (fun i ->
+            Client.try_proof_round ~predicate ~hs_tables ?cohort:rd.cohort_opt rd.s.clients.(i)
+              ~round ~s:s_value ~hs))
+      ~consume:(fun ~sender m ->
+        if sender = rd.acct + 1 then rd.up <- rd.up + Wire.proof_msg_size m;
+        span rd "proof" "server" (fun () -> Server.stream_feed st ~sender m))
   in
-  note_offenders proof_offenders;
-  span "proof" "server" (fun () -> Server.stream_finish stream_st);
-  let verify_time = Server.stream_elapsed_s stream_st in
-  check_quorum "proof";
-  observe_live ();
-  (* --- round 3: secure aggregation --- *)
-  let honest = Server.honest server in
-  (match remote with
-  | Some r -> r.r_honest ~round ~honest ~malicious:(Server.malicious server)
-  | None -> ());
-  let agg_msgs, agg_offenders =
-    span "agg" "wire" @@ fun () ->
-    exchange ~consume:None ~stage:Netsim.Agg ~encode:Serial.encode_agg_msg ~decode:Serial.decode_agg
+  (* a proof folded before its sender was poisoned is subtracted again by
+     the stream's late-conviction path *)
+  note_offenders rd offenders;
+  span rd "proof" "server" (fun () -> Server.stream_finish st);
+  check_quorum rd "proof";
+  (prep_time, !t, Server.stream_elapsed_s st)
+
+(* round 3: secure aggregation over the honest set H, fixed before this
+   stage. An undecodable agg frame is treated like a dropped one: every
+   other share was computed over H, so the sender stays in H, keeps its
+   update in the sum and costs only its own share. *)
+let agg_stage rd =
+  let clients = rd.s.clients and round = rd.round in
+  let honest = Server.honest rd.s.server and malicious = Server.malicious rd.s.server in
+  Option.iter (fun r -> r.r_honest ~round ~honest ~malicious) rd.remote;
+  let agg_msgs, (_ : int list) =
+    span rd "agg" "wire" @@ fun () ->
+    collect rd ~stage:Netsim.Agg ~encode:Serial.encode_agg_msg ~decode:Serial.decode_agg
       ~sender_of:(fun (m : Wire.agg_msg) -> m.Wire.sender)
       ~compute:(fun () ->
-        span "agg" "client" @@ fun () ->
-        Array.init n (fun i ->
-            if
-              (not (is_active i))
-              || behaviours.(i) = Agg_silent
-              || Server.malicious server |> List.mem (i + 1)
+        span rd "agg" "client" @@ fun () ->
+        Array.init rd.n (fun i ->
+            if not (is_active rd i) || rd.behaviours.(i) = Agg_silent || List.mem (i + 1) malicious
             then None
             else
               match
-                match topo with
+                match rd.topo with
                 | None -> Client.agg_round clients.(i) ~honest
                 | Some tp -> Client.agg_round_masked clients.(i) ~round ~topo:tp ~honest
               with
-              | msg ->
-                  let msg =
-                    match behaviours.(i) with
-                    | Bad_agg_share ->
-                        (* a garbage aggregated share: SS.Verify against the
-                           combined check string must reject it (k-regular:
-                           the global g^R check catches it instead) *)
-                        { msg with Wire.r_sum = Scalar.add msg.Wire.r_sum Scalar.one }
-                    | _ -> msg
-                  in
-                  Some msg
+              | msg when rd.behaviours.(i) = Bad_agg_share ->
+                  (* a garbage aggregated share: SS.Verify against the
+                     combined check string must reject it (k-regular: the
+                     global g^R check catches it instead) *)
+                  Some { msg with Wire.r_sum = Scalar.add msg.Wire.r_sum Scalar.one }
+              | msg -> Some msg
               | exception Invalid_argument _ -> None))
   in
-  note_offenders agg_offenders;
-  let agg_result, agg_time =
-    span "agg" "server" (fun () ->
+  if rd.acct >= 0 then
+    Option.iter (fun a -> rd.up <- rd.up + Wire.agg_msg_size a) agg_msgs.(rd.acct);
+  let result, agg_time =
+    span rd "agg" "server" (fun () ->
         time (fun () ->
-            match topo with
-            | None -> Server.aggregate server ~agg_msgs
+            match rd.topo with
+            | None -> Server.aggregate rd.s.server ~agg_msgs
             | Some tp ->
                 (* neighborhood recovery sub-exchange: in-process it asks
                    the dropout's alive neighbors directly (responses are
@@ -774,111 +751,97 @@ let run_round_core_inner ?(predicate = Predicate.L2) ?(serialize = false) ?trans
                    WAL replay reproduces them bit-identically); a remote
                    round goes through the transport hook *)
                 let recover ~dropout ~responders =
-                  match remote with
+                  match rd.remote with
                   | Some r -> r.r_recover ~round ~dropout ~responders
                   | None ->
                       List.filter_map
                         (fun i ->
-                          if not (is_active (i - 1)) then None
+                          if not (is_active rd (i - 1)) then None
                           else
-                            match
-                              Client.recovery_response clients.(i - 1) ~round ~topo:tp ~dropout
-                            with
+                            let c = clients.(i - 1) in
+                            match Client.recovery_response c ~round ~topo:tp ~dropout with
                             | resp -> Some (i, resp)
                             | exception Client.Server_misbehaving _ -> None)
                         responders
                 in
-                Server.aggregate_kregular server ~topo:tp ~honest ~recover ~agg_msgs))
+                Server.aggregate_kregular rd.s.server ~topo:tp ~honest ~recover ~agg_msgs))
   in
-  (if lifecycle then
-     match agg_result with
-     | Error (Server.Insufficient_quorum { valid; needed }) ->
-         let offenders = List.sort_uniq compare !decode_failures in
-         if offenders <> [] then raise (Abort (Aborted_decode offenders))
-         else raise (Abort (Aborted_insufficient_quorum { stage = "aggregate"; survivors = valid; needed }))
-     | Error _ | Ok _ -> ());
-  let aggregate, failure =
-    match agg_result with Ok v -> (Some v, None) | Error e -> (None, Some e)
-  in
-  wal_append (Round_log.Round_end { round; cstar = Server.malicious server; aggregate });
+  (match result with
+  | Error (Server.Insufficient_quorum { valid; needed }) ->
+      abort rd ~stage:"aggregate" ~survivors:valid ~needed
+  | Error _ | Ok _ -> ());
+  (result, agg_time)
+
+let round_body rd ~predicate ~stream =
+  (* a fresh durable round opens with its boundary snapshot — the restore
+     point recovery rolls the server back to before replaying frames. The
+     epoch precedes Round_start: replay that finds a Round_start is
+     guaranteed to know its round's exact cohort, and a torn epoch means
+     the round never started (it simply re-runs fresh). *)
+  if Option.is_none rd.recovery then begin
+    Option.iter (fun ep -> wal_append rd (Round_log.Epoch ep)) rd.epoch;
+    wal_append rd (Round_log.Round_start { round = rd.round });
+    Option.iter
+      (fun w -> Round_log.append w (Round_log.Snapshot (Server.snapshot rd.s.server)))
+      rd.wal
+  end;
+  let commit_s = commit_stage rd in
+  let share_verify_s = flag_stage rd in
+  let prep_s, proof_s, verify_s = proof_stage rd ~predicate ~stream in
+  let result, agg_s = agg_stage rd in
+  let aggregate, failure = match result with Ok v -> (Some v, None) | Error e -> (None, Some e) in
+  let flagged = Server.malicious rd.s.server in
+  wal_append rd (Round_log.Round_end { round = rd.round; cstar = flagged; aggregate });
   observe_live ();
-  (* --- communication accounting (per honest client) --- *)
-  let up, down =
-    match List.rev !honest_ids with
-    | [] -> (0, 0)
-    | i :: _ ->
-        let flag = match flags.(i) with Some f -> Wire.flag_msg_size f | None -> 0 in
-        let proof = !acct_proof_up in
-        let agg = match agg_msgs.(i) with Some a -> Wire.agg_msg_size a | None -> 0 in
-        let up = acct_commit_up + flag + proof + agg in
-        (* downloads: the eagerly-settled shares+checks total, the (s, h)
-           broadcast, and the C* list *)
-        let down = acct_shares_down + Wire.broadcast_size ~k:p.Params.k + (4 * n) in
-        (up, down)
-  in
+  let avg total = if rd.n_honest = 0 then 0.0 else total /. float_of_int rd.n_honest in
   Completed
     {
       aggregate;
       failure;
-      flagged = Server.malicious server;
-      decode_failures = List.sort_uniq compare !decode_failures;
-      client_commit_s = avg_over_honest !commit_time;
-      client_share_verify_s = avg_over_honest !share_verify_time;
-      client_proof_s = avg_over_honest !proof_time;
-      server_prep_s = prep_time;
-      server_verify_s = verify_time;
-      server_agg_s = agg_time;
-      client_up_bytes = up;
-      client_down_bytes = down;
+      flagged;
+      decode_failures = List.sort_uniq compare rd.decode_failures;
+      client_commit_s = avg commit_s;
+      client_share_verify_s = avg share_verify_s;
+      client_proof_s = avg proof_s;
+      server_prep_s = prep_s;
+      server_verify_s = verify_s;
+      server_agg_s = agg_s;
+      client_up_bytes = rd.up;
+      (* downloads: shares + check strings, the (s, h) broadcast and C* *)
+      client_down_bytes =
+        (if rd.acct < 0 then 0
+         else rd.down + Wire.broadcast_size ~k:rd.s.setup.Setup.params.Params.k + (4 * rd.n));
     }
 
-(* outer span covering the full round; the Abort control-flow exception
-   passes through Span.with_ (the span is still recorded) *)
-let run_round_core ?predicate ?serialize ?transport ?endpoint ?reliable ?remote ?wal ?crash
-    ?recovery ?stream ?epoch ?topology ~lifecycle session ~updates ~behaviours ~round =
-  Telemetry.Span.with_
-    ~attrs:[ ("round", string_of_int round) ]
-    "round"
-    (fun () ->
-      run_round_core_inner ?predicate ?serialize ?transport ?endpoint ?reliable ?remote ?wal
-        ?crash ?recovery ?stream ?epoch ?topology ~lifecycle session ~updates ~behaviours ~round)
-
-(* a WAL-armed abort still closes the round durably *)
-let seal_abort ?wal session ~round outcome =
-  (match wal with
-  | Some w ->
-      Round_log.append w
-        (Round_log.Round_end
-           { round; cstar = Server.malicious session.server; aggregate = None });
-      Round_log.sync w
-  | None -> ());
-  outcome
-
-let run_round_outcome ?predicate ?serialize ?transport ?endpoint ?reliable ?remote ?wal ?crash
+(* Both entry points end here: an abort seals the WAL with a Round_end,
+   and the verdict is broadcast. A Server_crashed exception skips both,
+   so a killed server never announces a result it did not seal. *)
+let run ?(predicate = Predicate.L2) ?serialize ?endpoint ?reliable ?remote ?wal ?crash ?recovery
     ?stream ?epoch ?topology session ~updates ~behaviours ~round =
   let outcome =
     match
-      run_round_core ?predicate ?serialize ?transport ?endpoint ?reliable ?remote ?wal ?crash
-        ?stream ?epoch ?topology ~lifecycle:true session ~updates ~behaviours ~round
+      Telemetry.Span.with_ ~attrs:[ ("round", string_of_int round) ] "round" (fun () ->
+          round_body ~predicate ~stream
+            (open_round ?serialize ?endpoint ?reliable ?remote ?wal ?crash ?recovery ?epoch
+               ?topology session ~updates ~behaviours ~round))
     with
     | outcome -> outcome
-    | exception Abort outcome -> seal_abort ?wal session ~round outcome
+    | exception Abort outcome ->
+        Option.iter
+          (fun w ->
+            Round_log.append w
+              (Round_log.Round_end
+                 { round; cstar = Server.malicious session.server; aggregate = None });
+            Round_log.sync w)
+          wal;
+        outcome
   in
-  (* the verdict broadcast: a Server_crashed exception above skips it, so
-     a killed server never announces a result it did not seal *)
-  (match remote with Some r -> r.r_result ~round outcome | None -> ());
+  Option.iter (fun r -> r.r_result ~round outcome) remote;
   outcome
 
-let run_round ?predicate ?serialize ?transport ?endpoint ?reliable ?wal ?crash ?stream ?epoch
-    ?topology session ~updates ~behaviours ~round =
-  match
-    run_round_core ?predicate ?serialize ?transport ?endpoint ?reliable ?wal ?crash ?stream
-      ?epoch ?topology ~lifecycle:false session ~updates ~behaviours ~round
-  with
-  | Completed stats -> stats
-  | Aborted_insufficient_quorum _ | Aborted_decode _ ->
-      (* lifecycle:false never aborts early *)
-      assert false
+let run_round_outcome = run ?recovery:None
+
+let completed_exn = function Completed stats -> stats | o -> failwith (outcome_to_string o)
 
 (* --- crash recovery --- *)
 
@@ -920,8 +883,8 @@ let restore_server ?epoch session records ~round =
   in
   (match snap with Some s -> Server.restore server s | None -> ())
 
-let recover_round ?predicate ?transport ?endpoint ?reliable ?remote ?wal ?stream ?epoch
-    ?topology session ~records ~updates ~behaviours ~round =
+let recover_round ?predicate ?endpoint ?reliable ?remote ?wal ?stream ?epoch ?topology session
+    ~records ~updates ~behaviours ~round =
   Telemetry.Span.with_
     ~attrs:[ ("round", string_of_int round) ]
     "recover"
@@ -941,17 +904,8 @@ let recover_round ?predicate ?transport ?endpoint ?reliable ?remote ?wal ?stream
               None records
       in
       restore_server ?epoch session records ~round;
-      let recovery = recovery_of_records ~round records in
-      let outcome =
-        match
-          run_round_core ?predicate ?transport ?endpoint ?reliable ?remote ?wal ~recovery
-            ?stream ?epoch ?topology ~lifecycle:true session ~updates ~behaviours ~round
-        with
-        | outcome -> outcome
-        | exception Abort outcome -> seal_abort ?wal session ~round outcome
-      in
-      (match remote with Some r -> r.r_result ~round outcome | None -> ());
-      outcome)
+      run ?predicate ?endpoint ?reliable ?remote ?wal ~recovery:(recovery_of_records ~round records)
+        ?stream ?epoch ?topology session ~updates ~behaviours ~round)
 
 (* --- multi-round session loop --- *)
 
@@ -969,8 +923,8 @@ type session_report = {
   churn : churn_counts;
 }
 
-let run_session ?predicate ?serialize ?transport ?endpoint ?reliable ?remote ?wal ?crash ?stream
-    ?cohort_for ?topology session ~updates_for ~behaviours ~rounds =
+let run_session ?predicate ?serialize ?endpoint ?reliable ?remote ?wal ?crash ?stream ?cohort_for
+    ?topology session ~updates_for ~behaviours ~rounds =
   if rounds < 1 then invalid_arg "Driver.run_session: rounds must be >= 1";
   let n = Array.length session.clients in
   let outcomes = ref [] in
@@ -1002,7 +956,7 @@ let run_session ?predicate ?serialize ?transport ?endpoint ?reliable ?remote ?wa
     in
     let outcome =
       match
-        run_round_outcome ?predicate ?serialize ?transport ?endpoint ?reliable ?remote ?wal
+        run_round_outcome ?predicate ?serialize ?endpoint ?reliable ?remote ?wal
           ?crash:crash_here ?stream ?epoch ?topology session ~updates ~behaviours ~round
       with
       | outcome -> outcome
@@ -1014,7 +968,7 @@ let run_session ?predicate ?serialize ?transport ?endpoint ?reliable ?remote ?wa
               Round_log.sync w;
               let records, _status = Round_log.replay (Round_log.path w) in
               incr recovered;
-              recover_round ?predicate ?transport ?endpoint ?reliable ?remote ~wal:w ?stream
+              recover_round ?predicate ?endpoint ?reliable ?remote ~wal:w ?stream
                 ?epoch ?topology session ~records ~updates ~behaviours ~round)
     in
     (match outcome with
@@ -1074,8 +1028,3 @@ let churn_cohort_for session ~spec ~rounds =
       done;
       Hashtbl.find_opt cache round
     end
-
-let run_iteration ?predicate ?serialize ?transport ?endpoint ?reliable ?wal ?stream ?topology
-    setup ~updates ~behaviours ~seed ~round =
-  run_round ?predicate ?serialize ?transport ?endpoint ?reliable ?wal ?stream ?topology
-    (create_session setup ~seed) ~updates ~behaviours ~round

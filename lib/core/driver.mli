@@ -1,16 +1,20 @@
-(** In-memory orchestration of one full RiseFL iteration.
+(** In-memory orchestration of RiseFL rounds.
 
     Wires n {!Client}s and one {!Server} together, injects configurable
     malicious behaviours, and reports the per-stage timings and
     per-client communication volumes that Tables 1–2 and Figures 6–7 of
-    the paper measure.
+    the paper measure. There is one round engine with two entry points,
+    {!run_round_outcome} (a fresh round) and {!recover_round} (a round
+    resumed from its write-ahead log), and one loop, {!run_session}.
 
-    With a {!Netsim.t} transport every client → server frame additionally
-    crosses a fault-injected link (drops, delays, duplicates, truncation,
-    byte flips, replays): undecodable frames cost the sender its honesty
-    bit (it joins the malicious set), late/missing frames make it a dropout, and the
-    round either completes or ends with a typed {!round_outcome} — no
-    fault plan can make an exception escape.
+    Over a fault-injected link ([~endpoint:(Netsim.endpoint net)]) every
+    client → server frame can be dropped, delayed, duplicated, truncated,
+    flipped or replayed. An undecodable frame before aggregation costs
+    the sender its honesty bit (it joins the malicious set); an
+    undecodable or missing aggregation frame costs it only its share, as
+    the honest set is fixed by then; other late/missing frames make it a
+    dropout. Every round either completes or ends with a typed
+    {!round_outcome} — no fault plan can make an exception escape.
 
     Durability: with a {!Round_log.t} write-ahead log armed, every
     accepted frame is logged (and fsynced) before the server processes
@@ -54,10 +58,9 @@ type stats = {
   client_down_bytes : int;  (** per honest client: everything it receives *)
 }
 
-(** How a round ended under the quorum-aware lifecycle
-    ({!run_round_outcome}): the server proceeds as long as at least
-    t = m+1 clients survive each stage, and otherwise returns a verdict
-    instead of raising. *)
+(** How a round ended under the quorum lifecycle: the server proceeds
+    as long as at least t = m+1 clients survive each stage, and otherwise
+    returns a verdict instead of raising. *)
 type round_outcome =
   | Completed of stats
       (** the round ran to the end (aggregation itself may still have
@@ -180,66 +183,42 @@ type remote = {
           blind if held, the pairwise agg mask toward the dropout) *)
 }
 
-(** [run_round ?predicate ?serialize ?transport ?reliable ?wal ?crash
-    session ~updates ~behaviours ~round] — one full protocol iteration
-    (commit → flags → probabilistic check → aggregation) over the
-    session's long-lived clients. With [serialize] every message
-    round-trips through the binary wire codecs, exactly as over a
-    network; with [transport] (which implies [serialize]) the frames
-    additionally cross the fault-injected links; with [reliable] (which
-    wins over [transport]) unacked frames retransmit under exponential
-    backoff with receive-side dedup; with [wal] every accepted frame is
-    logged write-ahead; with [crash] the server dies at the planned
-    point ({!Server_crashed} escapes — catch it and
-    {!recover_round}). All stages always run; quorum loss surfaces as
-    [failure = Some (Insufficient_quorum _)], never as an exception.
+(** [run_round_outcome session ~updates ~behaviours ~round] — one full
+    protocol iteration (commit → flags → probabilistic check →
+    aggregation) over the session's long-lived clients, under the
+    deadline/quorum lifecycle: the server abandons the round as soon as
+    fewer than t = m+1 clients survive a stage and returns the typed
+    verdict (sealing the WAL with a [Round_end] record). No fault plan
+    makes an exception escape, apart from a planned {!Server_crashed}.
 
-    The proof stage always runs the server's streaming verification
-    pipeline ({!Server.stream_begin}): each arrived frame is buffered
-    into its shard's batch, each full batch is judged by one RLC MSM, and
-    the survivors' decoded bulk is evicted. [stream] sets the shards and
-    batch size; without it the stage is one shard whose single batch is
-    every proof (one MSM for the round, as {!Server.verify_proofs}).
+    With [serialize] every message round-trips through the binary wire
+    codecs, exactly as over a network. The round's link is one of
+    [endpoint] (any {!Netsim.Transport_intf.endpoint}, e.g.
+    [Netsim.endpoint net]: frames cross its fault plan), [reliable]
+    (unacked frames retransmit under exponential backoff with
+    receive-side dedup) or [remote] (a real transport's collect and
+    broadcast hooks, see {!type-remote}); each implies [serialize]. With
+    [wal] every accepted frame is logged write-ahead; with [crash] the
+    server dies at the planned point ({!Server_crashed} escapes — catch
+    it and {!recover_round}).
+
+    The proof stage streams into the server's verifier
+    ({!Server.stream_begin}): each full batch is judged by one RLC MSM
+    and its decoded bulk evicted. [stream] sets the shards and batch
+    size; the default is one shard whose single batch is every proof.
     Verdicts, C* and the aggregate are identical for every (jobs, shards,
-    batch, arrival-order) combination; with a small batch, resident
-    decoded state drops from O(n·d + n²) to O(d + batch·d).
+    batch, arrival-order) combination.
 
-    With [topology] (default [Full]) the round's share graph is selected:
-    [Kregular k] derives a seeded k-regular neighborhood graph from
-    (session seed, round, cohort) via {!Risefl_topology.Topology.plan},
-    shares each blind only to graph neighbors (wire v2 commits carrying
-    the topology digest), masks the agg stage pairwise, and recovers
-    agg-stage dropouts from their neighborhoods. [Kregular (n-1)] (or
-    more) normalizes to the all-to-all path and is bit-identical to
-    [Full]. *)
-val run_round :
-  ?predicate:Predicate.t ->
-  ?serialize:bool ->
-  ?transport:Netsim.t ->
-  ?endpoint:Netsim.Transport_intf.endpoint ->
-  ?reliable:Reliable.t ->
-  ?wal:Round_log.t ->
-  ?crash:Netsim.stage * crash_point ->
-  ?stream:Server.stream_cfg ->
-  ?epoch:Membership.epoch ->
-  ?topology:Risefl_topology.Topology.mode ->
-  session ->
-  updates:int array array ->
-  behaviours:behaviour array ->
-  round:int ->
-  stats
-
-(** [run_round_outcome] — like {!run_round} but with the deadline/quorum
-    lifecycle armed: the server abandons the round as soon as fewer than
-    t = m+1 clients survive a stage, returning the typed verdict (and
-    sealing the WAL with a [Round_end] record). [endpoint] is the
-    backend-agnostic form of [transport] (any
-    {!Netsim.Transport_intf.endpoint}); [remote] plugs a real transport's
-    collect/broadcast hooks into the round (see {!type-remote}). *)
+    [topology] (default [Full]) selects the share graph: [Kregular k]
+    derives a seeded k-regular graph from (session seed, round, cohort)
+    via {!Risefl_topology.Topology.plan}, shares each blind only to graph
+    neighbors, masks the agg stage pairwise and recovers agg-stage
+    dropouts from their neighborhoods; [Kregular (n-1)] normalizes to the
+    bit-identical all-to-all path. One-shot callers pass
+    [create_session setup ~seed]. *)
 val run_round_outcome :
   ?predicate:Predicate.t ->
   ?serialize:bool ->
-  ?transport:Netsim.t ->
   ?endpoint:Netsim.Transport_intf.endpoint ->
   ?reliable:Reliable.t ->
   ?remote:remote ->
@@ -253,6 +232,10 @@ val run_round_outcome :
   behaviours:behaviour array ->
   round:int ->
   round_outcome
+
+val completed_exn : round_outcome -> stats
+(** The stats of a completed round.
+    @raise Failure with {!outcome_to_string} on an abort. *)
 
 (** [recover_round session ~records ~updates ~behaviours ~round] —
     finish a crashed round from its write-ahead log. Rebuilds a fresh
@@ -270,7 +253,6 @@ val run_round_outcome :
     [Round_start]) is used. *)
 val recover_round :
   ?predicate:Predicate.t ->
-  ?transport:Netsim.t ->
   ?endpoint:Netsim.Transport_intf.endpoint ->
   ?reliable:Reliable.t ->
   ?remote:remote ->
@@ -314,7 +296,6 @@ type session_report = {
 val run_session :
   ?predicate:Predicate.t ->
   ?serialize:bool ->
-  ?transport:Netsim.t ->
   ?endpoint:Netsim.Transport_intf.endpoint ->
   ?reliable:Reliable.t ->
   ?remote:remote ->
@@ -338,28 +319,6 @@ val run_session :
     interleaved with the rounds — exactly what {!run_session} does. *)
 val churn_cohort_for :
   session -> spec:Membership.spec -> rounds:int -> int -> Membership.epoch option
-
-(** [run_iteration setup ~updates ~behaviours ~seed ~round] — one-shot
-    convenience: a fresh session running a single round. [updates] are
-    encoded (fixed-point) vectors, one per client; [behaviours] selects
-    the adversary model per client. Deterministic in [seed]. Accepts the
-    same wire/durability optionals as {!run_round} ([endpoint],
-    [reliable], [wal]) so one-shot harnesses exercise the full stack. *)
-val run_iteration :
-  ?predicate:Predicate.t ->
-  ?serialize:bool ->
-  ?transport:Netsim.t ->
-  ?endpoint:Netsim.Transport_intf.endpoint ->
-  ?reliable:Reliable.t ->
-  ?wal:Round_log.t ->
-  ?stream:Server.stream_cfg ->
-  ?topology:Risefl_topology.Topology.mode ->
-  Setup.t ->
-  updates:int array array ->
-  behaviours:behaviour array ->
-  seed:string ->
-  round:int ->
-  stats
 
 (** [honest_all n] — convenience: n honest behaviours. *)
 val honest_all : int -> behaviour array

@@ -18,7 +18,6 @@ module TI = Netsim.Transport_intf
 
 type t = {
   ep : TI.endpoint;
-  netsim : Netsim.t option;  (* kept when created over a Netsim for [net] *)
   max_attempts : int;
   base_deadline : int;
   (* receive-side dedup by (round, stage index, sender, seq): an ack is
@@ -40,7 +39,6 @@ let create_ep ?(max_attempts = 4) ?base_deadline (ep : TI.endpoint) =
   in
   {
     ep;
-    netsim = None;
     max_attempts = max 1 max_attempts;
     base_deadline;
     seen = Hashtbl.create 97;
@@ -52,14 +50,6 @@ let create_ep ?(max_attempts = 4) ?base_deadline (ep : TI.endpoint) =
     c_dup = 0;
     c_rejected = 0;
   }
-
-let create ?max_attempts ?base_deadline net =
-  { (create_ep ?max_attempts ?base_deadline (Netsim.endpoint net)) with netsim = Some net }
-
-let net t =
-  match t.netsim with
-  | Some n -> n
-  | None -> invalid_arg "Reliable.net: this endpoint is not Netsim-backed"
 
 let counters t =
   {

@@ -1,4 +1,4 @@
-(** Retransmitting (ack/seq) layer over a {!Netsim.t} transport.
+(** Retransmitting (ack/seq) layer over a transport endpoint.
 
     One {!exchange} call runs a full reliable stage: every active sender's
     payload is wrapped in the {!Serial.encode_framed} header
@@ -18,21 +18,14 @@
 
 type t
 
-val create : ?max_attempts:int -> ?base_deadline:int -> Netsim.t -> t
-(** [create ?max_attempts ?base_deadline net] — a reliable endpoint over
-    [net]. [max_attempts] (default 4) bounds total sends per frame;
-    [base_deadline] (default: [net]'s deadline) is the first attempt's
-    delivery window in ticks, doubled each retry. *)
-
 val create_ep :
   ?max_attempts:int -> ?base_deadline:int -> Netsim.Transport_intf.endpoint -> t
-(** [create_ep ep] — same semantics over any transport backend packed as a
-    {!Netsim.Transport_intf.endpoint} (the socket loopback harness, a real
-    wire adapter, or [Netsim.endpoint net] itself). *)
-
-val net : t -> Netsim.t
-(** The underlying simulator, when this instance was built by {!create}.
-    @raise Invalid_argument for endpoint-backed instances. *)
+(** [create_ep ?max_attempts ?base_deadline ep] — a reliable layer over
+    any transport backend packed as a {!Netsim.Transport_intf.endpoint}
+    ([Netsim.endpoint net], the socket loopback harness, a real wire
+    adapter). [max_attempts] (default 4) bounds total sends per frame;
+    [base_deadline] (default: [ep]'s deadline) is the first attempt's
+    delivery window in ticks, doubled each retry. *)
 
 val exchange :
   t ->

@@ -218,3 +218,12 @@ let replay file =
         )
   in
   go status raw
+
+let pending_round records =
+  List.fold_left
+    (fun acc r ->
+      match r with
+      | Round_start { round } -> Some round
+      | Round_end { round; _ } when acc = Some round -> None
+      | _ -> acc)
+    None records

@@ -44,3 +44,7 @@ val replay : string -> record list * Store.Wal.replay_status
     normal shape after a crash mid-append) terminates the scan with the
     [Torn] status; an undecodable record body inside a CRC-clean frame is
     reported the same way. Never raises. *)
+
+val pending_round : record list -> int option
+(** The round a crash interrupted: the last [Round_start] with no
+    [Round_end] after it, or [None] when every logged round is sealed. *)

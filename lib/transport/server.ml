@@ -452,27 +452,19 @@ let serve ?(log = fun _ -> ()) cfg =
         in
         (records, Some (Round_log.create path))
   in
-  let sealed = Hashtbl.create 4 in
+  (* completed rounds carry their C* forward as bans, like run_session *)
+  let server = Driver.session_server session in
   let started = ref 0 in
   List.iter
     (function
       | Round_log.Frame { round; stage; sender; seq; _ } ->
           Hashtbl.replace st.acked (round, Netsim.stage_index stage, sender, seq) ()
       | Round_log.Round_start { round } -> started := max !started round
-      | Round_log.Round_end { round; cstar; aggregate } ->
-          Hashtbl.replace sealed round (cstar, aggregate)
+      | Round_log.Round_end { cstar; aggregate = Some _; _ } ->
+          List.iter (Server_sm.ban server) cstar
       | _ -> ())
     records;
-  (* completed rounds carry their C* forward as bans, like run_session *)
-  let server = Driver.session_server session in
-  for r = 1 to !started do
-    match Hashtbl.find_opt sealed r with
-    | Some (cstar, Some _) -> List.iter (Server_sm.ban server) cstar
-    | _ -> ()
-  done;
-  let resumed_round =
-    if !started > 0 && not (Hashtbl.mem sealed !started) then Some !started else None
-  in
+  let resumed_round = Round_log.pending_round records in
   let start_round =
     match resumed_round with Some r -> r | None -> !started + 1
   in

@@ -407,35 +407,33 @@ let test_epoch_record_corruption () =
   | exception Driver.Epoch_mismatch _ -> ()
 
 (* ------------------------------------------------------------------ *)
-(* run_iteration optionals parity *)
+(* one-shot rounds: every link gives the plain round's verdict *)
 
-let test_run_iteration_optionals () =
+let test_one_shot_links () =
   let seed = "iteration-parity" in
   let updates = Updates.make ~n ~d ~bound ~seed ~attackers:[] ~round:1 in
   let behaviours = Driver.honest_all n in
-  let sig_of (s : Driver.stats) = (s.Driver.flagged, s.Driver.aggregate) in
-  let plain = Driver.run_iteration setup ~updates ~behaviours ~seed ~round:1 in
-  let net = Netsim.create ~plan:Netsim.ideal ~deadline:4 ~seed () in
-  let via_endpoint =
-    Driver.run_iteration ~endpoint:(Netsim.endpoint net) setup ~updates ~behaviours ~seed
-      ~round:1
+  let one_shot ?endpoint ?reliable ?wal () =
+    let s =
+      Driver.completed_exn
+        (Driver.run_round_outcome ?endpoint ?reliable ?wal (Driver.create_session setup ~seed)
+           ~updates ~behaviours ~round:1)
+    in
+    (s.Driver.flagged, s.Driver.aggregate)
   in
-  let net2 = Netsim.create ~plan:Netsim.ideal ~deadline:4 ~seed () in
-  let via_reliable =
-    Driver.run_iteration
-      ~reliable:(Reliable.create net2)
-      setup ~updates ~behaviours ~seed ~round:1
-  in
+  let ideal () = Netsim.endpoint (Netsim.create ~plan:Netsim.ideal ~deadline:4 ~seed ()) in
+  let plain = one_shot () in
+  let via_endpoint = one_shot ~endpoint:(ideal ()) () in
+  let via_reliable = one_shot ~reliable:(Reliable.create_ep (ideal ())) () in
   let wal_file = tmp_name ".wal" in
   let wal = Round_log.create wal_file in
-  let via_wal = Driver.run_iteration ~wal setup ~updates ~behaviours ~seed ~round:1 in
+  let via_wal = one_shot ~wal () in
   Round_log.close wal;
   let logged, _ = Round_log.replay wal_file in
   rm_f wal_file;
   if logged = [] then fail "?wal logged nothing";
   List.iter
-    (fun (name, got) ->
-      if sig_of got <> sig_of plain then fail "run_iteration ?%s diverged" name)
+    (fun (name, got) -> if got <> plain then fail "one-shot round over ?%s diverged" name)
     [ ("endpoint", via_endpoint); ("reliable", via_reliable); ("wal", via_wal) ]
 
 (* ------------------------------------------------------------------ *)
@@ -489,6 +487,6 @@ let () =
           Alcotest.test_case "differential vs scripted twin" `Slow test_differential;
           Alcotest.test_case "crash at epoch boundary" `Slow test_crash_at_epoch_boundary;
           Alcotest.test_case "rejoin preserves standing" `Slow test_rejoin_standing;
-          Alcotest.test_case "run_iteration optionals" `Quick test_run_iteration_optionals;
+          Alcotest.test_case "one-shot link parity" `Quick test_one_shot_links;
         ] );
     ]

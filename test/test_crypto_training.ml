@@ -50,7 +50,10 @@ let test_crypto_training_matches_plaintext () =
     (* plaintext reference: aggregate the *quantized* gradients, exactly
        what the crypto pipeline transports *)
     let plain_sum = Array.init d (fun l -> Array.fold_left (fun a u -> a + u.(l)) 0 updates) in
-    let stats = Driver.run_round session ~updates ~behaviours:(Driver.honest_all n_clients) ~round in
+    let stats =
+      Driver.completed_exn
+        (Driver.run_round_outcome session ~updates ~behaviours:(Driver.honest_all n_clients) ~round)
+    in
     (match stats.Driver.aggregate with
     | None -> Alcotest.fail "aggregation failed"
     | Some agg ->
@@ -81,7 +84,9 @@ let test_crypto_training_excludes_attacker () =
       updates.(1) <- Array.map (fun x -> int_of_float (factor *. float_of_int x)) updates.(1);
       behaviours.(1) <- Driver.Oversized 80.0
     end;
-    let stats = Driver.run_round session ~updates ~behaviours ~round in
+    let stats =
+      Driver.completed_exn (Driver.run_round_outcome session ~updates ~behaviours ~round)
+    in
     if List.mem 2 stats.Driver.flagged then incr flagged_rounds;
     match stats.Driver.aggregate with
     | None -> Alcotest.fail "aggregation failed"

@@ -27,8 +27,10 @@ let test_sphere_roundtrip () =
   let shifted = Array.map (fun u -> Extensions.sphere_shift ~center u) updates in
   (* the shifted updates must satisfy the bound; here they do by size *)
   let stats =
-    Driver.run_iteration setup ~updates:shifted ~behaviours:(Driver.honest_all 4) ~seed:"sphere"
-      ~round:1
+    Driver.completed_exn
+      (Driver.run_round_outcome
+         (Driver.create_session setup ~seed:"sphere")
+         ~updates:shifted ~behaviours:(Driver.honest_all 4) ~round:1)
   in
   match stats.Driver.aggregate with
   | None -> Alcotest.fail "aggregation failed"
@@ -44,7 +46,12 @@ let test_sphere_catches_far_update () =
   let shifted = Array.map (fun u -> Extensions.sphere_shift ~center u) updates in
   let behaviours = Driver.honest_all 4 in
   behaviours.(1) <- Driver.Oversized 100.0;
-  let stats = Driver.run_iteration setup ~updates:shifted ~behaviours ~seed:"sphere-far" ~round:1 in
+  let stats =
+    Driver.completed_exn
+      (Driver.run_round_outcome
+         (Driver.create_session setup ~seed:"sphere-far")
+         ~updates:shifted ~behaviours ~round:1)
+  in
   Alcotest.(check (list int)) "flagged" [ 2 ] stats.Driver.flagged
 
 (* --- zeno++ reduces to sphere --- *)
@@ -73,7 +80,11 @@ let test_cosine_accepts_aligned () =
   let updates = aligned_updates 4 in
   let predicate = Predicate.Cosine { v = reference; alpha = 0.5 } in
   let session = Driver.create_session setup ~seed:"cos-aligned" in
-  let stats = Driver.run_round ~predicate session ~updates ~behaviours:(Driver.honest_all 4) ~round:1 in
+  let stats =
+    Driver.completed_exn
+      (Driver.run_round_outcome ~predicate session ~updates ~behaviours:(Driver.honest_all 4)
+         ~round:1)
+  in
   Alcotest.(check (list int)) "all pass" [] stats.Driver.flagged;
   match stats.Driver.aggregate with
   | None -> Alcotest.fail "aggregation failed"
@@ -87,7 +98,9 @@ let test_cosine_rejects_opposed () =
   behaviours.(2) <- Driver.Oversized 1.0;
   let predicate = Predicate.Cosine { v = reference; alpha = 0.5 } in
   let session = Driver.create_session setup ~seed:"cos-opposed" in
-  let stats = Driver.run_round ~predicate session ~updates ~behaviours ~round:1 in
+  let stats =
+    Driver.completed_exn (Driver.run_round_outcome ~predicate session ~updates ~behaviours ~round:1)
+  in
   Alcotest.(check (list int)) "opposed client flagged" [ 3 ] stats.Driver.flagged;
   match stats.Driver.aggregate with
   | None -> Alcotest.fail "aggregation failed"
@@ -103,7 +116,9 @@ let test_cosine_rejects_orthogonal_large () =
   behaviours.(0) <- Driver.Oversized 1.0;
   let predicate = Predicate.Cosine { v = reference; alpha = 0.5 } in
   let session = Driver.create_session setup ~seed:"cos-orth" in
-  let stats = Driver.run_round ~predicate session ~updates ~behaviours ~round:1 in
+  let stats =
+    Driver.completed_exn (Driver.run_round_outcome ~predicate session ~updates ~behaviours ~round:1)
+  in
   Alcotest.(check bool) "orthogonal large update flagged" true (List.mem 1 stats.Driver.flagged)
 
 let test_cosine_proof_required () =

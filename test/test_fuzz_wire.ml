@@ -3,8 +3,10 @@
    length-prefix edits, garbage extensions). The totality invariant under
    test: decode_* never raises — every mutation yields Ok or a located
    Error, deterministically — and a server fed corrupted frames through
-   the netsim transport never raises either: the mutated sender lands in
-   C* while the honest clients' aggregate is byte-for-byte unaffected.
+   the netsim transport never raises either: a sender whose frame is
+   mutated before aggregation lands in C* while the honest clients'
+   aggregate is byte-for-byte unaffected, and one whose agg frame is
+   mutated stays in the sum.
 
    FUZZ_ITERS (default 500) bounds the per-message-type mutation count so
    `make fuzz-smoke` can run a quick bounded pass in CI. *)
@@ -204,7 +206,8 @@ let run_corrupted ~jobs =
   let transport = Netsim.create ~script ~seed:"fuzz-corrupt" () in
   let session = Driver.create_session setup ~seed:"fuzz-corrupt" in
   let outcome =
-    Driver.run_round_outcome session ~transport ~updates ~behaviours:(Driver.honest_all 4) ~round:1
+    Driver.run_round_outcome session ~endpoint:(Netsim.endpoint transport) ~updates
+      ~behaviours:(Driver.honest_all 4) ~round:1
   in
   (updates, outcome)
 
@@ -245,12 +248,44 @@ let test_mutated_commit_storm () =
     let transport = Netsim.create ~plan ~seed:(Printf.sprintf "storm-%d" trial) () in
     let session = Driver.create_session setup ~seed:(Printf.sprintf "storm-%d" trial) in
     match
-      Driver.run_round_outcome session ~transport ~updates ~behaviours:(Driver.honest_all 4)
+      Driver.run_round_outcome session ~endpoint:(Netsim.endpoint transport) ~updates
+        ~behaviours:(Driver.honest_all 4)
         ~round:1
     with
     | Driver.Completed _ | Driver.Aborted_insufficient_quorum _ | Driver.Aborted_decode _ -> ()
     | exception exn -> Alcotest.failf "trial %d raised %s" trial (Printexc.to_string exn)
   done
+
+(* an undecodable agg frame costs its sender only its share: H is fixed
+   before aggregation and every other share was computed over H, so the
+   sender is not convicted and its update stays in the sum — a client
+   garbling its own agg frame every round cannot stall the session *)
+let test_garbled_agg_session () =
+  let n = 7 and rounds = 4 in
+  let params =
+    Params.make ~n_clients:n ~max_malicious:3 ~d:8 ~k:2 ~m_factor:64.0 ~bound_b:300.0 ()
+  in
+  let setup = Setup.create ~label:"test-fuzz/garbled-agg" params in
+  let updates = mk_updates n 8 in
+  let script = List.init rounds (fun r -> ((r + 1, Netsim.Agg, 4), [ Netsim.Truncate_at 5 ])) in
+  let net = Netsim.create ~script ~seed:"fuzz-garbled-agg" () in
+  let report =
+    Driver.run_session ~endpoint:(Netsim.endpoint net)
+      (Driver.create_session setup ~seed:"fuzz-garbled-agg")
+      ~updates_for:(fun _ -> updates) ~behaviours:(Driver.honest_all n) ~rounds
+  in
+  Alcotest.(check int) "rounds completed" rounds report.Driver.rounds_completed;
+  let everyone = sum_updates updates (List.init n succ) in
+  List.iter
+    (fun (r, o) ->
+      match o with
+      | Driver.Completed stats ->
+          Alcotest.(check (option (array int)))
+            (Printf.sprintf "round %d sums all %d updates" r n)
+            (Some everyone) stats.Driver.aggregate
+      | o -> Alcotest.failf "round %d: %s" r (Driver.outcome_to_string o))
+    report.Driver.round_outcomes;
+  Alcotest.(check (list int)) "nobody banned" [] report.Driver.final_banned
 
 let () =
   Alcotest.run "fuzz-wire"
@@ -272,5 +307,6 @@ let () =
           Alcotest.test_case "corrupted senders -> C*" `Quick test_corrupted_senders_land_in_cstar;
           Alcotest.test_case "verdicts jobs-invariant" `Quick test_verdicts_jobs_invariant;
           Alcotest.test_case "mutation storm, typed outcomes" `Quick test_mutated_commit_storm;
+          Alcotest.test_case "garbled agg frame, 4-round session" `Quick test_garbled_agg_session;
         ] );
     ]

@@ -244,8 +244,8 @@ let run_with_drops ~stage ~drops =
   let round = !round_counter in
   let script = List.map (fun c -> ((round, stage, c), [ Netsim.Drop ])) drops in
   let net = Netsim.create ~script ~seed:"ladder" () in
-  Driver.run_round_outcome session ~transport:net ~updates ~behaviours:(Driver.honest_all n)
-    ~round
+  Driver.run_round_outcome session ~endpoint:(Netsim.endpoint net) ~updates
+    ~behaviours:(Driver.honest_all n) ~round
 
 (* the same ladder step through the backend-agnostic endpoint seam: any
    Transport_intf.S backend (Netsim itself, the socketpair loopback, ...)
@@ -335,8 +335,8 @@ let test_mixed_late_dropouts () =
       ~seed:"mixed" ()
   in
   match
-    Driver.run_round_outcome session ~transport:net ~updates ~behaviours:(Driver.honest_all n)
-      ~round
+    Driver.run_round_outcome session ~endpoint:(Netsim.endpoint net) ~updates
+      ~behaviours:(Driver.honest_all n) ~round
   with
   | Driver.Completed stats ->
       Alcotest.(check (list int))
@@ -349,22 +349,20 @@ let test_mixed_late_dropouts () =
       | None -> fail "mixed dropouts: aggregation failed")
   | o -> fail "mixed dropouts should complete, got: %s" (Driver.outcome_to_string o)
 
-(* run_round (lifecycle off) must never abort: quorum loss surfaces in
-   stats.failure instead *)
-let test_run_round_never_aborts () =
+(* quorum lost at the aggregation stage itself: three agg frames dropped
+   leave two valid shares, and the round ends with the typed verdict *)
+let test_agg_quorum_abort () =
   incr round_counter;
   let round = !round_counter in
   let script = List.map (fun c -> ((round, Netsim.Agg, c), [ Netsim.Drop ])) [ 1; 2; 3 ] in
-  let net = Netsim.create ~script ~seed:"noabort" () in
-  let stats =
-    Driver.run_round session ~transport:net ~updates ~behaviours:(Driver.honest_all n) ~round
-  in
-  match (stats.Driver.aggregate, stats.Driver.failure) with
-  | None, Some (Risefl_core.Server.Insufficient_quorum { valid = 2; needed = 3 }) -> ()
-  | None, Some e ->
-      fail "expected Insufficient_quorum {2;3}, got %s"
-        (Risefl_core.Server.agg_error_to_string e)
-  | _ -> fail "run_round under quorum loss should report failure, not aggregate"
+  let net = Netsim.create ~script ~seed:"agg-quorum" () in
+  match
+    Driver.run_round_outcome session ~endpoint:(Netsim.endpoint net) ~updates
+      ~behaviours:(Driver.honest_all n) ~round
+  with
+  | Driver.Aborted_insufficient_quorum { stage = "aggregate"; survivors = 2; needed = 3 } -> ()
+  | o -> fail "expected an aggregate-stage quorum abort (2 < 3), got: %s"
+           (Driver.outcome_to_string o)
 
 (* ------------------------------------------------------------------ *)
 (* retransmitting transport *)
@@ -382,7 +380,7 @@ let test_retransmit_survives_drops () =
   let round_plain = !round_counter in
   let plain =
     Driver.run_round_outcome session
-      ~transport:(Netsim.create ~plan ~seed:"retransmit-ladder" ())
+      ~endpoint:(Netsim.endpoint (Netsim.create ~plan ~seed:"retransmit-ladder" ()))
       ~updates ~behaviours:(Driver.honest_all n) ~round:round_plain
   in
   (match plain with
@@ -393,7 +391,7 @@ let test_retransmit_survives_drops () =
   incr round_counter;
   let round = !round_counter in
   let net = Netsim.create ~plan ~seed:"retransmit-ladder" () in
-  let rel = Reliable.create ~max_attempts:8 net in
+  let rel = Reliable.create_ep ~max_attempts:8 (Netsim.endpoint net) in
   (match
      Driver.run_round_outcome session ~reliable:rel ~updates ~behaviours:(Driver.honest_all n)
        ~round
@@ -431,7 +429,7 @@ let test_reliable_rejects_cross_round_replay () =
   let r2 = !round_counter in
   let script = [ ((r2, Netsim.Commit, 2), [ Netsim.Replay_previous ]) ] in
   let net = Netsim.create ~script ~seed:"rel-replay" () in
-  let rel = Reliable.create net in
+  let rel = Reliable.create_ep (Netsim.endpoint net) in
   let run round =
     Driver.run_round_outcome session ~reliable:rel ~updates ~behaviours:(Driver.honest_all n)
       ~round
@@ -482,7 +480,7 @@ let () =
           Alcotest.test_case "proof stage" `Quick (test_ladder_stage Netsim.Proof);
           Alcotest.test_case "agg stage" `Quick (test_ladder_stage Netsim.Agg);
           Alcotest.test_case "mixed late dropouts" `Quick test_mixed_late_dropouts;
-          Alcotest.test_case "run_round never aborts" `Quick test_run_round_never_aborts;
+          Alcotest.test_case "aggregate-stage quorum abort" `Quick test_agg_quorum_abort;
         ] );
       ( "backends",
         [

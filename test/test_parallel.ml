@@ -325,7 +325,12 @@ let test_protocol_jobs_invariant () =
         updates.(1) <- Array.map (fun x -> factor * x) updates.(1);
         let behaviours = Driver.honest_all 4 in
         behaviours.(1) <- Driver.Oversized 100.0;
-        let stats = Driver.run_iteration setup ~updates ~behaviours ~seed:"jobs-inv" ~round:1 in
+        let stats =
+          Driver.completed_exn
+            (Driver.run_round_outcome
+               (Driver.create_session setup ~seed:"jobs-inv")
+               ~updates ~behaviours ~round:1)
+        in
         (stats.Driver.flagged, stats.Driver.aggregate))
   in
   let flagged1, agg1 = run 1 in

@@ -33,10 +33,15 @@ let check_agg msg expected = function
 
 (* --- full iterations --- *)
 
+let one_shot ?serialize ~updates ~behaviours seed =
+  Driver.completed_exn
+    (Driver.run_round_outcome ?serialize (Driver.create_session setup ~seed) ~updates ~behaviours
+       ~round:1)
+
 let test_honest_run () =
   let updates = mk_updates 5 16 in
   let stats =
-    Driver.run_iteration setup ~updates ~behaviours:(Driver.honest_all 5) ~seed:"honest" ~round:1
+    one_shot ~updates ~behaviours:(Driver.honest_all 5) "honest"
   in
   Alcotest.(check (list int)) "nobody flagged" [] stats.Driver.flagged;
   check_agg "exact sum" (sum_updates updates [ 1; 2; 3; 4; 5 ]) stats.Driver.aggregate;
@@ -52,7 +57,7 @@ let test_grossly_oversized_rejected () =
   updates.(2) <- Array.map (fun x -> factor * x) updates.(2);
   let behaviours = Driver.honest_all 5 in
   behaviours.(2) <- Driver.Oversized 100.0;
-  let stats = Driver.run_iteration setup ~updates ~behaviours ~seed:"oversized" ~round:1 in
+  let stats = one_shot ~updates ~behaviours "oversized" in
   Alcotest.(check (list int)) "client 3 flagged" [ 3 ] stats.Driver.flagged;
   check_agg "sum excludes attacker" (sum_updates updates [ 1; 2; 4; 5 ]) stats.Driver.aggregate
 
@@ -63,7 +68,7 @@ let test_slightly_oversized_passes () =
   updates.(2) <- Array.map (fun x -> 2 * x) updates.(2);
   let behaviours = Driver.honest_all 5 in
   behaviours.(2) <- Driver.Oversized 2.0;
-  let stats = Driver.run_iteration setup ~updates ~behaviours ~seed:"slight" ~round:1 in
+  let stats = one_shot ~updates ~behaviours "slight" in
   Alcotest.(check (list int)) "passes the relaxed check" [] stats.Driver.flagged;
   check_agg "included" (sum_updates updates [ 1; 2; 3; 4; 5 ]) stats.Driver.aggregate
 
@@ -71,7 +76,7 @@ let test_bad_shares_to_everyone () =
   let updates = mk_updates 5 16 in
   let behaviours = Driver.honest_all 5 in
   behaviours.(1) <- Driver.Bad_share_to [ 1; 3; 4; 5 ];
-  let stats = Driver.run_iteration setup ~updates ~behaviours ~seed:"badshares" ~round:1 in
+  let stats = one_shot ~updates ~behaviours "badshares" in
   (* flagged by 4 > m = 1 clients: rule 1 *)
   Alcotest.(check (list int)) "dealer flagged" [ 2 ] stats.Driver.flagged;
   check_agg "excluded" (sum_updates updates [ 1; 3; 4; 5 ]) stats.Driver.aggregate
@@ -82,7 +87,7 @@ let test_bad_share_to_one_rule2 () =
   (* corrupt only client 4's share: one flag -> rule 2 -> dealer reveals the
      true share, stays honest, and the server forwards it to client 4 *)
   behaviours.(1) <- Driver.Bad_share_to [ 4 ] [@warning "-a"];
-  let stats = Driver.run_iteration setup ~updates ~behaviours ~seed:"rule2" ~round:1 in
+  let stats = one_shot ~updates ~behaviours "rule2" in
   Alcotest.(check (list int)) "nobody flagged (share recovered in clear)" [] stats.Driver.flagged;
   check_agg "full sum" (sum_updates updates [ 1; 2; 3; 4; 5 ]) stats.Driver.aggregate
 
@@ -91,7 +96,7 @@ let test_false_flags_neutralized () =
   let behaviours = Driver.honest_all 5 in
   (* client 5 falsely accuses client 1: rule 2 clears client 1 *)
   behaviours.(4) <- Driver.False_flags [ 1 ];
-  let stats = Driver.run_iteration setup ~updates ~behaviours ~seed:"falseflag" ~round:1 in
+  let stats = one_shot ~updates ~behaviours "falseflag" in
   Alcotest.(check (list int)) "honest client survives" [] stats.Driver.flagged;
   check_agg "full sum" (sum_updates updates [ 1; 2; 3; 4; 5 ]) stats.Driver.aggregate
 
@@ -99,7 +104,7 @@ let test_dropout () =
   let updates = mk_updates 5 16 in
   let behaviours = Driver.honest_all 5 in
   behaviours.(3) <- Driver.Drop_out;
-  let stats = Driver.run_iteration setup ~updates ~behaviours ~seed:"dropout" ~round:1 in
+  let stats = one_shot ~updates ~behaviours "dropout" in
   Alcotest.(check (list int)) "dropout flagged" [ 4 ] stats.Driver.flagged;
   check_agg "rest aggregated" (sum_updates updates [ 1; 2; 3; 5 ]) stats.Driver.aggregate
 
@@ -110,7 +115,7 @@ let test_bad_agg_share_tolerated () =
   let updates = mk_updates 5 16 in
   let behaviours = Driver.honest_all 5 in
   behaviours.(2) <- Driver.Bad_agg_share;
-  let stats = Driver.run_iteration setup ~updates ~behaviours ~seed:"badagg" ~round:1 in
+  let stats = one_shot ~updates ~behaviours "badagg" in
   (* the client passed commitments and proofs honestly, so it is in H and
      its update IS included; only its share was corrupted *)
   Alcotest.(check (list int)) "not flagged" [] stats.Driver.flagged;
@@ -135,8 +140,7 @@ let test_serialized_wire_run () =
   (* the full iteration with every message crossing the binary codecs *)
   let updates = mk_updates 5 16 in
   let stats =
-    Driver.run_iteration ~serialize:true setup ~updates ~behaviours:(Driver.honest_all 5)
-      ~seed:"serialized" ~round:1
+    one_shot ~serialize:true ~updates ~behaviours:(Driver.honest_all 5) "serialized"
   in
   Alcotest.(check (list int)) "nobody flagged" [] stats.Driver.flagged;
   check_agg "exact sum over the wire" (sum_updates updates [ 1; 2; 3; 4; 5 ]) stats.Driver.aggregate

@@ -187,7 +187,8 @@ let test_duplicate_agg_share_no_double_count () =
   let wal = Round_log.create ~fsync:false wal_path in
   (try
      ignore
-       (Driver.run_round_outcome session ~transport:net ~wal ~crash:(Netsim.Agg, Driver.Stage_end)
+       (Driver.run_round_outcome session ~endpoint:(Netsim.endpoint net) ~wal
+          ~crash:(Netsim.Agg, Driver.Stage_end)
           ~updates ~behaviours ~round:1)
    with Driver.Server_crashed _ -> ());
   let records, _ = Round_log.replay wal_path in
@@ -250,6 +251,21 @@ let test_round_log_bad_record_body () =
   | [ Round_log.Round_start { round = 3 } ] -> ()
   | _ -> fail "the valid prefix must survive a corrupt record body");
   Sys.remove wal_path
+
+(* the one "unsealed round" rule shared by resume and serve: the last
+   Round_start with no Round_end after it *)
+let test_pending_round () =
+  let start r = Round_log.Round_start { round = r } in
+  let sealed r = Round_log.Round_end { round = r; cstar = []; aggregate = None } in
+  let check name want records =
+    Alcotest.(check (option int)) name want (Round_log.pending_round records)
+  in
+  check "empty log" None [];
+  check "open round" (Some 1) [ start 1; Round_log.Check { round = 1; s = Bytes.empty } ];
+  check "sealed round" None [ start 1; sealed 1 ];
+  check "second round open" (Some 2) [ start 1; sealed 1; start 2 ];
+  check "every round sealed" None [ start 1; sealed 1; start 2; sealed 2 ];
+  check "an older seal does not close a newer round" (Some 2) [ start 1; start 2; sealed 1 ]
 
 (* ------------------------------------------------------------------ *)
 (* multi-round sessions *)
@@ -327,6 +343,7 @@ let () =
         [
           Alcotest.test_case "torn tail" `Quick test_round_log_torn_tail;
           Alcotest.test_case "corrupt record body" `Quick test_round_log_bad_record_body;
+          Alcotest.test_case "pending round" `Quick test_pending_round;
         ] );
       ( "crash-recovery",
         [

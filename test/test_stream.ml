@@ -5,8 +5,8 @@
      one batch holding the whole proof stage — (aggregate, C*, failure)
      bit for bit across jobs ∈ {1,2,4} × shards ∈ {1,2,4}, including
      under seeded Netsim reordering/duplication/delay, with corrupted
-     proofs (in-batch bisection parity) and with agg-stage decode
-     failures (the late-conviction subtraction path).
+     proofs (in-batch bisection parity) and with an undecodable
+     agg-stage frame (its sender keeps its place in the sum).
    - Plaintext oracle: the honest and corruption rows are also checked
      against values computed in the clear — C* is exactly the scripted
      corrupters and the aggregate is Σ u_i over the clients outside C*.
@@ -66,8 +66,11 @@ let oracle ~updates ~cstar =
 let run_one ?stream ?mk_transport ~jobs ~behaviours () =
   Parallel.set_default_jobs jobs;
   let session = Driver.create_session setup ~seed:"stream-differential" in
-  let transport = Option.map (fun mk -> mk ()) mk_transport in
-  summary (Driver.run_round ?stream ?transport ~serialize:true session ~updates ~behaviours ~round:1)
+  let endpoint = Option.map (fun mk -> Netsim.endpoint (mk ())) mk_transport in
+  summary
+    (Driver.completed_exn
+       (Driver.run_round_outcome ?stream ?endpoint ~serialize:true session ~updates ~behaviours
+          ~round:1))
 
 (* honest rows only: the oracle expects an empty C* *)
 let check_matrix ~name ?mk_transport ~behaviours () =
@@ -144,7 +147,9 @@ let test_stream_corruption_parity () =
     Parallel.set_default_jobs jobs;
     let session = Driver.create_session setup ~seed:"stream-corrupt" in
     summary
-      (Driver.run_round ?stream ~serialize:true session ~updates:updates' ~behaviours ~round:1)
+      (Driver.completed_exn
+         (Driver.run_round_outcome ?stream ~serialize:true session ~updates:updates' ~behaviours
+            ~round:1))
   in
   List.iter
     (fun jobs ->
@@ -163,18 +168,20 @@ let test_stream_corruption_parity () =
     [ 1; 2 ];
   Parallel.set_default_jobs 2
 
-(* an agg-stage decode failure convicts a client *after* its proof was
-   folded and its commit bulk evicted: the streamed aggregate must
-   subtract the spilled contribution (late-conviction path) *)
-let test_stream_late_conviction () =
+(* an undecodable agg frame arrives after H is fixed and every other
+   share was computed over H: its sender stays in H (no conviction, its
+   update stays in the sum) and costs only its own share, whatever the
+   proof stage's batching *)
+let test_stream_garbled_agg_frame () =
   let mk_transport () =
     Netsim.create
       ~script:[ ((1, Netsim.Agg, 2), [ Netsim.Truncate_at 3 ]) ]
       ~seed:"stream-late" ()
   in
   let behaviours = Driver.honest_all n in
-  let ((_, cstar, _) as want) = run_one ~mk_transport ~jobs:2 ~behaviours () in
-  if not (List.mem 2 cstar) then fail "agg-stage flip did not convict client 2";
+  let want = run_one ~mk_transport ~jobs:2 ~behaviours () in
+  if want <> oracle ~updates ~cstar:[] then
+    fail "garbled agg frame: round differs from the all-client plaintext oracle";
   List.iter
     (fun shards ->
       let got =
@@ -182,7 +189,7 @@ let test_stream_late_conviction () =
           ~stream:(Server.stream_cfg ~shards ~batch:2 ())
           ~mk_transport ~jobs:2 ~behaviours ()
       in
-      if got <> want then fail "late-conviction parity broke at shards=%d" shards)
+      if got <> want then fail "garbled agg frame: parity broke at shards=%d" shards)
     [ 1; 2; 4 ]
 
 (* ------------------------------------------------------------------ *)
@@ -199,7 +206,9 @@ let test_stream_crash_recovery () =
   Parallel.set_default_jobs 2;
   let reference = Driver.create_session setup ~seed:"stream-crash" in
   let want =
-    summary (Driver.run_round ~stream ~serialize:true reference ~updates ~behaviours ~round:1)
+    summary
+      (Driver.completed_exn
+         (Driver.run_round_outcome ~stream ~serialize:true reference ~updates ~behaviours ~round:1))
   in
   (* kill the server mid proof stage — after some frames were already
      folded and their commit bulk evicted — and resume from the log *)
@@ -232,7 +241,9 @@ let test_stream_stats () =
   let session = Driver.create_session setup ~seed:"stream-stats" in
   let stream = Server.stream_cfg ~shards:2 ~batch:2 () in
   let behaviours = Driver.honest_all n in
-  ignore (Driver.run_round ~stream ~serialize:true session ~updates ~behaviours ~round:1);
+  ignore
+    (Driver.completed_exn
+       (Driver.run_round_outcome ~stream ~serialize:true session ~updates ~behaviours ~round:1));
   match Server.stream_stats (Driver.session_server session) with
   | None -> fail "no stream stats after a streamed round"
   | Some st ->
@@ -251,7 +262,8 @@ let () =
           Alcotest.test_case "batch-size edges" `Quick test_stream_batch_edges;
           Alcotest.test_case "reordered/duplicated arrivals" `Slow test_stream_reordered_matrix;
           Alcotest.test_case "corruption/bisection parity" `Slow test_stream_corruption_parity;
-          Alcotest.test_case "late agg-stage conviction" `Quick test_stream_late_conviction;
+          Alcotest.test_case "garbled agg frame keeps its sender" `Quick
+            test_stream_garbled_agg_frame;
         ] );
       ( "durability",
         [

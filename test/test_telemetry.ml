@@ -126,7 +126,9 @@ let round_snapshot ~jobs =
   in
   let session = Driver.create_session setup ~seed:"telemetry-jobs" in
   let stats =
-    Driver.run_round ~serialize:true session ~updates ~behaviours:(Driver.honest_all n) ~round:1
+    Driver.completed_exn
+      (Driver.run_round_outcome ~serialize:true session ~updates ~behaviours:(Driver.honest_all n)
+         ~round:1)
   in
   (Telemetry.snapshot (), stats)
 

@@ -390,7 +390,8 @@ let test_netsim_faults_kregular () =
   let run ?stream () =
     let net = Netsim.create ~plan ~deadline:4 ~seed:"topo-faults" () in
     let session = Driver.create_session setup8 ~seed:"topo-e2e" in
-    Driver.run_round_outcome ~transport:net ?stream ~topology:(Topology.Kregular 4) session
+    Driver.run_round_outcome ~endpoint:(Netsim.endpoint net) ?stream
+      ~topology:(Topology.Kregular 4) session
       ~updates:updates8 ~behaviours:(Driver.honest_all n8) ~round:1
   in
   let a = run () and b = run ~stream:(Server.stream_cfg ~shards:2 ~batch:2 ()) () in
