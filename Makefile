@@ -58,7 +58,8 @@ telemetry-smoke:
 
 # Durability gate: the store/WAL unit+property tests, then a real
 # crash/resume cycle through the CLI — kill the server mid-proof with the
-# write-ahead log armed, resume from the log in a second process, and
+# write-ahead log armed, run `round` again on the same log in a second
+# process (it resumes the interrupted round on entry), and
 # require the recovered aggregate and C* to be byte-identical to an
 # uncrashed run of the same seed. Finishes with the recovery bench smoke
 # (WAL bytes/round, fsyncs, wall-clock overhead into the JSON).
@@ -69,7 +70,7 @@ recovery-smoke:
 	  --wal /tmp/risefl-smoke.wal --crash proof:1 --no-recover | tee /tmp/risefl-crash.txt
 	@grep -q "server crashed at proof:1" /tmp/risefl-crash.txt \
 	  || { echo "recovery-smoke: planned crash did not fire" >&2; exit 1; }
-	dune exec bin/risefl_cli.exe -- resume --seed recovery-smoke \
+	dune exec bin/risefl_cli.exe -- round --seed recovery-smoke \
 	  --wal /tmp/risefl-smoke.wal | tee /tmp/risefl-resumed.txt
 	dune exec bin/risefl_cli.exe -- round --seed recovery-smoke | tee /tmp/risefl-ref.txt
 	@grep -E "flagged|aggregate" /tmp/risefl-ref.txt > /tmp/risefl-ref-key.txt

@@ -5,7 +5,6 @@
               synthetic updates, optionally with attackers, a fault-injected
               (and retransmitting) transport, a write-ahead log and a
               planned server crash
-     resume   replay a write-ahead log and finish its interrupted round
      serve    run the aggregation server on a real TCP or Unix socket
      client   drive one client process against a serve instance
      train    run a federated training simulation under attack with a
@@ -133,8 +132,33 @@ let wal_arg =
     value & opt (some string) None
     & info [ "wal" ] ~docv:"FILE"
         ~doc:
-          "Arm the durable runtime: append every accepted frame to FILE (write-ahead, fsynced) \
-           so an interrupted round can be finished with the resume subcommand.")
+          "Arm the durable runtime: append every accepted frame to FILE (write-ahead, fsynced). \
+           A run on an existing FILE resumes it: an interrupted round is finished, and the \
+           session continues after the last sealed round.")
+
+(* [ROUND:]STAGE:STEP (round defaults to 1); a crash needs the log that
+   recovers it *)
+let parse_crash ~wal_file = function
+  | None -> None
+  | Some spec -> (
+      if wal_file = None then begin
+        Printf.eprintf "--crash requires --wal (recovery needs the log)\n";
+        exit 2
+      end;
+      let round, rest =
+        match String.split_on_char ':' spec with
+        | [ r; stage; step ] when int_of_string_opt r <> None -> (int_of_string r, stage ^ ":" ^ step)
+        | _ -> (1, spec)
+      in
+      match Driver.crash_of_string rest with
+      | Ok (stage, at) -> Some (round, stage, at)
+      | Error e ->
+          Printf.eprintf "bad --crash spec: %s\n" e;
+          exit 2)
+
+let print_resumed = function
+  | Some r -> Printf.printf "recovered round %d from the write-ahead log\n" r
+  | None -> ()
 
 let shards_arg =
   Arg.(
@@ -161,8 +185,7 @@ let make_stream_cfg ~shards ~batch =
   if shards = 1 && batch = None then None
   else Some (Risefl_core.Server.stream_cfg ~shards ?batch ())
 
-let print_stream_stats server =
-  match Risefl_core.Server.stream_stats server with
+let print_stream_stats = function
   | None -> ()
   | Some st ->
       Printf.printf "stream: %d folded, %d evicted, %d flushes, peak batch %d\n"
@@ -271,7 +294,7 @@ let round_cmd =
       & info [ "no-recover" ]
           ~doc:
             "Do not recover in-process after $(b,--crash): sync the log and exit, leaving the \
-             interrupted WAL for the resume subcommand (requires $(b,--rounds) 1).")
+             interrupted WAL for a later run on the same $(b,--wal) (requires $(b,--rounds) 1).")
   in
   let dropouts_arg =
     Arg.(
@@ -336,26 +359,7 @@ let round_cmd =
       | Some ep when retransmit -> (None, Some (Reliable.create_ep ep))
       | ep -> (ep, None)
     in
-    let crash =
-      match crash with
-      | None -> None
-      | Some spec -> (
-          if wal_file = None then begin
-            Printf.eprintf "--crash requires --wal (recovery needs the log)\n";
-            exit 2
-          end;
-          let parts = String.split_on_char ':' spec in
-          let round, rest =
-            match parts with
-            | [ r; _; _ ] when int_of_string_opt r <> None -> (int_of_string r, String.concat ":" (List.tl parts))
-            | _ -> (1, spec)
-          in
-          match Driver.crash_of_string rest with
-          | Ok (stage, at) -> Some (round, stage, at)
-          | Error e ->
-              Printf.eprintf "bad --crash spec: %s\n" e;
-              exit 2)
-    in
+    let crash = parse_crash ~wal_file crash in
     let wal = Option.map (fun f -> Round_log.create f) wal_file in
     let session = Driver.create_session setup ~seed in
     (if no_recover then begin
@@ -370,7 +374,7 @@ let round_cmd =
        with
        | outcome -> print_outcome ~d ~round:1 outcome
        | exception Driver.Server_crashed { stage; at } ->
-           Printf.printf "server crashed at %s (wal synced); finish the round with: resume --wal %s\n"
+           Printf.printf "server crashed at %s (wal synced); finish the round with: round --wal %s\n"
              (Driver.crash_to_string (stage, at))
              (Option.value ~default:"<file>" wal_file)
      end
@@ -379,9 +383,15 @@ let round_cmd =
          Option.map (fun spec -> Driver.churn_cohort_for session ~spec ~rounds) churn
        in
        let report =
-         Driver.run_session ?endpoint ?reliable ?wal ?crash ?stream ?cohort_for ~topology
-           session ~updates_for ~behaviours ~rounds
+         try
+           Driver.run_session ?endpoint ?reliable ?wal ?crash ?stream ?cohort_for ~topology
+             session ~updates_for ~behaviours ~rounds
+         with Invalid_argument e ->
+           (* a fresh process resumes only a log whose next round is 1 *)
+           Printf.eprintf "%s\n" e;
+           exit 2
        in
+       print_resumed report.Driver.resumed_round;
        List.iter
          (fun (r, outcome) -> print_outcome ~d ~round:r outcome)
          report.Driver.round_outcomes;
@@ -401,7 +411,7 @@ let round_cmd =
            report.Driver.crashes_recovered
            (String.concat ";" (List.map string_of_int report.Driver.final_banned))
      end);
-    print_stream_stats (Driver.session_server session);
+    print_stream_stats (Risefl_core.Server.stream_stats (Driver.session_server session));
     Option.iter print_reliable_counters reliable;
     Option.iter print_transport_counters net;
     Option.iter Round_log.close wal;
@@ -423,56 +433,6 @@ let round_cmd =
       $ deadline_arg $ trace_arg $ rounds_arg $ crash_arg $ wal_arg $ retransmit_arg
       $ no_recover_arg $ shards_arg $ stream_batch_arg $ topology_arg $ degree_arg
       $ churn_arg)
-
-(* --- resume --- *)
-
-let resume_cmd =
-  let wal_req =
-    Arg.(
-      required & opt (some string) None
-      & info [ "wal" ] ~docv:"FILE" ~doc:"Write-ahead log of the interrupted run.")
-  in
-  let run n m d k bound seed attackers jobs cache_dir dlog_mem wal_file shards stream_batch
-      topology_mode degree =
-    if jobs > 0 then Parallel.set_default_jobs jobs;
-    configure_group_cache cache_dir dlog_mem;
-    let stream = make_stream_cfg ~shards ~batch:stream_batch in
-    let topology = make_topology ~n ~m ~topology:topology_mode ~degree in
-    let records, status = Round_log.replay wal_file in
-    let frames = List.length (List.filter (function Round_log.Frame _ -> true | _ -> false) records) in
-    Printf.printf "wal: %d records (%d frames)%s\n" (List.length records) frames
-      (match status with
-      | Store.Wal.Complete -> ""
-      | Store.Wal.Torn { offset; reason } ->
-          Printf.sprintf ", torn tail at byte %d (%s)" offset reason);
-    match Round_log.pending_round records with
-    | None -> print_endline "nothing to recover: every logged round is sealed"
-    | Some round ->
-        Printf.printf "recovering round %d (same parameters and seed as the original run)\n" round;
-        let params =
-          Params.make ~n_clients:n ~max_malicious:m ~d ~k ~m_factor:128.0 ~bound_b:bound ()
-        in
-        let setup = Setup.create ~label:("cli/" ^ seed) params in
-        let session = Driver.create_session setup ~seed in
-        let updates = make_updates ~n ~d ~bound ~seed ~attackers ~round in
-        let behaviours = make_behaviours ~n ~attackers in
-        let wal = Round_log.create wal_file in
-        print_topology ~seed ~n topology;
-        let outcome =
-          Driver.recover_round ~wal ?stream ~topology session ~records ~updates ~behaviours
-            ~round
-        in
-        Round_log.close wal;
-        print_stream_stats (Driver.session_server session);
-        print_outcome ~d ~round outcome
-  in
-  Cmd.v
-    (Cmd.info "resume"
-       ~doc:"Replay a write-ahead log and finish its interrupted round bit-identically.")
-    Term.(
-      const run $ n_arg $ m_arg $ d_arg $ k_arg $ bound_arg $ seed_arg $ attackers_arg $ jobs_arg
-      $ cache_dir_arg $ dlog_mem_arg $ wal_req $ shards_arg $ stream_batch_arg
-      $ topology_arg $ degree_arg)
 
 (* --- serve / client: the socket deployment --- *)
 
@@ -538,27 +498,7 @@ let serve_cmd =
       Telemetry.reset ();
       Telemetry.enable ()
     end;
-    let crash =
-      match crash with
-      | None -> None
-      | Some spec -> (
-          if wal_file = None then begin
-            Printf.eprintf "--crash requires --wal (recovery needs the log)\n";
-            exit 2
-          end;
-          let parts = String.split_on_char ':' spec in
-          let round, rest =
-            match parts with
-            | [ r; _; _ ] when int_of_string_opt r <> None ->
-                (int_of_string r, String.concat ":" (List.tl parts))
-            | _ -> (1, spec)
-          in
-          match Driver.crash_of_string rest with
-          | Ok (stage, at) -> Some (round, stage, at)
-          | Error e ->
-              Printf.eprintf "bad --crash spec: %s\n" e;
-              exit 2)
-    in
+    let crash = parse_crash ~wal_file crash in
     let params = Params.make ~n_clients:n ~max_malicious:m ~d ~k ~m_factor:128.0 ~bound_b:bound () in
     let setup = Setup.create ~label:("cli/" ^ seed) params in
     let log s = if verbose then Printf.eprintf "[serve] %s\n%!" s in
@@ -579,9 +519,7 @@ let serve_cmd =
           churn;
         }
     in
-    (match report.Tserver.resumed_round with
-    | Some r -> Printf.printf "recovered round %d from the write-ahead log\n" r
-    | None -> ());
+    print_resumed report.Tserver.resumed_round;
     List.iter (fun (r, outcome) -> print_outcome ~d ~round:r outcome) report.Tserver.outcomes;
     if report.Tserver.cohort_sizes <> [] then
       Printf.printf "cohorts: %s\n"
@@ -592,12 +530,7 @@ let serve_cmd =
     if report.Tserver.banned <> [] then
       Printf.printf "banned: [%s]\n"
         (String.concat ";" (List.map string_of_int report.Tserver.banned));
-    (match report.Tserver.stream_stats with
-    | Some st ->
-        Printf.printf "stream: %d folded, %d evicted, %d flushes, peak batch %d\n"
-          st.Risefl_core.Server.folded st.Risefl_core.Server.evicted
-          st.Risefl_core.Server.flushes st.Risefl_core.Server.peak_batch
-    | None -> ());
+    print_stream_stats report.Tserver.stream_stats;
     write_trace trace
   in
   Cmd.v
@@ -827,4 +760,4 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group (Cmd.info "risefl_cli" ~doc)
-          [ round_cmd; resume_cmd; serve_cmd; client_cmd; train_cmd; params_cmd ]))
+          [ round_cmd; serve_cmd; client_cmd; train_cmd; params_cmd ]))

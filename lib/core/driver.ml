@@ -54,6 +54,9 @@ type session = {
   seed : string;
   clients : Client.t array;
   mutable server : Server.t;
+  (* the first round this process's own clients have not finished: an
+     in-process session can only resume a log where its clients stopped *)
+  mutable clients_at : int;
   (* post-behaviour encoded frames per (round, stage), cached under the
      durable runtime. Client-side randomness is one sequential stream per
      client, so a stage's messages must be produced exactly once per
@@ -72,7 +75,7 @@ let create_session setup ~seed =
   let pks = Array.map Client.public_key clients in
   Array.iter (fun c -> Client.install_directory c pks) clients;
   Server.install_directory server pks;
-  { setup; seed; clients; server; outbox = Hashtbl.create 31 }
+  { setup; seed; clients; server; clients_at = 1; outbox = Hashtbl.create 31 }
 
 let session_server t = t.server
 let session_clients t = t.clients
@@ -360,6 +363,10 @@ let crash_check rd stage at =
     Option.iter Round_log.sync rd.wal;
     raise (Server_crashed { stage; at })
   end
+
+let check_redrawn ~logged s =
+  if not (Bytes.equal logged s) then
+    failwith "Driver: recovery check-string mismatch (wrong seed or corrupt WAL?)"
 
 let is_active rd i = rd.in_cohort.(i) && rd.behaviours.(i) <> Drop_out
 
@@ -655,9 +662,7 @@ let proof_stage rd ~predicate ~stream =
      it must reproduce the logged value bit for bit, and a fresh durable
      round logs it as the audit record *)
   (match rd.recovery with
-  | Some { rec_s = Some logged_s; _ } ->
-      if not (Bytes.equal logged_s s_value) then
-        failwith "Driver: recovery check-string mismatch (wrong seed or corrupt WAL?)"
+  | Some { rec_s = Some logged; _ } -> check_redrawn ~logged s_value
   | _ -> wal_append rd (Round_log.Check { round; s = s_value }));
   (* the (s, h) broadcast crosses the wire too when serializing; the
      server → client links are assumed reliable in this simulation, so a
@@ -836,7 +841,9 @@ let run ?(predicate = Predicate.L2) ?serialize ?endpoint ?reliable ?remote ?wal 
           wal;
         outcome
   in
-  Option.iter (fun r -> r.r_result ~round outcome) remote;
+  (match remote with
+  | Some r -> r.r_result ~round outcome
+  | None -> session.clients_at <- round + 1);
   outcome
 
 let run_round_outcome = run ?recovery:None
@@ -845,23 +852,20 @@ let completed_exn = function Completed stats -> stats | o -> failwith (outcome_t
 
 (* --- crash recovery --- *)
 
-let restore_server ?epoch session records ~round =
-  (* the crashed server's in-memory state is gone: rebuild one from the
-     session seed (create_session's fork label) and roll it forward to the
-     last snapshot at or before the crashed round *)
-  let epoch =
-    match epoch with
-    | Some _ as e -> e
-    | None ->
-        (* the latest logged epoch at or before the crashed round: a
-           cross-process resume knows the membership only from the log *)
-        List.fold_left
-          (fun acc r ->
-            match r with
-            | Round_log.Epoch e when e.Membership.ep_round <= round -> Some e
-            | _ -> acc)
-          None records
-  in
+(* the one ban rule, for a live outcome and a replayed [Round_end] alike:
+   a sealed round bans its C* only when it sealed an aggregate — an abort
+   and a failed aggregation both seal [aggregate = None] *)
+let ban_sealed server ~cstar ~aggregate =
+  if Option.is_some aggregate then List.iter (Server.ban server) cstar
+
+(* The one restore step: put the session's server where the uncrashed run
+   stood when [round] opened. The crashed server's memory is gone, so a
+   fresh one is rebuilt from the session seed (create_session's fork
+   label), takes the round's membership and restores the last snapshot
+   logged at or before [round]. Every round logged after that snapshot is
+   then replayed: its check string is redrawn from the DRBG and checked
+   against the logged one, and its ban rule applied. *)
+let restore_at ?epoch session records ~round =
   let root = Prng.Drbg.create_string session.seed in
   let server = Server.create session.setup (Prng.Drbg.fork root "server") in
   session.server <- server;
@@ -873,15 +877,31 @@ let restore_server ?epoch session records ~round =
       apply_epoch session ep;
       Server.set_active server (Some ep.Membership.ep_cohort)
   | None -> Server.install_directory server (Array.map Client.public_key session.clients));
-  let snap =
+  (* a snapshot belongs to the round whose Round_start precedes it *)
+  let _, snap =
     List.fold_left
-      (fun acc r ->
+      (fun (cur, acc) r ->
         match r with
-        | Round_log.Snapshot s when s.Wire.snap_round <= round -> Some s
-        | _ -> acc)
-      None records
+        | Round_log.Round_start { round } -> (round, acc)
+        | Round_log.Snapshot s when cur <= round -> (cur, Some (cur, s))
+        | _ -> (cur, acc))
+      (0, None) records
   in
-  (match snap with Some s -> Server.restore server s | None -> ())
+  let base =
+    match snap with
+    | Some (r, s) ->
+        Server.restore server s;
+        r
+    | None -> 1
+  in
+  List.iter
+    (function
+      | Round_log.Check { round = r; s } when r >= base && r < round ->
+          check_redrawn ~logged:s (fst (Server.prepare_check server))
+      | Round_log.Round_end { round = r; cstar; aggregate } when r >= base && r < round ->
+          ban_sealed server ~cstar ~aggregate
+      | _ -> ())
+    records
 
 let recover_round ?predicate ?endpoint ?reliable ?remote ?wal ?stream ?epoch ?topology session
     ~records ~updates ~behaviours ~round =
@@ -903,7 +923,7 @@ let recover_round ?predicate ?endpoint ?reliable ?remote ?wal ?stream ?epoch ?to
                 | _ -> acc)
               None records
       in
-      restore_server ?epoch session records ~round;
+      restore_at ?epoch session records ~round;
       run ?predicate ?endpoint ?reliable ?remote ?wal ~recovery:(recovery_of_records ~round records)
         ?stream ?epoch ?topology session ~updates ~behaviours ~round)
 
@@ -919,6 +939,7 @@ type session_report = {
   round_outcomes : (int * round_outcome) list;
   final_banned : int list;
   crashes_recovered : int;
+  resumed_round : int option;
   cohort_sizes : (int * int) list;
   churn : churn_counts;
 }
@@ -927,12 +948,28 @@ let run_session ?predicate ?serialize ?endpoint ?reliable ?remote ?wal ?crash ?s
     ?topology session ~updates_for ~behaviours ~rounds =
   if rounds < 1 then invalid_arg "Driver.run_session: rounds must be >= 1";
   let n = Array.length session.clients in
+  let read_log w =
+    Round_log.sync w;
+    fst (Round_log.replay (Round_log.path w))
+  in
+  (* resume on entry: the log decides where this call picks up *)
+  let records = match wal with Some w -> read_log w | None -> [] in
+  let first = Round_log.resume_point records in
+  let resumed_round = if records = [] then None else Some first in
+  (* fresh in-process clients restart their sequential DRBGs at genesis:
+     resuming anywhere else would redraw an earlier round's blinds *)
+  if Option.is_some resumed_round && Option.is_none remote && first <> session.clients_at then
+    invalid_arg
+      (Printf.sprintf
+         "Driver.run_session: the log resumes at round %d, but this session's own clients are at \
+          round %d"
+         first session.clients_at);
   let outcomes = ref [] in
   let completed = ref 0 in
   let recovered = ref 0 in
   let sizes = ref [] in
   let joined = ref 0 and left = ref 0 and rejoined = ref 0 and rotated = ref 0 in
-  for round = 1 to rounds do
+  for round = first to rounds do
     let updates = updates_for round in
     (* freeze this round's membership before any frame moves; the same
        epoch re-enters the round after a crash so recovery replays under
@@ -954,38 +991,52 @@ let run_session ?predicate ?serialize ?endpoint ?reliable ?remote ?wal ?crash ?s
     let crash_here =
       match crash with Some (r, stage, at) when r = round -> Some (stage, at) | _ -> None
     in
+    let fresh () =
+      run_round_outcome ?predicate ?serialize ?endpoint ?reliable ?remote ?wal ?crash:crash_here
+        ?stream ?epoch ?topology session ~updates ~behaviours ~round
+    in
+    (* the one resume path, on entry and after an in-loop crash alike: a
+       round the log left open is finished from its logged frames;
+       otherwise the server is restored to the round's boundary and the
+       round runs fresh *)
+    let resume records =
+      if Round_log.pending_round records = Some round then
+        recover_round ?predicate ?endpoint ?reliable ?remote ?wal ?stream ?epoch ?topology session
+          ~records ~updates ~behaviours ~round
+      else begin
+        restore_at ?epoch session records ~round;
+        fresh ()
+      end
+    in
     let outcome =
-      match
-        run_round_outcome ?predicate ?serialize ?endpoint ?reliable ?remote ?wal
-          ?crash:crash_here ?stream ?epoch ?topology session ~updates ~behaviours ~round
-      with
+      match if round = first && Option.is_some resumed_round then resume records else fresh () with
       | outcome -> outcome
-      | exception Server_crashed _ -> (
+      | exception (Server_crashed _ as e) -> (
+          (* with a WAL the loop replays the log it was writing; a remote
+             server's process is what died, and without a WAL there is
+             nothing to replay *)
           match wal with
-          | None -> raise (Server_crashed { stage = Netsim.Commit; at = Stage_start })
-          | Some w ->
-              (* replay the log we were writing and resume the round *)
-              Round_log.sync w;
-              let records, _status = Round_log.replay (Round_log.path w) in
+          | Some w when Option.is_none remote ->
               incr recovered;
-              recover_round ?predicate ?endpoint ?reliable ?remote ~wal:w ?stream
-                ?epoch ?topology session ~records ~updates ~behaviours ~round)
+              resume (read_log w)
+          | _ -> raise e)
     in
     (match outcome with
     | Completed stats ->
         incr completed;
         (* carry C* across rounds: convicted clients start the next round
            banned *)
-        List.iter (Server.ban session.server) stats.flagged
+        ban_sealed session.server ~cstar:stats.flagged ~aggregate:stats.aggregate
     | Aborted_insufficient_quorum _ | Aborted_decode _ -> ());
     outcomes := (round, outcome) :: !outcomes
   done;
   {
-    rounds_attempted = rounds;
+    rounds_attempted = List.length !outcomes;
     rounds_completed = !completed;
     round_outcomes = List.rev !outcomes;
     final_banned = Server.banned session.server;
     crashes_recovered = !recovered;
+    resumed_round;
     cohort_sizes = List.rev !sizes;
     churn = { joined = !joined; left = !left; rejoined = !rejoined; rotated = !rotated };
   }

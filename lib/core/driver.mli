@@ -22,7 +22,8 @@
     boundary or mid-stage frame index. {!recover_round} replays the log
     and finishes the round with an aggregate and C* bit-identical to the
     uncrashed run; {!run_session} chains rounds, carries C* forward as
-    bans, and auto-recovers in-loop. *)
+    bans, recovers in-loop, and resumes a log left by an earlier process
+    on entry. *)
 
 (** What a client does this iteration. *)
 type behaviour =
@@ -239,12 +240,14 @@ val completed_exn : round_outcome -> stats
 
 (** [recover_round session ~records ~updates ~behaviours ~round] —
     finish a crashed round from its write-ahead log. Rebuilds a fresh
-    server from the session seed, restores the last snapshot at or
-    before [round], replays the round's logged frames, then re-enters
-    delivery for the unlogged senders only and runs the remaining
-    stages. The server DRBG is fast-forwarded to the snapshot position,
-    so the check string, proof verdicts, aggregate and C* are
-    bit-identical to the uncrashed run. Pass the same [wal] to keep
+    server from the session seed, restores the last snapshot logged at
+    or before [round], and replays every round logged after that
+    snapshot (its check string is redrawn and checked against the
+    logged one, and its ban rule applied), so a round whose own snapshot
+    was torn off still starts from the right boundary. It then replays
+    the round's logged frames, re-enters delivery for the unlogged
+    senders only and runs the remaining stages. The check string, proof
+    verdicts, aggregate and C* are bit-identical to the uncrashed run. Pass the same [wal] to keep
     logging the recovered tail, and the same [stream] config to resume a
     streamed round — the logged proof frames replay straight through the
     streaming intake, so a crash mid-stream resumes the fold. An elastic
@@ -278,21 +281,40 @@ type session_report = {
   round_outcomes : (int * round_outcome) list;  (** in round order *)
   final_banned : int list;  (** C* accumulated across all rounds *)
   crashes_recovered : int;
+  resumed_round : int option;
+      (** the round this call resumed the [wal] at: the unsealed round it
+          finished, or the round after the last sealed one. [None] when
+          the log was empty or absent. *)
   cohort_sizes : (int * int) list;
       (** per round, the active cohort size (n for epoch-less rounds) *)
   churn : churn_counts;
 }
 
 (** [run_session ?crash session ~updates_for ~behaviours ~rounds] — run
-    [rounds] quorum-aware rounds over one session. [updates_for r] is
-    the round-r update matrix. Clients convicted (C* membership) in a
-    completed round start every later round banned. [crash], if given, is
-    [(round, stage, point)]: the server dies there and — when a [wal] is
-    armed — the loop syncs, replays and {!recover_round}s transparently
-    (without a WAL the crash re-raises). [cohort_for r], if given,
-    freezes round r's membership epoch before the round starts
-    ({!churn_cohort_for} derives one from a seeded schedule); a crashed
-    elastic round recovers under the same epoch. *)
+    quorum-aware rounds up to [rounds] over one session. [updates_for r]
+    is the round-r update matrix. A round that seals an aggregate bans
+    its C*: those clients start every later round banned.
+
+    Resume on entry: with a [wal], the log is read first and the loop
+    starts at {!Round_log.resume_point} — the unsealed round, finished
+    with {!recover_round}, or the round after the last sealed one, which
+    runs fresh on a server restored to that boundary (every sealed
+    round's check string redrawn and its bans re-applied). An empty log
+    starts at round 1. The report covers only the rounds this call ran;
+    a log already past [rounds] runs none.
+    Without [remote] the session's own clients must stand at the resume
+    round — a fresh session can resume only round 1, since its clients
+    restart their DRBGs at genesis.
+    @raise Invalid_argument naming the round otherwise.
+
+    [crash], if given, is [(round, stage, point)]: the server dies
+    there. With a [wal] the loop syncs, replays the log and resumes the
+    round through the same step. Under [remote], or without a [wal],
+    {!Server_crashed} escapes: a remote server's restart resumes on
+    entry. [cohort_for r], if given, freezes round r's membership epoch
+    before the round starts ({!churn_cohort_for} derives one from a
+    seeded schedule); a crashed elastic round recovers under the same
+    epoch. *)
 val run_session :
   ?predicate:Predicate.t ->
   ?serialize:bool ->

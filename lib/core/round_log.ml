@@ -227,3 +227,11 @@ let pending_round records =
       | Round_end { round; _ } when acc = Some round -> None
       | _ -> acc)
     None records
+
+let resume_point records =
+  match pending_round records with
+  | Some round -> round
+  | None ->
+      List.fold_left
+        (fun acc r -> match r with Round_end { round; _ } -> max acc (round + 1) | _ -> acc)
+        1 records

@@ -48,3 +48,8 @@ val replay : string -> record list * Store.Wal.replay_status
 val pending_round : record list -> int option
 (** The round a crash interrupted: the last [Round_start] with no
     [Round_end] after it, or [None] when every logged round is sealed. *)
+
+val resume_point : record list -> int
+(** The round a process continuing the log starts at: the unsealed round
+    ({!pending_round}) if there is one, otherwise the round after the
+    last sealed one, and 1 for an empty log. *)

@@ -58,10 +58,9 @@ type st = {
   recover_box :
     (int * int * int, Curve25519.Scalar.t option * Curve25519.Scalar.t) Hashtbl.t;
   topo_mode : Topology.mode;
-  churn_enabled : bool;
-  (* the round's frozen membership epoch (None = static membership or
-     between rounds): gates the collector's expected-sender set *)
-  mutable epoch_now : Risefl_core.Membership.epoch option;
+  (* the elastic cohort hook (None = static membership), memoized per
+     round: the collector asks for the epoch the driver already froze *)
+  cohort_for : (int -> Risefl_core.Membership.epoch option) option;
   (* protocol violators awaiting conviction by the next collector *)
   mutable pending_convict : int list;
   mutable pos : int * int;  (* last (round, stage index) a collector ran *)
@@ -98,6 +97,8 @@ let convict st id =
     st.log (Printf.sprintf "convicting client %d for a transport violation" id);
     st.pending_convict <- st.pending_convict @ [ id ]
   end
+
+let churn_enabled st = Option.is_some st.cohort_for
 
 let inbox_queue st key =
   match Hashtbl.find_opt st.inbox key with
@@ -156,7 +157,7 @@ let handle_event st = function
             Evloop.close_conn st.loop conn
           end
           else if
-            (st.topo_mode <> Topology.Full || st.churn_enabled)
+            (st.topo_mode <> Topology.Full || churn_enabled st)
             && version < Proto.proto_version
           then begin
             (* a k-regular session needs wire-v2 commits and the recovery
@@ -171,13 +172,13 @@ let handle_event st = function
                        "protocol version %d too old: this session runs %s and needs version >= \
                         %d"
                        version
-                       (if st.churn_enabled then "elastic membership"
+                       (if churn_enabled st then "elastic membership"
                         else "a k-regular share topology")
                        Proto.proto_version;
                  });
             Evloop.close_conn st.loop conn
           end
-          else if st.churn_enabled && version >= 3 && epoch < st.round_now - 1 then begin
+          else if churn_enabled st && version >= 3 && epoch < st.round_now - 1 then begin
             (* the client's membership view lags the session: the epochs
                are locally derivable (the churn schedule is a pure
                function of the session seed), so a typed rejection
@@ -210,7 +211,7 @@ let handle_event st = function
                    round = st.round_now;
                    version = Proto.proto_version;
                    degree;
-                   epoch = (if st.churn_enabled then st.round_now else 0);
+                   epoch = (if churn_enabled st then st.round_now else 0);
                  });
             (* replay the broadcasts the client may have missed *)
             List.iter
@@ -257,11 +258,12 @@ let collect st ~round ~stage ~already ~push =
   (* under an elastic epoch only the round's cohort owes frames: absent
      clients are neither awaited nor timed out *)
   let expected =
-    match st.epoch_now with
-    | Some ep when ep.Risefl_core.Membership.ep_round = round ->
-        Array.to_list ep.Risefl_core.Membership.ep_cohort
-    | _ -> List.init st.n (fun i -> i + 1)
+    match Option.bind st.cohort_for (fun f -> f round) with
+    | Some ep -> Array.to_list ep.Risefl_core.Membership.ep_cohort
+    | None -> List.init st.n (fun i -> i + 1)
   in
+  if stage = Netsim.Commit then
+    st.log (Printf.sprintf "round %d: waiting for %d client(s)" round (List.length expected));
   let pending = Hashtbl.create 16 in
   List.iter
     (fun i ->
@@ -414,6 +416,15 @@ let serve ?(log = fun _ -> ()) cfg =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   let n = cfg.setup.Setup.params.Params.n_clients in
   let session = Driver.create_session cfg.setup ~seed:cfg.seed in
+  (* the log is the driver's to resume; the transport keeps only what it
+     owns: logged frames are re-acked instead of reprocessed *)
+  let records, wal =
+    match cfg.wal_path with
+    | None -> ([], None)
+    | Some path ->
+        let records = if Sys.file_exists path then fst (Round_log.replay path) else [] in
+        (records, Some (Round_log.create path))
+  in
   let loop = Evloop.listen cfg.addr in
   let st =
     {
@@ -428,97 +439,46 @@ let serve ?(log = fun _ -> ()) cfg =
       reveal_box = Hashtbl.create 4;
       recover_box = Hashtbl.create 4;
       topo_mode = cfg.topology;
-      churn_enabled = Option.is_some cfg.churn;
-      epoch_now = None;
+      cohort_for =
+        Option.map
+          (fun spec -> Driver.churn_cohort_for session ~spec ~rounds:cfg.rounds)
+          cfg.churn;
       pending_convict = [];
       pos = (0, -1);
-      round_now = 1;
+      round_now = Round_log.resume_point records;
     }
   in
-  (* the elastic cohort hook: memoized per round, so recovery of a
-     crashed round re-asks and gets the identical epoch back *)
-  let cohort_for =
-    Option.map
-      (fun spec -> Driver.churn_cohort_for session ~spec ~rounds:cfg.rounds)
-      cfg.churn
-  in
-  (* WAL replay: the log decides where this process picks up *)
-  let records, wal =
-    match cfg.wal_path with
-    | None -> ([], None)
-    | Some path ->
-        let records =
-          if Sys.file_exists path then fst (Round_log.replay path) else []
-        in
-        (records, Some (Round_log.create path))
-  in
-  (* completed rounds carry their C* forward as bans, like run_session *)
-  let server = Driver.session_server session in
-  let started = ref 0 in
   List.iter
     (function
       | Round_log.Frame { round; stage; sender; seq; _ } ->
           Hashtbl.replace st.acked (round, Netsim.stage_index stage, sender, seq) ()
-      | Round_log.Round_start { round } -> started := max !started round
-      | Round_log.Round_end { cstar; aggregate = Some _; _ } ->
-          List.iter (Server_sm.ban server) cstar
       | _ -> ())
     records;
-  let resumed_round = Round_log.pending_round records in
-  let start_round =
-    match resumed_round with Some r -> r | None -> !started + 1
+  let close () =
+    Evloop.shutdown loop;
+    Option.iter Round_log.close wal
   in
-  (* remote rounds never compute client work: dummies gate nothing *)
-  let updates = Array.make n [||] in
-  let behaviours = Driver.honest_all n in
-  let remote = remote_of st in
-  let outcomes = ref [] in
-  let sizes = ref [] in
-  (try
-     for round = start_round to cfg.rounds do
-       st.round_now <- round;
-       let epoch = match cohort_for with Some f -> f round | None -> None in
-       st.epoch_now <- epoch;
-       let waiting =
-         match epoch with
-         | Some ep -> Array.length ep.Risefl_core.Membership.ep_cohort
-         | None -> n
-       in
-       if Option.is_some epoch then sizes := (round, waiting) :: !sizes;
-       log (Printf.sprintf "round %d: waiting for %d client(s)" round waiting);
-       let crash_here =
-         match cfg.crash with
-         | Some (r, stage, at) when r = round -> Some (stage, at)
-         | _ -> None
-       in
-       let outcome =
-         try
-           if resumed_round = Some round then
-             Driver.recover_round ~remote ?wal ?stream:cfg.stream ?epoch
-               ~topology:cfg.topology session ~records ~updates ~behaviours ~round
-           else
-             Driver.run_round_outcome ~remote ?wal ?crash:crash_here ?stream:cfg.stream
-               ?epoch ~topology:cfg.topology session ~updates ~behaviours ~round
-         with Driver.Server_crashed { stage; at } -> die_crashed st wal stage at
-       in
-       outcomes := (round, outcome) :: !outcomes;
-       (match outcome with
-       | Driver.Completed stats when stats.Driver.aggregate <> None ->
-           List.iter (Server_sm.ban server) stats.Driver.flagged
-       | _ -> ())
-     done
-   with e ->
-     Evloop.shutdown loop;
-     (match wal with Some w -> Round_log.close w | None -> ());
-     raise e);
+  let report =
+    (* remote rounds never compute client work: dummies gate nothing *)
+    match
+      Driver.run_session ~remote:(remote_of st) ?wal ?crash:cfg.crash ?stream:cfg.stream
+        ?cohort_for:st.cohort_for ~topology:cfg.topology session
+        ~updates_for:(fun _ -> Array.make n [||])
+        ~behaviours:(Driver.honest_all n) ~rounds:cfg.rounds
+    with
+    | report -> report
+    | exception Driver.Server_crashed { stage; at } -> die_crashed st wal stage at
+    | exception e ->
+        close ();
+        raise e
+  in
   (* let the final Result broadcasts reach the clients before closing *)
   Evloop.drain loop ~deadline_s:(Clock.now_s () +. 1.0);
-  Evloop.shutdown loop;
-  (match wal with Some w -> Round_log.close w | None -> ());
+  close ();
   {
-    outcomes = List.rev !outcomes;
-    resumed_round;
-    banned = Server_sm.banned server;
-    stream_stats = Server_sm.stream_stats server;
-    cohort_sizes = List.rev !sizes;
+    outcomes = report.Driver.round_outcomes;
+    resumed_round = report.Driver.resumed_round;
+    banned = report.Driver.final_banned;
+    stream_stats = Server_sm.stream_stats (Driver.session_server session);
+    cohort_sizes = (if Option.is_some cfg.churn then report.Driver.cohort_sizes else []);
   }

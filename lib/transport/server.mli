@@ -1,6 +1,8 @@
-(** The deployment server: drives {!Risefl_core.Driver}'s round lifecycle
-    over real sockets via the driver's [?remote] seam, with the
-    write-ahead log as the source of truth.
+(** The deployment server: runs {!Risefl_core.Driver.run_session} over
+    real sockets via the driver's [?remote] seam, with the write-ahead log
+    as the source of truth. This module holds transport state only — the
+    ack table, the inbox and the broadcast log; the rounds, their bans
+    and their resumption are the driver's.
 
     One {!serve} call runs the configured rounds against whatever clients
     connect. Per stage the server collects frames under a wall-clock
@@ -13,10 +15,11 @@
 
     Crash/restart: with a crash plan armed the server fsyncs the log and
     SIGKILLs its own process at the planned point — genuine kill -9
-    semantics. A new [serve] on the same WAL replays the log, re-applies
-    session bans, rebuilds the (round, stage, sender, seq) ack table
-    (retransmits of already-logged frames re-ack instead of reprocessing)
-    and finishes the interrupted round via {!Driver.recover_round} —
+    semantics. A new [serve] on the same WAL rebuilds the (round, stage,
+    sender, seq) ack table (retransmits of already-logged frames re-ack
+    instead of reprocessing), and [run_session] resumes the log on entry:
+    it finishes an interrupted round, or restores the server to the
+    boundary after the last sealed one, then runs the remaining rounds —
     bit-identical to an uncrashed run on the same seed. *)
 
 module Driver = Risefl_core.Driver
@@ -51,7 +54,9 @@ type config = {
 
 type report = {
   outcomes : (int * Driver.round_outcome) list;  (** rounds run by this process *)
-  resumed_round : int option;  (** the WAL round this process recovered *)
+  resumed_round : int option;
+      (** the round this process resumed the WAL at
+          ({!Driver.session_report}[.resumed_round]) *)
   banned : int list;
   stream_stats : Risefl_core.Server.stream_stats option;
       (** fold/evict/flush counters from the last streamed round, if any *)

@@ -3,14 +3,12 @@
    reproduce the uncrashed aggregate and C* bit for bit, across worker
    counts), the duplicated-agg-share no-double-count regression, torn
    round-log tails, and the multi-round session loop with in-loop
-   recovery. *)
+   recovery and resume on entry. *)
 
 module Params = Risefl_core.Params
 module Setup = Risefl_core.Setup
 module Driver = Risefl_core.Driver
-module Server = Risefl_core.Server
 module Round_log = Risefl_core.Round_log
-module Reliable = Risefl_core.Reliable
 module Serial = Risefl_core.Serial
 
 let fail fmt = Alcotest.failf fmt
@@ -252,8 +250,8 @@ let test_round_log_bad_record_body () =
   | _ -> fail "the valid prefix must survive a corrupt record body");
   Sys.remove wal_path
 
-(* the one "unsealed round" rule shared by resume and serve: the last
-   Round_start with no Round_end after it *)
+(* the one "unsealed round" rule: the last Round_start with no Round_end
+   after it *)
 let test_pending_round () =
   let start r = Round_log.Round_start { round = r } in
   let sealed r = Round_log.Round_end { round = r; cstar = []; aggregate = None } in
@@ -265,7 +263,15 @@ let test_pending_round () =
   check "sealed round" None [ start 1; sealed 1 ];
   check "second round open" (Some 2) [ start 1; sealed 1; start 2 ];
   check "every round sealed" None [ start 1; sealed 1; start 2; sealed 2 ];
-  check "an older seal does not close a newer round" (Some 2) [ start 1; start 2; sealed 1 ]
+  check "an older seal does not close a newer round" (Some 2) [ start 1; start 2; sealed 1 ];
+  (* where a continuing process starts: the open round, else the next *)
+  let resumes name want records =
+    Alcotest.(check int) name want (Round_log.resume_point records)
+  in
+  resumes "empty log resumes at 1" 1 [];
+  resumes "open first round" 1 [ start 1 ];
+  resumes "open round" 2 [ start 1; sealed 1; start 2 ];
+  resumes "every round sealed" 3 [ start 1; sealed 1; start 2; sealed 2 ]
 
 (* ------------------------------------------------------------------ *)
 (* multi-round sessions *)
@@ -323,6 +329,150 @@ let test_session_recovers_mid_run () =
   if want.Driver.final_banned <> report.Driver.final_banned then
     fail "final ban list differs after recovery"
 
+(* the logged check strings, by round *)
+let logged_checks path =
+  List.filter_map
+    (function Round_log.Check { round; s } -> Some (round, s) | _ -> None)
+    (fst (Round_log.replay path))
+
+let hex b =
+  String.concat ""
+    (List.init (min 4 (Bytes.length b)) (fun i -> Printf.sprintf "%02x" (Bytes.get_uint8 b i)))
+
+(* an uncrashed [rounds]-round session on its own log: its report and
+   its check strings *)
+let uncrashed ~seed ~behaviours ~rounds =
+  let path = fresh_wal () in
+  let wal = Round_log.create ~fsync:false path in
+  let report =
+    Driver.run_session (Driver.create_session setup ~seed) ~wal ~updates_for ~behaviours ~rounds
+  in
+  Round_log.close wal;
+  let checks = logged_checks path in
+  Sys.remove path;
+  (report, checks)
+
+(* killed between Round_start 3 and its Snapshot: recovery must start
+   from round 2's snapshot plus round 2's replayed draw, not redraw round
+   2's check string *)
+let test_torn_snapshot () =
+  let behaviours = Driver.honest_all n in
+  let want, want_checks = uncrashed ~seed:"torn-snapshot" ~behaviours ~rounds:3 in
+  let path = fresh_wal () in
+  let wal = Round_log.create ~fsync:false path in
+  let session = Driver.create_session setup ~seed:"torn-snapshot" in
+  ignore (Driver.run_session session ~wal ~updates_for ~behaviours ~rounds:2);
+  Round_log.append wal (Round_log.Round_start { round = 3 });
+  let records, _ = Round_log.replay path in
+  let outcome =
+    Driver.recover_round ~wal session ~records ~updates:(updates_for 3) ~behaviours ~round:3
+  in
+  Round_log.close wal;
+  let got_checks = logged_checks path in
+  Sys.remove path;
+  let s3 = List.assoc 3 got_checks in
+  if not (Bytes.equal s3 (List.assoc 3 want_checks)) then
+    fail "round 3 drew s = %s, the uncrashed run drew %s (round 2's was %s)" (hex s3)
+      (hex (List.assoc 3 want_checks))
+      (hex (List.assoc 2 want_checks));
+  if agg_and_cstar outcome <> agg_and_cstar (List.assoc 3 want.Driver.round_outcomes) then
+    fail "recovered round 3 differs from the uncrashed run"
+
+(* a session continued from a log whose last round is sealed: the second
+   call covers only round 3, on a server restored to round 3's boundary —
+   same s, aggregate and C*, and the round-1 convict still banned *)
+let test_boundary_restart () =
+  let behaviours = Driver.honest_all n in
+  behaviours.(4) <- Driver.False_flags [ 1; 2; 3 ];
+  let want, want_checks = uncrashed ~seed:"boundary" ~behaviours ~rounds:3 in
+  let path = fresh_wal () in
+  let wal = Round_log.create ~fsync:false path in
+  let session = Driver.create_session setup ~seed:"boundary" in
+  let first = Driver.run_session session ~wal ~updates_for ~behaviours ~rounds:2 in
+  let second = Driver.run_session session ~wal ~updates_for ~behaviours ~rounds:3 in
+  Round_log.close wal;
+  let got_checks = logged_checks path in
+  Sys.remove path;
+  if first.Driver.resumed_round <> None then fail "an empty log must start fresh";
+  if second.Driver.resumed_round <> Some 3 then fail "the second call must resume at round 3";
+  (match second.Driver.round_outcomes with
+  | [ (3, o) ] ->
+      if agg_and_cstar o <> agg_and_cstar (List.assoc 3 want.Driver.round_outcomes) then
+        fail "round 3 after the split differs from the uncrashed run";
+      if snd (agg_and_cstar o) <> [ 5 ] then fail "the round-1 convict must stay banned in round 3"
+  | _ -> fail "the second call must cover round 3 only");
+  if not (Bytes.equal (List.assoc 3 got_checks) (List.assoc 3 want_checks)) then
+    fail "round 3 drew a different check string after the split";
+  if second.Driver.final_banned <> [ 5 ] || want.Driver.final_banned <> [ 5 ] then
+    fail "client 5 must end banned on both sides of the split"
+
+(* fresh in-process clients restart at genesis: a fresh session may
+   resume only the log's first round *)
+let test_resume_guard () =
+  let behaviours = Driver.honest_all n in
+  let path = fresh_wal () in
+  let wal = Round_log.create ~fsync:false path in
+  ignore
+    (Driver.run_session (Driver.create_session setup ~seed:"guard") ~wal ~updates_for ~behaviours
+       ~rounds:1);
+  let fresh = Driver.create_session setup ~seed:"guard" in
+  let raised =
+    match Driver.run_session fresh ~wal ~updates_for ~behaviours ~rounds:2 with
+    | _ -> None
+    | exception Invalid_argument msg -> Some msg
+  in
+  Round_log.close wal;
+  Sys.remove path;
+  Alcotest.(check (option string))
+    "a fresh in-process session refuses to resume at round 2"
+    (Some
+       "Driver.run_session: the log resumes at round 2, but this session's own clients are at \
+        round 1")
+    raised
+
+(* the cross-process flow: round 1 killed and left open, then a fresh
+   session runs the whole session on the same log — it finishes round 1
+   from the log and continues, matching the uncrashed run *)
+let test_resume_open_round_on_entry () =
+  let behaviours = Driver.honest_all n in
+  behaviours.(4) <- Driver.False_flags [ 1; 2; 3 ];
+  let want, _ = uncrashed ~seed:"entry" ~behaviours ~rounds:2 in
+  let path = fresh_wal () in
+  let wal = Round_log.create ~fsync:false path in
+  (try
+     ignore
+       (Driver.run_round_outcome (Driver.create_session setup ~seed:"entry") ~wal
+          ~crash:(Netsim.Proof, Driver.Stage_frame 2) ~updates:(updates_for 1) ~behaviours
+          ~round:1)
+   with Driver.Server_crashed _ -> ());
+  Round_log.close wal;
+  let wal = Round_log.create ~fsync:false path in
+  let got =
+    Driver.run_session (Driver.create_session setup ~seed:"entry") ~wal ~updates_for ~behaviours
+      ~rounds:2
+  in
+  Round_log.close wal;
+  Sys.remove path;
+  if got.Driver.resumed_round <> Some 1 then fail "the open round 1 must be resumed on entry";
+  if
+    List.map (fun (r, o) -> (r, agg_and_cstar o)) got.Driver.round_outcomes
+    <> List.map (fun (r, o) -> (r, agg_and_cstar o)) want.Driver.round_outcomes
+  then fail "the resumed session differs from the uncrashed run";
+  if got.Driver.final_banned <> want.Driver.final_banned then fail "final bans differ"
+
+(* without a WAL the loop cannot recover: the planned crash escapes
+   with its own point *)
+let test_session_crash_without_wal () =
+  match
+    Driver.run_session (Driver.create_session setup ~seed:"no-wal-session") ~serialize:true
+      ~crash:(1, Netsim.Flag, Driver.Stage_end) ~updates_for ~behaviours:(Driver.honest_all n)
+      ~rounds:1
+  with
+  | exception Driver.Server_crashed { stage = Netsim.Flag; at = Driver.Stage_end } -> ()
+  | exception Driver.Server_crashed { stage; at } ->
+      fail "the crash escaped as %s" (Driver.crash_to_string (stage, at))
+  | _ -> fail "the planned crash must raise Server_crashed"
+
 (* crashing without a WAL armed is not recoverable: the exception
    must propagate (there is nothing to replay) *)
 let test_crash_without_wal_raises () =
@@ -359,5 +509,12 @@ let () =
         [
           Alcotest.test_case "C* carries across rounds" `Quick test_session_carries_cstar;
           Alcotest.test_case "mid-session recovery" `Quick test_session_recovers_mid_run;
+          Alcotest.test_case "torn snapshot" `Quick test_torn_snapshot;
+          Alcotest.test_case "boundary restart" `Quick test_boundary_restart;
+          Alcotest.test_case "fresh-session resume guard" `Quick test_resume_guard;
+          Alcotest.test_case "resume an open round on entry" `Quick
+            test_resume_open_round_on_entry;
+          Alcotest.test_case "crash without WAL keeps its point" `Quick
+            test_session_crash_without_wal;
         ] );
     ]

@@ -9,12 +9,13 @@
    through the event loop, and the parent asserts the outcomes are
    bit-identical to the in-process driver on the same seed. Covers the
    loopback round with a slow-loris client, a mid-stage client death
-   degrading to the quorum path, and a kill -9 mid-round with a
-   WAL-backed restart. *)
+   degrading to the quorum path, a kill -9 mid-round with a WAL-backed
+   restart, and a restart at a sealed round boundary. *)
 
 module Params = Risefl_core.Params
 module Setup = Risefl_core.Setup
 module Driver = Risefl_core.Driver
+module Round_log = Risefl_core.Round_log
 module Frame = Risefl_transport.Frame
 module Proto = Risefl_transport.Proto
 module Evloop = Risefl_transport.Evloop
@@ -402,6 +403,55 @@ let test_serve_kill_restart () =
   (try Sys.remove srv_out with Sys_error _ -> ());
   (try Sys.remove wal with Sys_error _ -> ())
 
+(* a serve that stops after round 2 and a second serve on the same WAL
+   that carries on to round 3: the restart must open round 3 where an
+   uninterrupted run does — the same check string, not a redraw of an
+   earlier round's — with the same verdicts *)
+let test_serve_boundary_restart () =
+  let seed = "serve-boundary" in
+  let addr = Evloop.Unix_sock (tmp_name ".sock") in
+  let wal = tmp_name ".wal" in
+  let cli_outs = List.init n (fun i -> tmp_name (Printf.sprintf ".b%d" (i + 1))) in
+  let clis =
+    List.mapi
+      (fun i out ->
+        fork_child out (fun () -> Tclient.run (client_cfg ~addr ~seed ~id:(i + 1) ~rounds:3 ())))
+      cli_outs
+  in
+  let serve_to rounds =
+    let out = tmp_name ".srv" in
+    wait_pid
+      (fork_child out (fun () ->
+           let report = Tserver.serve (server_cfg ~addr ~seed ~rounds ~wal ()) in
+           List.map (fun (r, o) -> (r, view_of o)) report.Tserver.outcomes));
+    match (read_child out : ((int * Proto.result_view) list, string) result) with
+    | Ok got -> got
+    | Error e -> fail "server (rounds %d) failed: %s" rounds e
+  in
+  let first = serve_to 2 in
+  let got = first @ serve_to 3 in
+  List.iter wait_pid clis;
+  List.iter (fun out -> try Sys.remove out with Sys_error _ -> ()) cli_outs;
+  let checks path =
+    List.filter_map
+      (function Round_log.Check { round; s } -> Some (round, s) | _ -> None)
+      (fst (Round_log.replay path))
+  in
+  let ref_wal = tmp_name ".wal" in
+  let w = Round_log.create ~fsync:false ref_wal in
+  let want =
+    Driver.run_session (Driver.create_session setup ~seed) ~wal:w
+      ~updates_for:(fun r -> Updates.make ~n ~d ~bound ~seed ~attackers:[] ~round:r)
+      ~behaviours:(Updates.behaviours ~n ~attackers:[]) ~rounds:3
+  in
+  Round_log.close w;
+  let got_s = checks wal and want_s = checks ref_wal in
+  Sys.remove wal;
+  Sys.remove ref_wal;
+  if got <> List.map (fun (r, o) -> (r, view_of o)) want.Driver.round_outcomes then
+    fail "the split deployment's verdicts differ from the uninterrupted session";
+  if got_s <> want_s then fail "the restarted server drew a different round-3 check string"
+
 (* elastic deployment: server and all five clients derive the seeded
    churn schedule locally (no membership bytes on the wire); out-of-cohort
    clients sit rounds out, one client enrolls with the rejoin bit set, and
@@ -483,6 +533,7 @@ let () =
           Alcotest.test_case "loopback round (slow-loris)" `Slow test_serve_loopback_round;
           Alcotest.test_case "mid-stage client death" `Slow test_serve_client_death;
           Alcotest.test_case "kill -9 and WAL restart" `Slow test_serve_kill_restart;
+          Alcotest.test_case "restart at a sealed boundary" `Slow test_serve_boundary_restart;
           Alcotest.test_case "elastic churn deployment" `Slow test_serve_churn;
         ] );
     ]
