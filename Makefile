@@ -104,10 +104,12 @@ group-smoke:
 
 # Deployment-transport gate: the transport suite (frame/proto units plus
 # forked serve/client deployments), then a real multi-process CLI
-# walkthrough on a Unix socket — kill -9 the server mid-proof with the
-# WAL armed, restart it on the same log while the clients ride through
-# under backoff, and require the server and every client to match the
-# in-process round's flagged/aggregate lines byte for byte. Finishes
+# walkthrough on a Unix socket with client 2 mounting the scaling
+# attack — kill -9 the server mid-proof with the WAL armed, restart it
+# on the same log while the clients ride through under backoff, and
+# require the server and every client to match the in-process round's
+# flagged/aggregate lines byte for byte (serve waits out the silent
+# attacker under a stage deadline below the clients' wait). Finishes
 # with the serve bench smoke (socket-loopback latency + transport
 # counters into the JSON).
 serve-smoke:
@@ -117,17 +119,17 @@ serve-smoke:
 	BIN=_build/default/bin/risefl_cli.exe; \
 	DIR=/tmp/risefl-serve; rm -rf $$DIR; mkdir -p $$DIR; \
 	ARGS="--clients 3 --dimension 16 --samples 4 --seed serve-smoke"; \
-	$$BIN round $$ARGS | grep -E "flagged|aggregate" > $$DIR/ref.txt; \
+	$$BIN round $$ARGS --attackers 2 | grep -E "flagged|aggregate" > $$DIR/ref.txt; \
 	for i in 1 2 3; do \
-	  $$BIN client $$ARGS --id $$i --connect unix:$$DIR/sock \
+	  $$BIN client $$ARGS --attackers 2 --id $$i --connect unix:$$DIR/sock \
 	    > $$DIR/client$$i.txt 2>&1 & \
 	done; \
 	$$BIN serve $$ARGS --listen unix:$$DIR/sock --wal $$DIR/wal --crash proof:1 \
-	  > $$DIR/serve1.txt 2>&1 || true; \
+	  --stage-deadline 5 > $$DIR/serve1.txt 2>&1 || true; \
 	grep -q "server crashed at proof:1" $$DIR/serve1.txt \
 	  || { echo "serve-smoke: planned crash did not fire" >&2; exit 1; }; \
 	$$BIN serve $$ARGS --listen unix:$$DIR/sock --wal $$DIR/wal \
-	  > $$DIR/serve2.txt 2>&1; \
+	  --stage-deadline 5 > $$DIR/serve2.txt 2>&1; \
 	wait; \
 	grep -q "recovered round 1 from the write-ahead log" $$DIR/serve2.txt \
 	  || { echo "serve-smoke: restart did not resume from the WAL" >&2; exit 1; }; \

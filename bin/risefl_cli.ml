@@ -610,7 +610,7 @@ let client_cmd =
           rounds;
           d;
           bound;
-          attackers;
+          behaviours = make_behaviours ~n ~attackers;
           deadline_s = stage_deadline;
           loris;
           die_at;

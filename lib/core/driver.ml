@@ -266,13 +266,113 @@ let effective_topology setup ~cohort mode =
       Topology.Kregular (max 2 k')
   | t -> t
 
+(* --- the client engine: one view per round, one step per client action --- *)
+
+type round_view = {
+  round : int;
+  cohort : int array option;
+  in_cohort : bool array;
+  topo : Topology.t option;
+}
+
+(* an epoch freezes the cohort and the post-rotation directory before any
+   frame moves; a full cohort selects every legacy branch ([cohort =
+   None]), bit-identical to the fixed set. The graph is a pure function of
+   (seed, round, cohort), never logged: recovery and a remote client
+   re-derive it, and [plan] normalizes the all-to-all cases to None. *)
+let round_view ?epoch ?(topology = Topology.Full) session ~round =
+  let n = Array.length session.clients in
+  Option.iter (apply_epoch session) epoch;
+  let cohort =
+    match epoch with Some ep -> ep.Membership.ep_cohort | None -> Array.init n (fun i -> i + 1)
+  in
+  let in_cohort = Array.make n false in
+  Array.iter (fun id -> if id >= 1 && id <= n then in_cohort.(id - 1) <- true) cohort;
+  let mode = effective_topology session.setup ~cohort topology in
+  {
+    round;
+    cohort = (if Array.length cohort = n then None else Some cohort);
+    in_cohort;
+    topo = Topology.plan ~mode ~seed:session.seed ~round ~cohort;
+  }
+
+let active v b c = v.in_cohort.(Client.id c - 1) && b <> Drop_out
+
+(* every step sends nothing for a client outside the cohort or dropped
+   out, and nothing once the client catches the server misbehaving *)
+let guarded v b c f =
+  if not (active v b c) then None else try f () with Client.Server_misbehaving _ -> None
+
+let commit_step v b c ~update =
+  guarded v b c @@ fun () ->
+  (* an Oversized client's update is already the scaled malicious vector *)
+  let commit =
+    match b with Oversized _ -> Client.commit_round_unchecked | _ -> Client.commit_round
+  in
+  let msg = commit ?topo:v.topo ?cohort:v.cohort c ~round:v.round ~update in
+  match b with
+  | Bad_share_to targets ->
+      (* positions are recipient ids only on the all-to-all path; under a
+         topology they are ranks in the sorted neighbor list (a
+         non-neighbor target is a no-op) *)
+      let recips =
+        match v.topo with
+        | None -> Array.init (Array.length v.in_cohort) (fun j -> j + 1)
+        | Some tp -> Topology.neighbors tp (Client.id c)
+      in
+      let enc_shares =
+        Array.mapi
+          (fun j s -> if List.mem recips.(j) targets then corrupt_sealed s else s)
+          msg.Wire.enc_shares
+      in
+      Some { msg with Wire.enc_shares }
+  | _ -> Some msg
+
+let flag_step v b c ~commits =
+  guarded v b c @@ fun () ->
+  let base = Client.receive_shares ?topo:v.topo ?cohort:v.cohort c ~round:v.round ~msgs:commits in
+  match b with
+  | False_flags extra ->
+      Some { base with Wire.suspects = List.sort_uniq compare (extra @ base.Wire.suspects) }
+  | _ -> Some base
+
+let proof_step ?predicate ?hs_tables v b c ~s ~hs =
+  guarded v b c @@ fun () ->
+  Client.try_proof_round ?predicate ?hs_tables ?cohort:v.cohort c ~round:v.round ~s ~hs
+
+let agg_step v b c ~honest ~malicious =
+  guarded v b c @@ fun () ->
+  if b = Agg_silent || List.mem (Client.id c) malicious then None
+  else
+    match
+      match v.topo with
+      | None -> Client.agg_round c ~honest
+      | Some topo -> Client.agg_round_masked c ~round:v.round ~topo ~honest
+    with
+    | msg when b = Bad_agg_share ->
+        (* a garbage aggregated share: SS.Verify against the combined check
+           string must reject it (k-regular: the global g^R check catches
+           it instead) *)
+        Some { msg with Wire.r_sum = Scalar.add msg.Wire.r_sum Scalar.one }
+    | msg -> Some msg
+    | exception Invalid_argument _ -> None
+
+let reveal_step v b c ~requests = guarded v b c @@ fun () -> Some (Client.reveal_shares c ~requests)
+
+(* answers are pure functions of client state (no DRBG draws), so WAL
+   replay reproduces them bit-identically; all-to-all rounds have no
+   neighborhood recovery *)
+let recovery_step v b c ~dropout =
+  guarded v b c @@ fun () ->
+  Option.map (fun topo -> Client.recovery_response c ~round:v.round ~topo ~dropout) v.topo
+
 (* --- the round engine: one private record, one function per stage --- *)
 
-(* one round in flight: its inputs, links and membership, fixed when the
-   round opens, plus the accounting the stages fill in *)
+(* one round in flight: its inputs, links and view, fixed when the round
+   opens, plus the accounting the stages fill in *)
 type rd = {
   s : session;
-  round : int;
+  v : round_view;
   n : int;
   needed : int;
   updates : int array array;
@@ -285,9 +385,6 @@ type rd = {
   crash : (Netsim.stage * crash_point) option;
   recovery : recovery option;
   epoch : Membership.epoch option;
-  cohort_opt : int array option;
-  in_cohort : bool array;
-  topo : Topology.t option;
   acct : int;  (* the first honest in-cohort client's index, or -1 *)
   n_honest : int;
   mutable decode_failures : int list;
@@ -296,29 +393,18 @@ type rd = {
 }
 
 let open_round ?(serialize = false) ?endpoint ?reliable ?remote ?wal ?crash ?recovery ?epoch
-    ?(topology = Topology.Full) session ~updates ~behaviours ~round =
+    ?topology session ~updates ~behaviours ~round =
   let p = session.setup.Setup.params in
   let n = p.Params.n_clients in
   if Array.length updates <> n || Array.length behaviours <> n then
     invalid_arg "Driver.run_round_outcome: need one update and one behaviour per client";
-  (* the round's membership: an epoch freezes the cohort and the
-     post-rotation directory before any frame moves. The fixed-set path
-     (no epoch) is the full universe, and a full-cohort epoch selects
-     every legacy branch ([cohort_opt = None]) so its bytes are identical
-     to the fixed-set run by construction. *)
-  Option.iter (apply_epoch session) epoch;
-  let cohort =
-    match epoch with Some ep -> ep.Membership.ep_cohort | None -> Array.init n (fun i -> i + 1)
-  in
-  let in_cohort = Array.make n false in
-  Array.iter (fun id -> if id >= 1 && id <= n then in_cohort.(id - 1) <- true) cohort;
-  let topology = effective_topology session.setup ~cohort topology in
+  let v = round_view ?epoch ?topology session ~round in
   let honest =
-    List.filter (fun i -> behaviours.(i) = Honest && in_cohort.(i)) (List.init n Fun.id)
+    List.filter (fun i -> behaviours.(i) = Honest && v.in_cohort.(i)) (List.init n Fun.id)
   in
   {
     s = session;
-    round;
+    v;
     n;
     needed = Params.shamir_t p;
     updates;
@@ -335,13 +421,6 @@ let open_round ?(serialize = false) ?endpoint ?reliable ?remote ?wal ?crash ?rec
     crash;
     recovery;
     epoch;
-    cohort_opt = (if Array.length cohort = n then None else Some cohort);
-    in_cohort;
-    (* the round's share topology: a pure function of (session seed,
-       round, cohort), never logged — recovery re-derives the identical
-       graph. [plan] normalizes Full / tiny cohorts / degree >= n-1 to
-       None, the unchanged all-to-all path (bit-identical bytes). *)
-    topo = Topology.plan ~mode:topology ~seed:session.seed ~round ~cohort;
     acct = (match honest with i :: _ -> i | [] -> -1);
     n_honest = List.length honest;
     decode_failures = [];
@@ -353,7 +432,7 @@ let open_round ?(serialize = false) ?endpoint ?reliable ?remote ?wal ?crash ?rec
    telemetry is enabled *)
 let span rd stage role f =
   Telemetry.Span.with_
-    ~attrs:[ ("round", string_of_int rd.round); ("stage", stage); ("role", role) ]
+    ~attrs:[ ("round", string_of_int rd.v.round); ("stage", stage); ("role", role) ]
     (stage ^ "." ^ role) f
 
 let wal_append rd r = Option.iter (fun w -> Round_log.append w r) rd.wal
@@ -368,18 +447,17 @@ let check_redrawn ~logged s =
   if not (Bytes.equal logged s) then
     failwith "Driver: recovery check-string mismatch (wrong seed or corrupt WAL?)"
 
-let is_active rd i = rd.in_cohort.(i) && rd.behaviours.(i) <> Drop_out
+(* client i's step [f] over the round's view, its own behaviour and its
+   own state machine *)
+let step rd f i = f rd.v rd.behaviours.(i) rd.s.clients.(i)
 
-(* each active client's stage message from [f]; the honest clients' wall
-   time is summed into [total] *)
+(* each client's stage message from its step [f i]; the honest in-cohort
+   clients' wall time is summed into [total] *)
 let timed rd total f =
   Array.init rd.n (fun i ->
-      if not (is_active rd i) then None
-      else begin
-        let m, dt = time (fun () -> f i) in
-        if rd.behaviours.(i) = Honest then total := !total +. dt;
-        m
-      end)
+      let m, dt = time (fun () -> step rd (f i) i) in
+      if rd.behaviours.(i) = Honest && rd.v.in_cohort.(i) then total := !total +. dt;
+      m)
 
 (* One client → server exchange; every frame the server accepts goes to
    [consume]. Without the wire this hands over the computed messages
@@ -393,7 +471,7 @@ let timed rd total f =
    the server processes it; under recovery, the logged frames replay
    first and only the unlogged senders re-enter delivery. *)
 let exchange rd ~stage ~encode ~decode ~sender_of ~compute ~consume =
-  let n = rd.n and round = rd.round in
+  let n = rd.n and round = rd.v.round in
   if not rd.serialize then begin
     Array.iteri (fun i m -> Option.iter (consume ~sender:(i + 1)) m) (compute ());
     []
@@ -518,7 +596,7 @@ let check_quorum rd stage =
 
 (* round 1: commitments; returns the honest clients' commit time *)
 let commit_stage rd =
-  let clients = rd.s.clients and round = rd.round and topo = rd.topo in
+  let round = rd.v.round and topo = rd.v.topo and cohort = rd.v.cohort in
   let t = ref 0.0 in
   let commits, offenders =
     span rd "commit" "wire" @@ fun () ->
@@ -526,36 +604,10 @@ let commit_stage rd =
       ~sender_of:(fun (m : Wire.commit_msg) -> m.Wire.sender)
       ~compute:(fun () ->
         span rd "commit" "client" @@ fun () ->
-        timed rd t (fun i ->
-            let commit =
-              match rd.behaviours.(i) with
-              | Oversized _ ->
-                  (* updates.(i) is already the scaled malicious vector *)
-                  Client.commit_round_unchecked
-              | _ -> Client.commit_round
-            in
-            let update = rd.updates.(i) in
-            let msg = commit ?topo ?cohort:rd.cohort_opt clients.(i) ~round ~update in
-            match rd.behaviours.(i) with
-            | Bad_share_to targets ->
-                (* positions are recipient ids only on the all-to-all
-                   path; under a topology they are ranks in the sorted
-                   neighbor list (a non-neighbor target is a no-op) *)
-                let recips =
-                  match topo with
-                  | None -> Array.init rd.n (fun j -> j + 1)
-                  | Some tp -> Topology.neighbors tp (i + 1)
-                in
-                let enc_shares =
-                  Array.mapi
-                    (fun j s -> if List.mem recips.(j) targets then corrupt_sealed s else s)
-                    msg.Wire.enc_shares
-                in
-                Some { msg with Wire.enc_shares }
-            | _ -> Some msg))
+        timed rd t (fun i -> commit_step ~update:rd.updates.(i)))
   in
   span rd "commit" "server" (fun () ->
-      Server.begin_round ?topo ?cohort:rd.cohort_opt rd.s.server ~round ~commits);
+      Server.begin_round ?topo ?cohort rd.s.server ~round ~commits);
   (* begin_round reset C*, so decode offenders are marked after it *)
   note_offenders rd offenders;
   (* epoch-level convictions: a rejected rotation proof is an
@@ -581,7 +633,7 @@ let commit_stage rd =
       (Option.iter (fun (cm : Wire.commit_msg) ->
            if cm.Wire.sender <> a + 1 then begin
              let recips =
-               match (topo, rd.cohort_opt) with
+               match (topo, cohort) with
                | Some tp, _ -> Topology.neighbors tp cm.Wire.sender
                | None, Some xs -> xs
                | None, None -> Array.init rd.n (fun j -> j + 1)
@@ -598,7 +650,7 @@ let commit_stage rd =
 (* round 2 step 1: share verification and flags; returns the honest
    clients' share-verification time *)
 let flag_stage rd =
-  let clients = rd.s.clients and round = rd.round in
+  let round = rd.v.round in
   (* clients receive the server's *validated* view of the commits: a
      structurally invalid commit never reaches a client *)
   let present =
@@ -611,28 +663,13 @@ let flag_stage rd =
     collect rd ~stage:Netsim.Flag ~encode:Serial.encode_flag_msg ~decode:Serial.decode_flag
       ~sender_of:(fun (m : Wire.flag_msg) -> m.Wire.sender)
       ~compute:(fun () ->
-        span rd "flag" "client" @@ fun () ->
-        timed rd t (fun i ->
-            let base =
-              Client.receive_shares ?topo:rd.topo ?cohort:rd.cohort_opt clients.(i) ~round
-                ~msgs:present
-            in
-            match rd.behaviours.(i) with
-            | False_flags extra ->
-                let suspects = List.sort_uniq compare (extra @ base.Wire.suspects) in
-                Some { base with Wire.suspects }
-            | _ -> Some base))
+        span rd "flag" "client" @@ fun () -> timed rd t (fun _ -> flag_step ~commits:present))
   in
   note_offenders rd offenders;
   let reveal dealer requests =
     match rd.remote with
     | Some r -> r.r_reveal ~dealer ~requests
-    | None -> (
-        if not (is_active rd (dealer - 1)) then None
-        else
-          match Client.reveal_shares clients.(dealer - 1) ~requests with
-          | shares -> Some shares
-          | exception Client.Server_misbehaving _ -> None)
+    | None -> step rd (reveal_step ~requests) (dealer - 1)
   in
   let cleared =
     span rd "flag" "server" (fun () -> Server.process_flags rd.s.server ~flags ~reveal)
@@ -642,8 +679,9 @@ let flag_stage rd =
   | None ->
       List.iter
         (fun (flagger, dealer, value) ->
-          if is_active rd (flagger - 1) then
-            Client.accept_cleared_share clients.(flagger - 1) ~from:dealer ~value)
+          let c = rd.s.clients.(flagger - 1) in
+          if active rd.v rd.behaviours.(flagger - 1) c then
+            Client.accept_cleared_share c ~from:dealer ~value)
         cleared);
   check_quorum rd "flag";
   if rd.acct >= 0 then
@@ -654,7 +692,7 @@ let flag_stage rd =
    check preparation, honest clients' proof time, server verification)
    seconds *)
 let proof_stage rd ~predicate ~stream =
-  let round = rd.round in
+  let round = rd.v.round in
   let (s_value, hs), prep_time =
     span rd "check" "server" (fun () -> time (fun () -> Server.prepare_check rd.s.server))
   in
@@ -697,9 +735,7 @@ let proof_stage rd ~predicate ~stream =
       ~sender_of:(fun (m : Wire.proof_msg) -> m.Wire.sender)
       ~compute:(fun () ->
         span rd "proof" "client" @@ fun () ->
-        timed rd t (fun i ->
-            Client.try_proof_round ~predicate ~hs_tables ?cohort:rd.cohort_opt rd.s.clients.(i)
-              ~round ~s:s_value ~hs))
+        timed rd t (fun _ -> proof_step ~predicate ~hs_tables ~s:s_value ~hs))
       ~consume:(fun ~sender m ->
         if sender = rd.acct + 1 then rd.up <- rd.up + Wire.proof_msg_size m;
         span rd "proof" "server" (fun () -> Server.stream_feed st ~sender m))
@@ -716,7 +752,7 @@ let proof_stage rd ~predicate ~stream =
    other share was computed over H, so the sender stays in H, keeps its
    update in the sum and costs only its own share. *)
 let agg_stage rd =
-  let clients = rd.s.clients and round = rd.round in
+  let round = rd.v.round in
   let honest = Server.honest rd.s.server and malicious = Server.malicious rd.s.server in
   Option.iter (fun r -> r.r_honest ~round ~honest ~malicious) rd.remote;
   let agg_msgs, (_ : int list) =
@@ -725,48 +761,28 @@ let agg_stage rd =
       ~sender_of:(fun (m : Wire.agg_msg) -> m.Wire.sender)
       ~compute:(fun () ->
         span rd "agg" "client" @@ fun () ->
-        Array.init rd.n (fun i ->
-            if not (is_active rd i) || rd.behaviours.(i) = Agg_silent || List.mem (i + 1) malicious
-            then None
-            else
-              match
-                match rd.topo with
-                | None -> Client.agg_round clients.(i) ~honest
-                | Some tp -> Client.agg_round_masked clients.(i) ~round ~topo:tp ~honest
-              with
-              | msg when rd.behaviours.(i) = Bad_agg_share ->
-                  (* a garbage aggregated share: SS.Verify against the
-                     combined check string must reject it (k-regular: the
-                     global g^R check catches it instead) *)
-                  Some { msg with Wire.r_sum = Scalar.add msg.Wire.r_sum Scalar.one }
-              | msg -> Some msg
-              | exception Invalid_argument _ -> None))
+        Array.init rd.n (step rd (agg_step ~honest ~malicious)))
   in
   if rd.acct >= 0 then
     Option.iter (fun a -> rd.up <- rd.up + Wire.agg_msg_size a) agg_msgs.(rd.acct);
   let result, agg_time =
     span rd "agg" "server" (fun () ->
         time (fun () ->
-            match rd.topo with
+            match rd.v.topo with
             | None -> Server.aggregate rd.s.server ~agg_msgs
             | Some tp ->
                 (* neighborhood recovery sub-exchange: in-process it asks
-                   the dropout's alive neighbors directly (responses are
-                   pure functions of client state — no DRBG draws — so
-                   WAL replay reproduces them bit-identically); a remote
-                   round goes through the transport hook *)
+                   the dropout's alive neighbors directly; a remote round
+                   goes through the transport hook *)
                 let recover ~dropout ~responders =
                   match rd.remote with
                   | Some r -> r.r_recover ~round ~dropout ~responders
                   | None ->
                       List.filter_map
                         (fun i ->
-                          if not (is_active rd (i - 1)) then None
-                          else
-                            let c = clients.(i - 1) in
-                            match Client.recovery_response c ~round ~topo:tp ~dropout with
-                            | resp -> Some (i, resp)
-                            | exception Client.Server_misbehaving _ -> None)
+                          Option.map
+                            (fun resp -> (i, resp))
+                            (step rd (recovery_step ~dropout) (i - 1)))
                         responders
                 in
                 Server.aggregate_kregular rd.s.server ~topo:tp ~honest ~recover ~agg_msgs))
@@ -785,7 +801,7 @@ let round_body rd ~predicate ~stream =
      the round never started (it simply re-runs fresh). *)
   if Option.is_none rd.recovery then begin
     Option.iter (fun ep -> wal_append rd (Round_log.Epoch ep)) rd.epoch;
-    wal_append rd (Round_log.Round_start { round = rd.round });
+    wal_append rd (Round_log.Round_start { round = rd.v.round });
     Option.iter
       (fun w -> Round_log.append w (Round_log.Snapshot (Server.snapshot rd.s.server)))
       rd.wal
@@ -796,7 +812,7 @@ let round_body rd ~predicate ~stream =
   let result, agg_s = agg_stage rd in
   let aggregate, failure = match result with Ok v -> (Some v, None) | Error e -> (None, Some e) in
   let flagged = Server.malicious rd.s.server in
-  wal_append rd (Round_log.Round_end { round = rd.round; cstar = flagged; aggregate });
+  wal_append rd (Round_log.Round_end { round = rd.v.round; cstar = flagged; aggregate });
   observe_live ();
   let avg total = if rd.n_honest = 0 then 0.0 else total /. float_of_int rd.n_honest in
   Completed

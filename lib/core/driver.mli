@@ -146,8 +146,60 @@ val effective_topology :
 (** The topology a round actually runs under: a k-regular request whose
     degree a shrunken cohort cannot sustain is re-derived for the cohort
     that showed up (clamped to [cohort-1], floor 2) and the
-    ["topology.degree_clamped"] counter is bumped. Shared by the driver
-    and the socket client so both sides derive the same share graph. *)
+    ["topology.degree_clamped"] counter is bumped. {!round_view} applies
+    it, so every process derives the same share graph. *)
+
+(** {1 Client steps}
+
+    The one place a client and its {!behaviour} become a message: the
+    in-process round and the socket client both run these steps over the
+    same {!round_view}. A step returns [None] when the behaviour sends
+    nothing (outside the cohort, [Drop_out], [Agg_silent], convicted
+    before aggregation, an update that cannot pass the check) or when
+    the client refuses with {!Client.Server_misbehaving}. *)
+
+(** A round's cohort ([None] = the whole universe, the legacy bytes),
+    membership by index (i−1 for client i) and share graph ([None] =
+    all-to-all). *)
+type round_view = {
+  round : int;
+  cohort : int array option;
+  in_cohort : bool array;
+  topo : Risefl_topology.Topology.t option;
+}
+
+val round_view :
+  ?epoch:Membership.epoch -> ?topology:Risefl_topology.Topology.mode -> session -> round:int ->
+  round_view
+(** Apply [epoch] ({!apply_epoch}), then derive the round's cohort and
+    its graph from [topology] (default [Full]) via {!effective_topology}
+    and {!Risefl_topology.Topology.plan}. *)
+
+val commit_step :
+  round_view -> behaviour -> Client.t -> update:int array -> Wire.commit_msg option
+(** [Oversized] skips the norm check; [Bad_share_to ids] corrupts those
+    recipients' sealed shares (matched by rank under a topology). *)
+
+val flag_step :
+  round_view -> behaviour -> Client.t -> commits:Wire.commit_msg array -> Wire.flag_msg option
+(** [False_flags ids] merges [ids] into the suspects. *)
+
+val proof_step :
+  ?predicate:Predicate.t -> ?hs_tables:Curve25519.Point.Table.table array -> round_view ->
+  behaviour -> Client.t -> s:Bytes.t -> hs:Curve25519.Point.t array -> Wire.proof_msg option
+
+val agg_step :
+  round_view -> behaviour -> Client.t -> honest:int list -> malicious:int list -> Wire.agg_msg option
+(** [Bad_agg_share] adds one to [r_sum]. *)
+
+val reveal_step :
+  round_view -> behaviour -> Client.t -> requests:int list ->
+  (int * Curve25519.Scalar.t) list option
+
+val recovery_step :
+  round_view -> behaviour -> Client.t -> dropout:int ->
+  (Curve25519.Scalar.t option * Curve25519.Scalar.t) option
+(** [None] on an all-to-all round. *)
 
 (** {1 Remote seam}
 

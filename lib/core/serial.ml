@@ -1,8 +1,6 @@
 module Scalar = Curve25519.Scalar
 module Point = Curve25519.Point
 
-exception Malformed of string
-
 type error = { offset : int; reason : string }
 
 let pp_error fmt e = Format.fprintf fmt "malformed frame at byte %d: %s" e.offset e.reason
@@ -231,7 +229,7 @@ let expect_magic r m =
 
 (* every result decoder funnels through here: [Err] carries the offending
    offset; anything else (a defect in a reader) is still converted so that
-   Malformed — or any exception at all — cannot escape a decode_* call *)
+   no exception at all can escape a decode_* call *)
 let c_decode_errors = Telemetry.Counter.make "wire.decode.errors"
 
 let total name f buf =
@@ -240,9 +238,6 @@ let total name f buf =
   | Err (offset, reason) ->
       Telemetry.Counter.incr c_decode_errors;
       Error { offset; reason }
-  | Malformed reason ->
-      Telemetry.Counter.incr c_decode_errors;
-      Error { offset = r.R.pos; reason }
   | Invalid_argument m | Failure m ->
       Telemetry.Counter.incr c_decode_errors;
       Error { offset = r.R.pos; reason = name ^ ": " ^ m }
@@ -500,14 +495,3 @@ let decode_snapshot =
       let snap_s = R.bytes r in
       R.finish r;
       { Wire.snap_round; snap_drawn; snap_bad; snap_banned; snap_commits; snap_s })
-
-(* --- legacy raising decoders (internal/test convenience) --- *)
-
-let raising decode buf =
-  match decode buf with Ok m -> m | Error e -> raise (Malformed (error_to_string e))
-
-let decode_commit_msg buf = raising decode_commit buf
-let decode_flag_msg buf = raising decode_flag buf
-let decode_proof_msg buf = raising decode_proof buf
-let decode_agg_msg buf = raising decode_agg buf
-let decode_broadcast buf = raising decode_broadcast_r buf

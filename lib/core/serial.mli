@@ -20,10 +20,6 @@
     cofactor-robust for honest aggregation, and a deployment would use a
     cofactor-free encoding (Ristretto) as the paper does. *)
 
-exception Malformed of string
-(** Raised only by the legacy [decode_*_msg] wrappers below — never by the
-    result decoders. *)
-
 (** Where and why a frame failed to decode. [offset] is the byte position
     the reader had reached when it rejected the frame. *)
 type error = { offset : int; reason : string }
@@ -54,11 +50,6 @@ module R : sig
   val i32 : t -> int
   val bytes : t -> Bytes.t
 
-  val remaining : t -> int
-  (** Bytes left unread — lets a decoder accept an optional trailing
-      extension (e.g. a protocol-version tail) without breaking old
-      frames. *)
-
   val finish : t -> unit
 end
 
@@ -74,7 +65,7 @@ val encode_agg_msg : Wire.agg_msg -> Bytes.t
 (** The server → clients proof-round broadcast: (s, h₀ … h_k). *)
 val encode_broadcast : s:Bytes.t -> hs:Curve25519.Point.t array -> Bytes.t
 
-(** Total decoders — the only ones the transport-facing paths use. *)
+(** The decoders: total, as above. *)
 
 val decode_commit : Bytes.t -> (Wire.commit_msg, error) result
 val decode_flag : Bytes.t -> (Wire.flag_msg, error) result
@@ -98,12 +89,3 @@ val decode_framed : Bytes.t -> (frame_header * Bytes.t, error) result
 
 val encode_snapshot : Wire.server_snapshot -> Bytes.t
 val decode_snapshot : Bytes.t -> (Wire.server_snapshot, error) result
-
-(** Legacy raising decoders (tests and trusted round-trips).
-    @raise Malformed on any decode failure. *)
-
-val decode_commit_msg : Bytes.t -> Wire.commit_msg
-val decode_flag_msg : Bytes.t -> Wire.flag_msg
-val decode_proof_msg : Bytes.t -> Wire.proof_msg
-val decode_agg_msg : Bytes.t -> Wire.agg_msg
-val decode_broadcast : Bytes.t -> Bytes.t * Curve25519.Point.t array

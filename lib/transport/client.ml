@@ -21,7 +21,7 @@ type config = {
   rounds : int;
   d : int;
   bound : float;
-  attackers : int list;
+  behaviours : Driver.behaviour array;
   deadline_s : float;
   loris : bool;
   die_at : (int * Netsim.stage) option;
@@ -61,17 +61,19 @@ type st = {
   honests : (int, int list * int list) Hashtbl.t;
   results : (int, Proto.result_view) Hashtbl.t;
   cleared_done : (int, unit) Hashtbl.t;  (* rounds whose Cleared was applied *)
-  (* reveal responses are cached by request list: a re-request after a
-     server restart must answer identically without re-deriving *)
-  reveals : (int list, (int * Curve25519.Scalar.t) list option) Hashtbl.t;
+  (* each round's view, derived once when the round opens: the round's
+     steps and its later recovery requests all answer from it *)
+  views : (int, Driver.round_view) Hashtbl.t;
+  (* reveal answers cached by (round, sorted requests) and recovery
+     answers by (round, dropout): a re-request after a server restart
+     must answer identically without re-deriving *)
+  reveals : (int * int list, (int * Curve25519.Scalar.t) list option) Hashtbl.t;
+  recoveries : (int * int, (Curve25519.Scalar.t option * Curve25519.Scalar.t) option) Hashtbl.t;
   outbox : (int * int, Bytes.t) Hashtbl.t;  (* cached framed submit bytes *)
   (* the share topology in force — the server's Hello_ok announcement
      wins over the locally configured mode, so a client started with the
      wrong flag still derives the graph the cohort agreed on *)
   mutable topo_mode : Topology.mode;
-  (* recovery answers cached by (round, dropout): a re-request after a
-     server restart must answer identically *)
-  recoveries : (int * int, (Curve25519.Scalar.t option * Curve25519.Scalar.t) option) Hashtbl.t;
 }
 
 let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
@@ -114,24 +116,17 @@ let fast_forward st ~upto =
       done;
       if upto > st.epoch_applied then st.epoch_applied <- upto
 
-(* the round's frozen epoch, applied to the session as a side effect *)
-let epoch_for st ~round =
-  match st.cohort_for with
-  | None -> None
-  | Some f ->
-      fast_forward st ~upto:(round - 1);
-      let ep = f round in
-      (match ep with Some ep -> Driver.apply_epoch st.session ep | None -> ());
-      if round > st.epoch_applied then st.epoch_applied <- round;
-      ep
-
-let full_cohort st = Array.init st.n (fun i -> i + 1)
-
-let cohort_of st ~round =
-  match st.cohort_for with
-  | None -> full_cohort st
-  | Some f -> (
-      match f round with Some ep -> ep.Membership.ep_cohort | None -> full_cohort st)
+(* the round's view: its epoch (and every earlier one) applied to the
+   session, then the cohort and share graph the server derives too *)
+let view_for st ~round =
+  let epoch =
+    Option.bind st.cohort_for (fun f ->
+        fast_forward st ~upto:round;
+        f round)
+  in
+  let v = Driver.round_view ?epoch ~topology:st.topo_mode st.session ~round in
+  Hashtbl.replace st.views round v;
+  v
 
 let rec connect st ~attempt =
   (* a stale-epoch rejection: fast-forward the locally derivable epochs
@@ -192,52 +187,26 @@ let rec connect st ~attempt =
 
 let ensure_connected st = if st.fd = None then connect st ~attempt:0
 
-(* the round's share graph under the adopted mode (None = all-to-all).
-   [Driver.effective_topology] applies the same shrunken-cohort degree
-   clamp the server applies, so both sides derive the identical graph. *)
-let topo_for st ~round =
-  let cohort = cohort_of st ~round in
-  let mode = Driver.effective_topology st.cfg.setup ~cohort st.topo_mode in
-  Topology.plan ~mode ~seed:st.cfg.seed ~round ~cohort
+let behaviour st = st.cfg.behaviours.(st.cfg.id - 1)
 
-let recovery_answer st ~round ~dropout =
-  match Hashtbl.find_opt st.recoveries (round, dropout) with
+(* a cached answer, computed from [round]'s view on first request (no
+   view: the round never opened here, so nothing to answer) *)
+let answer st tbl key ~round ~what f =
+  match Hashtbl.find_opt tbl key with
   | Some ans -> ans
   | None ->
       let ans =
-        match topo_for st ~round with
-        | None -> None (* all-to-all rounds have no neighborhood recovery *)
-        | Some topo -> (
-            match Client_sm.recovery_response st.client ~round ~topo ~dropout with
-            | resp -> Some resp
-            | exception Client_sm.Server_misbehaving reason ->
-                st.log (Printf.sprintf "refusing recovery: %s" reason);
-                None)
+        Option.bind (Hashtbl.find_opt st.views round) (fun v -> f v (behaviour st) st.client)
       in
-      Hashtbl.replace st.recoveries (round, dropout) ans;
+      if Option.is_none ans then st.log (Printf.sprintf "round %d: no %s answer" round what);
+      Hashtbl.replace tbl key ans;
       ans
-
-let reveal_response st ~requests =
-  let key = List.sort_uniq compare requests in
-  match Hashtbl.find_opt st.reveals key with
-  | Some shares -> shares
-  | None ->
-      let shares =
-        match Client_sm.reveal_shares st.client ~requests with
-        | shares -> Some shares
-        | exception Client_sm.Server_misbehaving reason ->
-            st.log (Printf.sprintf "refusing reveal: %s" reason);
-            None
-      in
-      Hashtbl.replace st.reveals key shares;
-      shares
 
 let dispatch st msg =
   match msg with
-  | Proto.Hello_ok { version; degree; round; _ } ->
+  | Proto.Hello_ok { degree; round; _ } ->
       st.server_round <- Some round;
-      if version >= 2 then
-        st.topo_mode <- (if degree > 0 then Topology.Kregular degree else Topology.Full)
+      st.topo_mode <- (if degree > 0 then Topology.Kregular degree else Topology.Full)
   | Proto.Ack { round; stage; sender; seq = _ } ->
       if sender = st.cfg.id then begin
         Hashtbl.replace st.acked (round, Netsim.stage_index stage) ();
@@ -263,10 +232,21 @@ let dispatch st msg =
   | Proto.Result { round; view } ->
       if not (Hashtbl.mem st.results round) then Hashtbl.replace st.results round view
   | Proto.Reveal_req { dealer; requests } ->
-      if dealer = st.cfg.id then
-        send_msg st (Proto.Reveal_resp { dealer; shares = reveal_response st ~requests })
+      if dealer = st.cfg.id then begin
+        (* a reveal request names no round: it belongs to the round in
+           flight, and a dealer re-deals every round *)
+        let round = st.cur_round in
+        let shares =
+          answer st st.reveals (round, List.sort_uniq compare requests) ~round ~what:"reveal"
+            (Driver.reveal_step ~requests)
+        in
+        send_msg st (Proto.Reveal_resp { dealer; shares })
+      end
   | Proto.Recover_req { round; dropout } -> (
-      match recovery_answer st ~round ~dropout with
+      match
+        answer st st.recoveries (round, dropout) ~round ~what:"recovery"
+          (Driver.recovery_step ~dropout)
+      with
       | Some (share, mask) -> send_msg st (Proto.Recover_resp { round; dropout; share; mask })
       | None -> ())
   | Proto.Reject_stale { current_round; reason } ->
@@ -373,6 +353,15 @@ let submit st ~round ~stage payload =
   if not (acked ()) then Telemetry.Counter.incr c_timeouts;
   st.pending <- None
 
+(* the server's validated commit view; it never sends an undecodable one *)
+let decode_commits bytes =
+  Array.map
+    (fun b ->
+      match Serial.decode_commit b with
+      | Ok c -> c
+      | Error e -> failwith ("client: commit broadcast undecodable: " ^ Serial.error_to_string e))
+    bytes
+
 let run_round st ~round =
   let cfg = st.cfg in
   (* a round this process missed (rejoin/resync): the session already
@@ -381,37 +370,30 @@ let run_round st ~round =
   else begin
   (* freeze the round's membership first: the epoch rotates keys and
      installs the directory before any frame is built *)
-  let ep = epoch_for st ~round in
-  let cohort = match ep with Some ep -> ep.Membership.ep_cohort | None -> full_cohort st in
-  if not (Array.exists (fun id -> id = cfg.id) cohort) then begin
+  let v = view_for st ~round in
+  if not v.Driver.in_cohort.(cfg.id - 1) then begin
     st.log (Printf.sprintf "round %d: outside this round's cohort; sitting out" round);
     None
   end
   else begin
   st.cur_round <- round;
-  let cohort_opt = if Array.length cohort = st.n then None else Some cohort in
-  let updates =
-    Updates.make ~n:st.n ~d:cfg.d ~bound:cfg.bound ~seed:cfg.seed ~attackers:cfg.attackers
-      ~round
+  let b = behaviour st and c = st.client in
+  let send stage encode = Option.iter (fun m -> submit st ~round ~stage (encode m)) in
+  (* the update derivation scales the session's Oversized clients *)
+  let attackers =
+    List.filter
+      (fun id -> match cfg.behaviours.(id - 1) with Driver.Oversized _ -> true | _ -> false)
+      (List.init st.n succ)
   in
-  let update = updates.(cfg.id - 1) in
-  let attacker = List.mem cfg.id cfg.attackers in
-  let topo = topo_for st ~round in
-  (* --- commit --- *)
-  let commit =
-    if attacker then
-      Client_sm.commit_round_unchecked ?topo ?cohort:cohort_opt st.client ~round ~update
-    else Client_sm.commit_round ?topo ?cohort:cohort_opt st.client ~round ~update
+  let update =
+    (Updates.make ~n:st.n ~d:cfg.d ~bound:cfg.bound ~seed:cfg.seed ~attackers ~round).(cfg.id - 1)
   in
-  submit st ~round ~stage:Netsim.Commit (Serial.encode_commit_msg commit);
+  send Netsim.Commit Serial.encode_commit_msg (Driver.commit_step v b c ~update);
   (* --- flags (needs the server's validated commit set) --- *)
   (match wait st ~round (fun () -> Hashtbl.mem st.commits round) with
   | `Got ->
-      let msgs =
-        Array.map Serial.decode_commit_msg (Hashtbl.find st.commits round)
-      in
-      let flag = Client_sm.receive_shares ?topo ?cohort:cohort_opt st.client ~round ~msgs in
-      submit st ~round ~stage:Netsim.Flag (Serial.encode_flag_msg flag)
+      let commits = decode_commits (Hashtbl.find st.commits round) in
+      send Netsim.Flag Serial.encode_flag_msg (Driver.flag_step v b c ~commits)
   | `Resolved | `Timeout -> ());
   (* --- probabilistic check + proof --- *)
   (match wait st ~round (fun () -> Hashtbl.mem st.checks round) with
@@ -423,7 +405,7 @@ let run_round st ~round =
             failwith ("client: check broadcast undecodable: " ^ Serial.error_to_string e)
       in
       let hs_tables = Parallel.parallel_map Curve25519.Point.Table.make hs in
-      match Client_sm.try_proof_round ~hs_tables ?cohort:cohort_opt st.client ~round ~s ~hs with
+      match Driver.proof_step ~hs_tables v b c ~s ~hs with
       | Some proof -> submit st ~round ~stage:Netsim.Proof (Serial.encode_proof_msg proof)
       | None ->
           (* the rational-adversary move: the sampled projections would
@@ -432,17 +414,9 @@ let run_round st ~round =
   | `Resolved | `Timeout -> ());
   (* --- aggregation --- *)
   (match wait st ~round (fun () -> Hashtbl.mem st.honests round) with
-  | `Got -> (
+  | `Got ->
       let honest, malicious = Hashtbl.find st.honests round in
-      if not (List.mem cfg.id malicious) then
-        let agg () =
-          match topo with
-          | None -> Client_sm.agg_round st.client ~honest
-          | Some topo -> Client_sm.agg_round_masked st.client ~round ~topo ~honest
-        in
-        match agg () with
-        | msg -> submit st ~round ~stage:Netsim.Agg (Serial.encode_agg_msg msg)
-        | exception Invalid_argument _ -> ())
+      send Netsim.Agg Serial.encode_agg_msg (Driver.agg_step v b c ~honest ~malicious)
   | `Resolved | `Timeout -> ());
   (* --- result --- *)
   match wait st ~round (fun () -> Hashtbl.mem st.results round) with
@@ -458,6 +432,7 @@ let run ?(log = fun _ -> ()) cfg =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   let n = cfg.setup.Setup.params.Params.n_clients in
   if cfg.id < 1 || cfg.id > n then invalid_arg "Client.run: id out of range";
+  if Array.length cfg.behaviours <> n then invalid_arg "Client.run: need one behaviour per client";
   (* the same session as the server and every sibling: only our own
      client's DRBG fork ever advances in this process *)
   let session = Driver.create_session cfg.setup ~seed:cfg.seed in
@@ -487,10 +462,11 @@ let run ?(log = fun _ -> ()) cfg =
       honests = Hashtbl.create 4;
       results = Hashtbl.create 4;
       cleared_done = Hashtbl.create 4;
+      views = Hashtbl.create 4;
       reveals = Hashtbl.create 4;
+      recoveries = Hashtbl.create 4;
       outbox = Hashtbl.create 16;
       topo_mode = cfg.topology;
-      recoveries = Hashtbl.create 4;
     }
   in
   connect st ~attempt:0;

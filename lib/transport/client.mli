@@ -4,18 +4,19 @@
     Bit-identity with the in-process run comes from construction: the
     process builds the {e same} {!Risefl_core.Driver.session} from the
     shared seed (the per-client DRBGs are independent forks, so the
-    untouched siblings never advance) and derives its per-round update
-    with {!Updates.make} — every scalar it draws matches what the
-    in-process twin would have drawn.
+    untouched siblings never advance), derives its per-round update with
+    {!Updates.make}, and builds every message with the driver's client
+    steps over the round's {!Risefl_core.Driver.round_view}.
 
     Robustness: connect (and reconnect after any socket error) retries
     under jittered exponential backoff; every stage submit retransmits
     until the server's write-ahead ack arrives; per-wait deadlines
     degrade to the quorum path (the round's [Result] is accepted in place
     of a missed broadcast, and a fully silent server ends the round
-    locally instead of hanging). Framed submit bytes are cached per
-    (round, stage) so a reconnect retransmits the identical frame instead
-    of recomputing. *)
+    locally instead of hanging). Framed submits are cached per (round,
+    stage), reveal answers per (round, requests) and recovery answers per
+    (round, dropout), so a reconnect or a restarted server gets identical
+    bytes. *)
 
 type config = {
   addr : Evloop.addr;
@@ -25,7 +26,10 @@ type config = {
   rounds : int;
   d : int;
   bound : float;
-  attackers : int list;  (** the run's global attacker set (shared knowledge) *)
+  behaviours : Risefl_core.Driver.behaviour array;
+      (** the session's behaviour vector, as the in-process [round]
+          builds it: this process acts out its own entry, and the update
+          derivation scales the [Oversized] ones (shared knowledge) *)
   deadline_s : float;  (** per-wait deadline before degrading *)
   loris : bool;  (** write submits one byte at a time (testing) *)
   die_at : (int * Netsim.stage) option;
@@ -33,10 +37,10 @@ type config = {
   max_connect_attempts : int;
   topology : Risefl_topology.Topology.mode;
       (** locally configured share topology; the server's [Hello_ok]
-          announcement (version >= 2) overrides it, so the cohort always
-          derives one graph. Under a k-regular round the client commits
-          wire-v2 (neighbor shares + digest), masks its agg sum pairwise,
-          and answers [Recover_req] for its dropped-out neighbors. *)
+          announcement overrides it, so the cohort always derives one
+          graph. Under a k-regular round the client commits wire-v2
+          (neighbor shares + digest), masks its agg sum pairwise, and
+          answers [Recover_req] from that round's view. *)
   churn : Risefl_core.Membership.spec option;
       (** elastic membership: derive each round's cohort, key rotations
           and epoch locally from the seeded churn schedule — must equal

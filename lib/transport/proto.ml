@@ -3,12 +3,12 @@ module Scalar = Curve25519.Scalar
 module W = Serial.W
 module R = Serial.R
 
-(* The transport protocol revision this build speaks. v0 (unversioned)
-   frames carry no version tail; v2 adds the tails below plus the
-   k-regular recovery sub-exchange (tags 14/15); v3 adds elastic
-   membership — the Hello epoch/rejoin tail, the Hello_ok epoch tail and
-   the typed stale-epoch rejection (tag 16). Bumped with any change an
-   old peer cannot safely ignore. *)
+(* The transport protocol revision this build speaks: v3, with the
+   k-regular recovery sub-exchange (tags 14/15) and elastic membership
+   (the Hello epoch/rejoin fields, the Hello_ok epoch and the typed
+   stale-epoch rejection, tag 16). Bumped with any change a peer of
+   another revision cannot follow; a server talks to its own revision
+   only. *)
 let proto_version = 3
 
 type result_view =
@@ -85,9 +85,8 @@ let encode msg =
       W.u8 b 1;
       W.u32 b client_id;
       W.u32 b resume_round;
-      (* optional tail: a v0 peer stops reading here *)
       W.u32 b version;
-      (* v3 tail: last membership epoch the client has applied, plus the
+      (* the last membership epoch the client has applied, plus the
          enrollment intent (re-enrolling after an absence) *)
       W.u32 b epoch;
       W.u8 b (if rejoin then 1 else 0)
@@ -112,11 +111,10 @@ let encode msg =
       W.u8 b 5;
       W.u32 b n;
       W.u32 b round;
-      (* optional tail: version, then the round topology degree (0 =
-         all-to-all) — a v0 peer stops reading before it *)
       W.u32 b version;
+      (* the round topology degree (0 = all-to-all) and the server's
+         current membership epoch (0 = static) *)
       W.u32 b degree;
-      (* v3 tail: the server's current membership epoch (0 = static) *)
       W.u32 b epoch
   | Ack { round; stage; sender; seq } ->
       W.u8 b 6;
@@ -203,11 +201,9 @@ let decode body =
     | 1 ->
         let client_id = R.u32 r in
         let resume_round = R.u32 r in
-        (* a 9-byte body is a valid legacy v0 hello *)
-        let version = if R.remaining r > 0 then R.u32 r else 0 in
-        (* v3 tail: epoch + rejoin flag; older peers stop before it *)
-        let epoch = if R.remaining r > 0 then R.u32 r else 0 in
-        let rejoin = if R.remaining r > 0 then R.u8 r <> 0 else false in
+        let version = R.u32 r in
+        let epoch = R.u32 r in
+        let rejoin = R.u8 r <> 0 in
         Hello { client_id; resume_round; version; epoch; rejoin }
     | 2 -> Submit (R.bytes r)
     | 3 ->
@@ -229,14 +225,9 @@ let decode body =
     | 5 ->
         let n = R.u32 r in
         let round = R.u32 r in
-        let version, degree =
-          if R.remaining r > 0 then
-            let v = R.u32 r in
-            let d = R.u32 r in
-            (v, d)
-          else (0, 0)
-        in
-        let epoch = if R.remaining r > 0 then R.u32 r else 0 in
+        let version = R.u32 r in
+        let degree = R.u32 r in
+        let epoch = R.u32 r in
         Hello_ok { n; round; version; degree; epoch }
     | 6 ->
         let round = R.u32 r in

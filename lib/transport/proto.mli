@@ -16,23 +16,17 @@
     [Check], [Honest]), [Reveal_req], [Result], and a best-effort [Reject]
     sent before the server closes a violating connection.
 
-    Versioning: [Hello] and [Hello_ok] end in an {e optional} tail that a
-    v0 (pre-versioning) peer simply never reads or writes — a 9-byte
-    Hello body is a valid legacy v0 hello ([version = 0]). A server
-    running a k-regular share topology requires [version >= 2] (the
-    revision that understands wire-v2 commits and the recovery
-    sub-exchange) and cleanly [Reject]s older clients. The [Hello_ok]
-    tail also announces the session's topology degree (0 = all-to-all)
-    so the client derives the identical graph.
-
-    Elastic membership (v3): the [Hello] tail grows the client's last
-    applied membership epoch plus a rejoin flag (re-enrolling after an
-    absence), and the [Hello_ok] tail grows the server's current epoch
-    (0 = static membership). A churn-enabled server requires
-    [version >= 3]; a client whose epoch is stale gets the typed
-    [Reject_stale] — fast-forward the locally derivable epochs (the
-    churn schedule is a pure function of the session seed, so no
-    membership bytes cross the wire) and re-enroll under backoff.
+    Versioning: there is one protocol revision, {!proto_version}.
+    [Hello] carries the client's revision, its last applied membership
+    epoch and a rejoin flag (re-enrolling after an absence); the server
+    [Reject]s any other revision with one check. [Hello_ok] announces the
+    revision, the session's topology degree (0 = all-to-all), so the
+    client derives the identical graph, and the server's current
+    membership epoch (0 = static membership). A client whose epoch is
+    stale gets the typed [Reject_stale]: it fast-forwards the locally
+    derivable epochs (the churn schedule is a pure function of the
+    session seed, so no membership bytes cross the wire) and re-enrolls
+    under backoff.
 
     The k-regular recovery sub-exchange: when an agg-stage dropout's
     blind must be re-interpolated, the server sends [Recover_req] to each

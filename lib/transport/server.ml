@@ -156,29 +156,20 @@ let handle_event st = function
             Evloop.send st.loop conn (Proto.Reject { reason = "unknown client id" });
             Evloop.close_conn st.loop conn
           end
-          else if
-            (st.topo_mode <> Topology.Full || churn_enabled st)
-            && version < Proto.proto_version
-          then begin
-            (* a k-regular session needs wire-v2 commits and the recovery
-               sub-exchange; an elastic session additionally needs the v3
-               epoch handshake. An old client cannot follow — turn it
-               away cleanly instead of convicting it mid-round *)
+          else if version <> Proto.proto_version then begin
+            (* one protocol revision: a peer of any other cannot follow
+               the session — turn it away cleanly instead of convicting
+               it mid-round *)
             Evloop.send st.loop conn
               (Proto.Reject
                  {
                    reason =
-                     Printf.sprintf
-                       "protocol version %d too old: this session runs %s and needs version >= \
-                        %d"
-                       version
-                       (if churn_enabled st then "elastic membership"
-                        else "a k-regular share topology")
+                     Printf.sprintf "protocol version %d: this server speaks version %d" version
                        Proto.proto_version;
                  });
             Evloop.close_conn st.loop conn
           end
-          else if churn_enabled st && version >= 3 && epoch < st.round_now - 1 then begin
+          else if churn_enabled st && epoch < st.round_now - 1 then begin
             (* the client's membership view lags the session: the epochs
                are locally derivable (the churn schedule is a pure
                function of the session seed), so a typed rejection

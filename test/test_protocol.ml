@@ -9,6 +9,7 @@ module Setup = Risefl_core.Setup
 module Driver = Risefl_core.Driver
 module Sampling = Risefl_core.Sampling
 module Channel = Risefl_core.Channel
+module Wire = Risefl_core.Wire
 module Scalar = Curve25519.Scalar
 module Point = Curve25519.Point
 
@@ -144,6 +145,91 @@ let test_serialized_wire_run () =
   in
   Alcotest.(check (list int)) "nobody flagged" [] stats.Driver.flagged;
   check_agg "exact sum over the wire" (sum_updates updates [ 1; 2; 3; 4; 5 ]) stats.Driver.aggregate
+
+(* --- the driver's client steps, one case per behaviour --- *)
+
+(* a session whose clients all commit round 1 honestly through the
+   driver's steps; two sessions on one seed draw identical randomness *)
+let committed seed =
+  let session = Driver.create_session setup ~seed in
+  let clients = Driver.session_clients session in
+  let v = Driver.round_view session ~round:1 in
+  let updates = mk_updates 5 16 in
+  let commits =
+    Array.mapi
+      (fun i c -> Option.get (Driver.commit_step v Driver.Honest c ~update:updates.(i)))
+      clients
+  in
+  (v, clients, commits)
+
+(* ... and then verify their shares honestly *)
+let flagged seed =
+  let v, clients, commits = committed seed in
+  Array.iter (fun c -> ignore (Driver.flag_step v Driver.Honest c ~commits)) clients;
+  (v, clients)
+
+let test_step_oversized () =
+  let session = Driver.create_session setup ~seed:"step-oversized" in
+  let c = (Driver.session_clients session).(0) in
+  let v = Driver.round_view session ~round:1 in
+  let update = Array.make 16 1_000_000 in
+  (match Driver.commit_step v Driver.Honest c ~update with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "an honest client committed an update over the bound");
+  Alcotest.(check bool) "oversized commits unchecked" true
+    (Option.is_some (Driver.commit_step v (Driver.Oversized 50.0) c ~update))
+
+let test_step_bad_share_to () =
+  let _, _, honest = committed "step-badshare" in
+  let session = Driver.create_session setup ~seed:"step-badshare" in
+  let v = Driver.round_view session ~round:1 in
+  let update = (mk_updates 5 16).(0) in
+  let bad =
+    Option.get
+      (Driver.commit_step v (Driver.Bad_share_to [ 2; 4 ]) (Driver.session_clients session).(0)
+         ~update)
+  in
+  Array.iteri
+    (fun j (s : Channel.sealed) ->
+      let same = Bytes.equal s.Channel.body honest.(0).Wire.enc_shares.(j).Channel.body in
+      let targeted = List.mem (j + 1) [ 2; 4 ] in
+      Alcotest.(check bool) (Printf.sprintf "share to %d intact" (j + 1)) (not targeted) same)
+    bad.Wire.enc_shares;
+  Alcotest.(check bool) "commitments untouched" true
+    (Array.for_all2 Point.equal honest.(0).Wire.y bad.Wire.y)
+
+let test_step_false_flags () =
+  let v, clients, commits = committed "step-falseflag" in
+  (* dealer 2 sends client 3 a corrupt share: client 3's own suspect *)
+  let body = Bytes.copy commits.(1).Wire.enc_shares.(2).Channel.body in
+  Bytes.set body 0 (Char.chr (Char.code (Bytes.get body 0) lxor 0xff));
+  let enc_shares = Array.copy commits.(1).Wire.enc_shares in
+  enc_shares.(2) <- { enc_shares.(2) with Channel.body };
+  commits.(1) <- { (commits.(1)) with Wire.enc_shares };
+  let flag = Option.get (Driver.flag_step v (Driver.False_flags [ 4; 2 ]) clients.(2) ~commits) in
+  Alcotest.(check (list int)) "own suspect merged with the false ones" [ 2; 4 ] flag.Wire.suspects
+
+let test_step_agg () =
+  let honest = [ 1; 2; 3; 4; 5 ] in
+  let agg seed b ~malicious =
+    let v, clients = flagged seed in
+    Driver.agg_step v b clients.(2) ~honest ~malicious
+  in
+  let good = Option.get (agg "step-agg" Driver.Honest ~malicious:[]) in
+  let bad = Option.get (agg "step-agg" Driver.Bad_agg_share ~malicious:[]) in
+  Alcotest.(check bool) "r_sum plus one" true
+    (Scalar.equal bad.Wire.r_sum (Scalar.add good.Wire.r_sum Scalar.one));
+  Alcotest.(check bool) "agg-silent sends nothing" true
+    (agg "step-agg" Driver.Agg_silent ~malicious:[] = None);
+  Alcotest.(check bool) "a convicted client sends nothing" true
+    (agg "step-agg" Driver.Honest ~malicious:[ 3 ] = None)
+
+let test_step_reveal_cap () =
+  let v, clients, _ = committed "step-reveal" in
+  Alcotest.(check int) "m shares revealed" 1
+    (List.length (Option.get (Driver.reveal_step v Driver.Honest clients.(0) ~requests:[ 2 ])));
+  Alcotest.(check bool) "more than m refused" true
+    (Driver.reveal_step v Driver.Honest clients.(0) ~requests:[ 2; 3 ] = None)
 
 (* --- params --- *)
 
@@ -288,6 +374,14 @@ let () =
           Alcotest.test_case "serialized wire run" `Quick test_serialized_wire_run;
           Alcotest.test_case "bad agg share tolerated" `Quick test_bad_agg_share_tolerated;
           Alcotest.test_case "reveal-shares cap (rule 2 abuse)" `Quick test_reveal_shares_caps_requests;
+        ] );
+      ( "steps",
+        [
+          Alcotest.test_case "oversized skips the norm check" `Quick test_step_oversized;
+          Alcotest.test_case "bad shares hit only the targets" `Quick test_step_bad_share_to;
+          Alcotest.test_case "false flags merge" `Quick test_step_false_flags;
+          Alcotest.test_case "agg behaviours" `Quick test_step_agg;
+          Alcotest.test_case "reveal over m refused" `Quick test_step_reveal_cap;
         ] );
       ( "params",
         [

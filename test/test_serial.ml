@@ -33,11 +33,16 @@ let commit_msgs, flag_msg, broadcast, proof_msg, agg_msg =
 
 let points_equal a b = Array.for_all2 Curve25519.Point.equal a b
 
+(* a frame that must decode *)
+let ok = function
+  | Ok m -> m
+  | Error e -> Alcotest.failf "genuine frame rejected: %s" (Serial.error_to_string e)
+
 let test_commit_roundtrip () =
   Array.iter
     (fun (m : Wire.commit_msg) ->
       let enc = Serial.encode_commit_msg m in
-      let dec = Serial.decode_commit_msg enc in
+      let dec = ok (Serial.decode_commit enc) in
       Alcotest.(check int) "sender" m.Wire.sender dec.Wire.sender;
       Alcotest.(check bool) "y" true (points_equal m.Wire.y dec.Wire.y);
       Alcotest.(check bool) "check" true (points_equal m.Wire.check dec.Wire.check);
@@ -53,24 +58,24 @@ let test_commit_roundtrip () =
 
 let test_flag_roundtrip () =
   let enc = Serial.encode_flag_msg flag_msg in
-  let dec = Serial.decode_flag_msg enc in
+  let dec = ok (Serial.decode_flag enc) in
   Alcotest.(check int) "sender" flag_msg.Wire.sender dec.Wire.sender;
   Alcotest.(check (list int)) "suspects" flag_msg.Wire.suspects dec.Wire.suspects;
   (* non-trivial suspect list too *)
   let m2 = { Wire.sender = 7; suspects = [ 1; 5; 9 ] } in
-  let dec2 = Serial.decode_flag_msg (Serial.encode_flag_msg m2) in
+  let dec2 = ok (Serial.decode_flag (Serial.encode_flag_msg m2)) in
   Alcotest.(check (list int)) "suspects2" [ 1; 5; 9 ] dec2.Wire.suspects
 
 let test_broadcast_roundtrip () =
   let s, hs = broadcast in
   let enc = Serial.encode_broadcast ~s ~hs in
-  let s', hs' = Serial.decode_broadcast enc in
+  let s', hs' = ok (Serial.decode_broadcast_r enc) in
   Alcotest.(check bool) "s" true (Bytes.equal s s');
   Alcotest.(check bool) "hs" true (points_equal hs hs')
 
 let test_proof_roundtrip_and_verifies () =
   let enc = Serial.encode_proof_msg proof_msg in
-  let dec = Serial.decode_proof_msg enc in
+  let dec = ok (Serial.decode_proof enc) in
   Alcotest.(check bool) "es" true (points_equal proof_msg.Wire.es dec.Wire.es);
   Alcotest.(check bool) "canonical" true (Bytes.equal enc (Serial.encode_proof_msg dec));
   (* crucially: a proof surviving a serialization roundtrip still verifies *)
@@ -81,13 +86,13 @@ let test_proof_roundtrip_and_verifies () =
 
 let test_agg_roundtrip () =
   let enc = Serial.encode_agg_msg agg_msg in
-  let dec = Serial.decode_agg_msg enc in
+  let dec = ok (Serial.decode_agg enc) in
   Alcotest.(check bool) "r_sum" true (Scalar.equal agg_msg.Wire.r_sum dec.Wire.r_sum)
 
 let expect_malformed name f =
   match f () with
-  | exception Serial.Malformed _ -> ()
-  | _ -> Alcotest.fail (name ^ ": should have raised Malformed")
+  | Error (_ : Serial.error) -> ()
+  | Ok _ -> Alcotest.fail (name ^ ": should have been rejected")
 
 let test_rejects_malformed () =
   let enc = Serial.encode_commit_msg commit_msgs.(0) in
@@ -96,28 +101,27 @@ let test_rejects_malformed () =
     let len = Bytes.length enc * i / 8 in
     expect_malformed
       (Printf.sprintf "truncated at %d" len)
-      (fun () -> Serial.decode_commit_msg (Bytes.sub enc 0 len))
+      (fun () -> Serial.decode_commit (Bytes.sub enc 0 len))
   done;
   (* trailing garbage *)
   expect_malformed "trailing" (fun () ->
-      Serial.decode_commit_msg (Bytes.cat enc (Bytes.of_string "x")));
+      Serial.decode_commit (Bytes.cat enc (Bytes.of_string "x")));
   (* wrong type tag *)
-  expect_malformed "wrong type" (fun () -> Serial.decode_flag_msg enc);
+  expect_malformed "wrong type" (fun () -> Serial.decode_flag enc);
   (* corrupt a point encoding (make y non-canonical field element) *)
   let bad = Bytes.copy enc in
   (* first point starts after magic(1) + sender(4) + count(4) = 9 *)
   Bytes.fill bad 9 32 '\xff';
-  expect_malformed "bad point" (fun () -> Serial.decode_commit_msg bad);
+  expect_malformed "bad point" (fun () -> Serial.decode_commit bad);
   (* agg message with non-canonical scalar (the group order) *)
   let agg_enc = Serial.encode_agg_msg agg_msg in
   let bad_agg = Bytes.copy agg_enc in
   Bytes.blit (Bigint.to_bytes_le ~len:32 Scalar.order) 0 bad_agg 5 32;
-  expect_malformed "bad scalar" (fun () -> Serial.decode_agg_msg bad_agg);
+  expect_malformed "bad scalar" (fun () -> Serial.decode_agg bad_agg);
   (* empty input *)
-  expect_malformed "empty" (fun () -> Serial.decode_agg_msg Bytes.empty)
+  expect_malformed "empty" (fun () -> Serial.decode_agg Bytes.empty)
 
-(* the result decoders mirror the raising ones but carry the offending
-   offset instead of an exception *)
+(* a rejected frame carries the offset the reader had reached *)
 let test_result_decoders_offsets () =
   let enc = Serial.encode_commit_msg commit_msgs.(0) in
   (match Serial.decode_commit enc with

@@ -231,7 +231,10 @@ let test_wire_v2 () =
   let v1 = Client.commit_round clients.(0) ~round:1 ~update:updates.(0) in
   let b1 = Serial.encode_commit_msg v1 in
   if Char.code (Bytes.get b1 0) <> 0xC1 then fail "v1 magic wrong";
-  if (Serial.decode_commit_msg b1).Wire.topo_digest <> None then fail "v1 grew a digest";
+  (match Serial.decode_commit b1 with
+  | Ok { Wire.topo_digest = None; _ } -> ()
+  | Ok _ -> fail "v1 grew a digest"
+  | Error e -> fail "v1 rejected: %s" (Serial.error_to_string e));
   (* v2: digest present, magic 0xC8, neighbor-count shares *)
   let v2 = Client.commit_round ~topo clients.(1) ~round:1 ~update:updates.(1) in
   let b2 = Serial.encode_commit_msg v2 in
@@ -239,7 +242,11 @@ let test_wire_v2 () =
   if Array.length v2.Wire.enc_shares <> Topology.degree topo then
     fail "v2 commit carries %d shares, expected k=%d" (Array.length v2.Wire.enc_shares)
       (Topology.degree topo);
-  let dec = Serial.decode_commit_msg b2 in
+  let dec =
+    match Serial.decode_commit b2 with
+    | Ok m -> m
+    | Error e -> fail "v2 rejected: %s" (Serial.error_to_string e)
+  in
   (match dec.Wire.topo_digest with
   | Some d when Bytes.equal d (Topology.digest topo) -> ()
   | Some _ -> fail "v2 digest mangled in transit"

@@ -10,7 +10,8 @@
    bit-identical to the in-process driver on the same seed. Covers the
    loopback round with a slow-loris client, a mid-stage client death
    degrading to the quorum path, a kill -9 mid-round with a WAL-backed
-   restart, and a restart at a sealed round boundary. *)
+   restart, a restart at a sealed round boundary, an elastic cohort, and
+   a client flagging the same honest dealer in every round. *)
 
 module Params = Risefl_core.Params
 module Setup = Risefl_core.Setup
@@ -129,46 +130,25 @@ let test_proto_roundtrip () =
           fail "%s failed to decode: %s" (Proto.tag_name msg)
             (Risefl_core.Serial.error_to_string e))
     msgs;
-  (* trailing garbage and truncations must be rejected, not crash —
-     except the legal truncation points of the optional tails: a 9-byte
-     body is a legacy v0 hello, 13 bytes stop after the v2 version tail,
-     17 bytes stop after the v3 epoch (rejoin defaults to false) *)
-  let b =
-    Proto.encode
-      (Proto.Hello { client_id = 1; resume_round = 1; version = 3; epoch = 2; rejoin = true })
-  in
-  (match Proto.decode (Bytes.cat b (Bytes.of_string "x")) with
-  | Ok _ -> fail "trailing garbage accepted"
-  | Error _ -> ());
-  if Bytes.length b <> 18 then fail "v3 hello should be 18 bytes, got %d" (Bytes.length b);
-  for cut = 0 to Bytes.length b - 1 do
-    match Proto.decode (Bytes.sub b 0 cut) with
-    | Ok (Proto.Hello { client_id = 1; resume_round = 1; version = 0; epoch = 0; rejoin = false })
-      when cut = 9 ->
-        () (* the legacy v0 frame *)
-    | Ok (Proto.Hello { client_id = 1; resume_round = 1; version = 3; epoch = 0; rejoin = false })
-      when cut = 13 ->
-        () (* a v2 peer's hello: version but no membership tail *)
-    | Ok (Proto.Hello { client_id = 1; resume_round = 1; version = 3; epoch = 2; rejoin = false })
-      when cut = 17 ->
-        () (* epoch without the rejoin byte: rejoin defaults off *)
-    | Ok _ -> fail "truncation at %d accepted" cut
-    | Error _ -> ()
-  done;
-  (* same ladder for Hello_ok: 9-byte legacy body, 17-byte v2 body,
-     21-byte v3 body *)
-  let b = Proto.encode (Proto.Hello_ok { n = 5; round = 2; version = 3; degree = 4; epoch = 2 }) in
-  if Bytes.length b <> 21 then fail "v3 hello-ok should be 21 bytes, got %d" (Bytes.length b);
-  for cut = 0 to Bytes.length b - 1 do
-    match Proto.decode (Bytes.sub b 0 cut) with
-    | Ok (Proto.Hello_ok { n = 5; round = 2; version = 0; degree = 0; epoch = 0 }) when cut = 9 ->
-        ()
-    | Ok (Proto.Hello_ok { n = 5; round = 2; version = 3; degree = 4; epoch = 0 }) when cut = 17
-      ->
-        ()
-    | Ok _ -> fail "hello-ok truncation at %d accepted" cut
-    | Error _ -> ()
-  done
+  (* trailing garbage and every truncation must be rejected, not crash:
+     one protocol version, so Hello and Hello_ok have no optional tail *)
+  List.iter
+    (fun (msg, len) ->
+      let b = Proto.encode msg in
+      if Bytes.length b <> len then
+        fail "%s should be %d bytes, got %d" (Proto.tag_name msg) len (Bytes.length b);
+      (match Proto.decode (Bytes.cat b (Bytes.of_string "x")) with
+      | Ok _ -> fail "%s: trailing garbage accepted" (Proto.tag_name msg)
+      | Error _ -> ());
+      for cut = 0 to Bytes.length b - 1 do
+        match Proto.decode (Bytes.sub b 0 cut) with
+        | Ok _ -> fail "%s: truncation at %d accepted" (Proto.tag_name msg) cut
+        | Error _ -> ()
+      done)
+    [
+      (Proto.Hello { client_id = 1; resume_round = 1; version = 3; epoch = 2; rejoin = true }, 18);
+      (Proto.Hello_ok { n = 5; round = 2; version = 3; degree = 4; epoch = 2 }, 21);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* forked serve/client deployments *)
@@ -237,7 +217,8 @@ let read_child (type a) out : (a, string) result =
   v
 
 let client_cfg ?(setup = setup) ~addr ~seed ~id ~rounds ?die_at ?(loris = false) ?churn
-    ?(rejoin = false) () =
+    ?(rejoin = false) ?behaviours () =
+  let n = setup.Setup.params.Params.n_clients in
   {
     Tclient.addr;
     setup;
@@ -246,7 +227,7 @@ let client_cfg ?(setup = setup) ~addr ~seed ~id ~rounds ?die_at ?(loris = false)
     rounds;
     d;
     bound;
-    attackers = [];
+    behaviours = Option.value behaviours ~default:(Driver.honest_all n);
     deadline_s = 60.0;
     loris;
     die_at;
@@ -452,6 +433,58 @@ let test_serve_boundary_restart () =
     fail "the split deployment's verdicts differ from the uninterrupted session";
   if got_s <> want_s then fail "the restarted server drew a different round-3 check string"
 
+(* a rule-2 reveal belongs to its round: client 3 falsely flags client 1
+   in every round, so dealer 1 is asked for the same recipient's share
+   three times and must answer each round with that round's share. The
+   server's and every client's verdicts must equal the in-process
+   session with the same behaviours, which convicts nobody. *)
+let test_serve_false_flags () =
+  let seed = "serve-false-flags" in
+  let rounds = 3 in
+  let behaviours = Driver.honest_all n in
+  behaviours.(2) <- Driver.False_flags [ 1 ];
+  let addr = Evloop.Unix_sock (tmp_name ".sock") in
+  let srv_out = tmp_name ".srv" in
+  let srv =
+    fork_child srv_out (fun () ->
+        let report = Tserver.serve (server_cfg ~addr ~seed ~rounds ()) in
+        List.map (fun (r, o) -> (r, view_of o)) report.Tserver.outcomes)
+  in
+  Unix.sleepf 0.2;
+  let cli_outs = List.init n (fun i -> tmp_name (Printf.sprintf ".f%d" (i + 1))) in
+  let clis =
+    List.mapi
+      (fun i out ->
+        fork_child out (fun () ->
+            Tclient.run (client_cfg ~addr ~seed ~id:(i + 1) ~rounds ~behaviours ())))
+      cli_outs
+  in
+  wait_pid srv;
+  List.iter wait_pid clis;
+  let report =
+    Driver.run_session (Driver.create_session setup ~seed)
+      ~updates_for:(fun r -> Updates.make ~n ~d ~bound ~seed ~attackers:[] ~round:r)
+      ~behaviours ~rounds
+  in
+  let want = List.map (fun (r, o) -> (r, view_of o)) report.Driver.round_outcomes in
+  List.iter
+    (fun (r, v) ->
+      match v with
+      | Proto.Rv_completed { cstar = []; aggregate = Some _ } -> ()
+      | _ -> fail "reference round %d convicted someone or failed" r)
+    want;
+  (match (read_child srv_out : ((int * Proto.result_view) list, string) result) with
+  | Ok got when got = want -> ()
+  | Ok _ -> fail "server verdicts differ from the in-process session"
+  | Error e -> fail "server process failed: %s" e);
+  List.iteri
+    (fun i out ->
+      match (read_child out : ((int * Proto.result_view) list, string) result) with
+      | Ok got when got = want -> ()
+      | Ok _ -> fail "client %d verdicts differ from the in-process session" (i + 1)
+      | Error e -> fail "client %d process failed: %s" (i + 1) e)
+    cli_outs
+
 (* elastic deployment: server and all five clients derive the seeded
    churn schedule locally (no membership bytes on the wire); out-of-cohort
    clients sit rounds out, one client enrolls with the rejoin bit set, and
@@ -535,5 +568,6 @@ let () =
           Alcotest.test_case "kill -9 and WAL restart" `Slow test_serve_kill_restart;
           Alcotest.test_case "restart at a sealed boundary" `Slow test_serve_boundary_restart;
           Alcotest.test_case "elastic churn deployment" `Slow test_serve_churn;
+          Alcotest.test_case "false flags across rounds" `Slow test_serve_false_flags;
         ] );
     ]
