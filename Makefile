@@ -87,7 +87,8 @@ recovery-smoke:
 # rebuilt tables bit-identical, BSGS edge cases), then the group bench
 # smoke — the build fails if the warm-cache precompute speedup falls
 # below 2x over a cold build, or if the range-prove, msm-crossover or
-# fe-kernel (per-op field/point cost) records are missing.
+# fe-kernel (per-op field/point cost, comb multiply and build) records
+# are missing.
 group-smoke:
 	dune exec test/test_group_fast.exe
 	dune exec bench/main.exe -- group --smoke --json /tmp/group-smoke.json --gate-group 2.0
@@ -100,6 +101,8 @@ group-smoke:
 	  || { echo "group-smoke: msm-crossover records missing from bench JSON" >&2; exit 1; }
 	@grep -q '"name": "fe-kernel/fe.invert-ns"' /tmp/group-smoke.json \
 	  && grep -q '"name": "fe-kernel/point.mul-ns"' /tmp/group-smoke.json \
+	  && grep -q '"name": "fe-kernel/point.comb_mul-ns"' /tmp/group-smoke.json \
+	  && grep -q '"name": "fe-kernel/point.comb_build-ns"' /tmp/group-smoke.json \
 	  || { echo "group-smoke: fe-kernel records missing from bench JSON" >&2; exit 1; }
 
 # Deployment-transport gate: the transport suite (frame/proto units plus

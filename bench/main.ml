@@ -557,6 +557,8 @@ and run_parallel_scaling () =
   let dc = if config.smoke then 128 else 1024 in
   let params = risefl_params ~n:4 ~m:1 ~d:dc ~k:4 ~bound:4000.0 in
   let setup = Setup.create ~label:"parmicro/commit" params in
+  (* built once up front: the rows time the steady-state commit *)
+  let w_comb = Setup.w_comb setup in
   let u = Array.init dc (fun i -> (i mod 80) - 40) in
   let blind = Scalar.random drbg in
   let base_cv = ref 0.0 in
@@ -566,8 +568,7 @@ and run_parallel_scaling () =
       Parallel.set_default_jobs jobs;
       let r, s =
         time_min (fun () ->
-            Commitments.Pedersen.commit_vec ~g_table:setup.Setup.g_table ~bases:setup.Setup.w
-              ~values:u ~blind)
+            Commitments.Pedersen.commit_vec ~g_table:setup.Setup.g_table ~w_comb ~values:u ~blind)
       in
       (match !ref_cv with
       | None ->
@@ -604,8 +605,8 @@ let run_ablate () =
       let matrix = Sampling.sample_matrix ~seed ~d ~k ~m_factor:1024.0 in
       let u = Array.init d (fun i -> (i mod 80) - 40) in
       let y =
-        Commitments.Pedersen.commit_vec ~g_table:setup.Setup.g_table ~bases:setup.Setup.w ~values:u
-          ~blind:(Scalar.random drbg)
+        Commitments.Pedersen.commit_vec ~g_table:setup.Setup.g_table ~w_comb:(Setup.w_comb setup)
+          ~values:u ~blind:(Scalar.random drbg)
       in
       let naive_s =
         time (fun () ->
@@ -816,6 +817,10 @@ let run_fe_kernel () =
   let p = Point.mul_base (Scalar.random drbg) and q = Point.mul_base (Scalar.random drbg) in
   let qn = (Point.to_niels_batch [| q |]).(0) in
   let enc = Point.compress p in
+  (* comb rows: one base multiplied (recoding included), and the build
+     cost per base of a 16-base batch, the size one inversion covers *)
+  let comb = Point.Comb.make [| q |] in
+  let comb_batch = Array.init 16 (fun _ -> Point.mul_base (Scalar.random drbg)) in
   (* the result escapes, so the compiler cannot drop the call *)
   let keep f () = ignore (Sys.opaque_identity (f ())) in
   let median xs =
@@ -850,8 +855,19 @@ let run_fe_kernel () =
       ("point.double", 4_000, keep (fun () -> Point.double p));
       ("point.madd", 4_000, keep (fun () -> Point.madd p qn));
       ("point.mul", 20, keep (fun () -> Point.mul s p));
+      ("point.comb_mul", 40, keep (fun () -> Point.Comb.mul_all comb s (fun _ p -> p)));
       ("point.decompress_unchecked", 400, keep (fun () -> Point.decompress_unchecked enc));
-    ]
+    ];
+  let build_ns =
+    let saved = Parallel.default_jobs () in
+    Parallel.set_default_jobs 1;
+    Fun.protect
+      ~finally:(fun () -> Parallel.set_default_jobs saved)
+      (fun () -> ns_per_op 1 (keep (fun () -> Point.Comb.make comb_batch)))
+    /. float_of_int (Array.length comb_batch)
+  in
+  pf "  %-28s %12.1f\n" "point.comb_build (per base)" build_ns;
+  record ~target:"group" ~name:"fe-kernel/point.comb_build-ns" ~jobs:1 build_ns
 
 let run_group () =
   pf "================ group: persistent table cache + dlog knobs ================\n";

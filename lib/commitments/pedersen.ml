@@ -14,12 +14,12 @@ let commit_small key ~value ~blind =
 
 let verify_open key c ~value ~blind = Point.equal c (commit key ~value ~blind)
 
-let commit_vec ~g_table ~bases ~values ~blind =
-  if Array.length bases <> Array.length values then invalid_arg "Pedersen.commit_vec: length mismatch";
-  (* d independent g^{u_l} w_l^{r} commitments — the client's dominant
-     per-round cost — computed over coordinate chunks on the pool *)
-  Parallel.parallel_init (Array.length values) (fun l ->
-      Point.add (Point.Table.mul_small g_table values.(l)) (Point.mul blind bases.(l)))
+let commit_vec ~g_table ~w_comb ~values ~blind =
+  if Point.Comb.length w_comb <> Array.length values then
+    invalid_arg "Pedersen.commit_vec: length mismatch";
+  (* d commitments g^{u_l} w_l^{r} sharing one blind — the client's
+     dominant per-round cost: the comb recodes r once for all d bases *)
+  Point.Comb.mul_all w_comb blind (fun l wr -> Point.add (Point.Table.mul_small g_table values.(l)) wr)
 
 let add c1 c2 =
   if Array.length c1 <> Array.length c2 then invalid_arg "Pedersen.add: length mismatch";

@@ -36,11 +36,12 @@ val commit_small : key -> value:int -> blind:Scalar.t -> Point.t
 (** [verify_open key c ~value ~blind] checks c = g^value · h^blind. *)
 val verify_open : key -> Point.t -> value:Scalar.t -> blind:Scalar.t -> bool
 
-(** [commit_vec ~g_table ~bases ~values ~blind] is the shared-blind vector
-    commitment of Eqn 2: element l is g^{values.(l)} · bases.(l)^blind.
+(** [commit_vec ~g_table ~w_comb ~values ~blind] is the shared-blind
+    vector commitment of Eqn 2: element l is g^{values.(l)} · w_l^blind,
+    w_l being base l of the comb tables [w_comb].
     @raise Invalid_argument on length mismatch. *)
 val commit_vec :
-  g_table:Point.Table.table -> bases:Point.t array -> values:int array -> blind:Scalar.t -> Point.t array
+  g_table:Point.Table.table -> w_comb:Point.Comb.t -> values:int array -> blind:Scalar.t -> Point.t array
 
 (** Homomorphism: [add c1 c2] commits to the coordinate-wise sum with
     blind the sum of blinds. *)

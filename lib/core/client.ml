@@ -86,8 +86,8 @@ let commit_round_unchecked ?topo ?cohort t ~round ~update =
   t.u <- Array.copy update;
   t.r <- Scalar.random t.drbg;
   let y =
-    Pedersen.commit_vec ~g_table:t.setup.Setup.g_table ~bases:t.setup.Setup.w ~values:update
-      ~blind:t.r
+    Pedersen.commit_vec ~g_table:t.setup.Setup.g_table ~w_comb:(Setup.w_comb t.setup)
+      ~values:update ~blind:t.r
   in
   (* all-to-all: shares at every cohort member's own evaluation point
      (the full universe 1..n when no cohort is given — bit-identical to

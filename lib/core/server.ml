@@ -810,15 +810,11 @@ let rec take n = function [] -> [] | x :: tl -> if n = 0 then [] else x :: take 
 (* Shared decode tail: peel the recovered blind r from the per-coordinate
    products [prod l] = Π_{i∈H} y_il and BSGS-decode every coordinate. *)
 let decode_with_r t ~prod ~r =
-  let p = t.setup.Setup.params in
   let neg_r = Scalar.neg r in
   let solver = Lazy.force t.dlog in
-  (* O(d · (n + log ℓ)) point work: the per-coordinate products and blind
-     peeling parallelize over coordinate chunks *)
-  let targets =
-    Parallel.parallel_init p.Params.d (fun l ->
-        Point.add (prod l) (Point.mul neg_r t.setup.Setup.w.(l)))
-  in
+  (* O(d · (n + log ℓ)) point work over coordinate chunks: the blind
+     peel (−R)·w_l runs on the setup's comb tables *)
+  let targets = Point.Comb.mul_all (Setup.w_comb t.setup) neg_r (fun l wr -> Point.add (prod l) wr) in
   let solved = Curve25519.Dlog.solve_many solver targets in
   let bad_coord = ref None in
   Array.iteri (fun l v -> if v = None && !bad_coord = None then bad_coord := Some l) solved;

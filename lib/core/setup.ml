@@ -1,11 +1,14 @@
 module Point = Curve25519.Point
 module Gens = Curve25519.Gens
 
+type w_tables = { lock : Mutex.t; tables : Point.Comb.t Lazy.t }
+
 type t = {
   params : Params.t;
   g : Point.t;
   q : Point.t;
   w : Point.t array;
+  w_tables : w_tables;
   g_table : Point.Table.table;
   q_table : Point.Table.table;
   gq_key : Commitments.Pedersen.key;
@@ -34,9 +37,15 @@ let create ~label (params : Params.t) =
     g;
     q;
     w;
+    w_tables = { lock = Mutex.create (); tables = lazy (Point.Comb.make w) };
     g_table = gq_key.Commitments.Pedersen.g_table;
     q_table = gq_key.Commitments.Pedersen.h_table;
     gq_key;
     bp_gens = Zkp.Range_proof.make_gens ~label:(label ^ "/bp") (bp_gen_count params);
     b0 = Params.b0 params;
   }
+
+(* the mutex makes the first force domain-safe: a Lazy.t forced from two
+   domains at once raises, and the first caller may well be inside a
+   Parallel region (a client's commit, the server's aggregation tail) *)
+let w_comb t = Mutex.protect t.w_tables.lock (fun () -> Lazy.force t.w_tables.tables)

@@ -142,6 +142,21 @@ let mul_small f c =
   carry (l f 0 * c) (l f 1 * c) (l f 2 * c) (l f 3 * c) (l f 4 * c) (l f 5 * c) (l f 6 * c)
     (l f 7 * c) (l f 8 * c) (l f 9 * c)
 
+(* Off-heap limb storage: ten native ints per element, so a large table
+   of field elements costs the GC one custom block, not one array each. *)
+type buf = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+let limbs = 10
+
+let load (b : buf) o =
+  let g i = Bigarray.Array1.unsafe_get b (o + i) in
+  [| g 0; g 1; g 2; g 3; g 4; g 5; g 6; g 7; g 8; g 9 |]
+
+let store (b : buf) o f =
+  for i = 0 to limbs - 1 do
+    Bigarray.Array1.unsafe_set b (o + i) (l f i)
+  done
+
 (* Canonical reduction and little-endian packing (ref10 fe_tobytes). *)
 let to_bytes f =
   let h = carry (l f 0) (l f 1) (l f 2) (l f 3) (l f 4) (l f 5) (l f 6) (l f 7) (l f 8) (l f 9) in

@@ -39,6 +39,20 @@ val invert_batch : t array -> t array
     [x^(2^250-1)]. *)
 val pow_p58 : t -> t
 
+(** Off-heap storage for many field elements: {!limbs} native ints per
+    element, limbs exactly as held in a {!t} (not reduced). *)
+type buf = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+(** Ints per stored element (10). *)
+val limbs : int
+
+(** [load b o] reads the element stored at offset [o] (unchecked: the
+    caller keeps [o + limbs <= dim b]). *)
+val load : buf -> int -> t
+
+(** [store b o x] writes [x] at offset [o] (unchecked, as {!load}). *)
+val store : buf -> int -> t -> unit
+
 (** Canonical 32-byte little-endian encoding (top bit clear). *)
 val to_bytes : t -> Bytes.t
 

@@ -380,6 +380,111 @@ module Table = struct
     end
 end
 
+(* --- fixed-base comb tables for many bases ---
+
+   A Lim–Lee comb with 4 teeth spaced 64 bits apart and signed digits.
+   Entry b (0 <= b < 8) of base P is
+
+     T[b] = (1 + Σ_{j=1..3} ±2^{64j})·P,  sign of tooth j = + iff bit j−1 of b
+
+   A scalar k is made odd (k + ℓ names the same multiple when k is even)
+   and recoded as k' = (k + 2^256 − 1)/2 < 2^256, so that
+   k = Σ_m (2·bit_m(k') − 1)·2^m: every bit position carries ±1.  Column
+   i gathers positions i, i+64, i+128, i+192; factoring out the sign of
+   the first tooth leaves ±T[b_i], with b_i the other three bits (flipped
+   when the first one is 0).  One multiplication is then 63 doublings
+   and 64 madds, every column nonzero, and the recoding is done once per
+   scalar however many bases share it.
+
+   Entries live in one Bigarray of limbs (8 Niels triples, 240 ints per
+   base) rather than on the OCaml heap: a few MB of long-lived table
+   would otherwise inflate the major heap the GC scans and sizes. *)
+
+module Comb = struct
+  let spacing = 64
+  let entries = 8
+  let entry_ints = 3 * Fe.limbs
+  let base_ints = entries * entry_ints
+
+  type t = { buf : Fe.buf; count : int }
+
+  let length t = t.count
+
+  (* 2^256 − 1 *)
+  let all_ones = Bigint.sub (Bigint.shift_left Bigint.one 256) Bigint.one
+
+  (* signed column digits, column i at index i: d > 0 selects +T[d−1],
+     d < 0 selects −T[−d−1]; never 0 *)
+  let recode s =
+    let k = Scalar.to_bigint s in
+    let k = if Bigint.testbit k 0 then k else Bigint.add k Scalar.order in
+    let bits = Bigint.to_digits ~bits:1 ~count:256 (Bigint.shift_right (Bigint.add k all_ones) 1) in
+    Array.init spacing (fun i ->
+        let b = bits.(i + 64) lor (bits.(i + 128) lsl 1) lor (bits.(i + 192) lsl 2) in
+        if bits.(i) = 1 then b + 1 else -((b lxor 7) + 1))
+
+  (* the 8 entries of one base, in extended coordinates *)
+  let entries_of p =
+    let q = Array.make 3 p in
+    let acc = ref p in
+    for j = 0 to 2 do
+      for _ = 1 to spacing do
+        acc := double !acc
+      done;
+      q.(j) <- !acc
+    done;
+    let tbl = Array.make entries (sub (sub (sub p q.(0)) q.(1)) q.(2)) in
+    for j = 0 to 2 do
+      let step = double q.(j) and bit = 1 lsl j in
+      for b = bit to (2 * bit) - 1 do
+        tbl.(b) <- add tbl.(b - bit) step
+      done
+    done;
+    tbl
+
+  (* bases per Montgomery-inversion batch: small, so the transient
+     extended points never leave the minor heap in bulk.  Blocks sit at
+     fixed offsets, so the batch counters do not depend on the job count *)
+  let block = 16
+
+  let make ps =
+    Telemetry.Span.with_ "point.comb.build" @@ fun () ->
+    let count = Array.length ps in
+    let buf = Bigarray.Array1.create Bigarray.int Bigarray.c_layout (count * base_ints) in
+    Parallel.parallel_for ~lo:0 ~hi:((count + block - 1) / block) (fun blo bhi ->
+        for b = blo to bhi - 1 do
+          let l0 = b * block in
+          let n = min block (count - l0) in
+          let nls = to_niels_batch (Array.concat (List.init n (fun i -> entries_of ps.(l0 + i)))) in
+          Array.iteri
+            (fun e nl ->
+              let o = ((l0 * entries) + e) * entry_ints in
+              Fe.store buf o nl.yplusx;
+              Fe.store buf (o + Fe.limbs) nl.yminusx;
+              Fe.store buf (o + (2 * Fe.limbs)) nl.td2)
+            nls
+        done);
+    { buf; count }
+
+  let mul_digits t l digits =
+    let acc = ref identity in
+    for i = spacing - 1 downto 0 do
+      if i < spacing - 1 then acc := double !acc;
+      let d = digits.(i) in
+      let o = ((l * entries) + abs d - 1) * entry_ints in
+      let n =
+        { yplusx = Fe.load t.buf o; yminusx = Fe.load t.buf (o + Fe.limbs); td2 = Fe.load t.buf (o + (2 * Fe.limbs)) }
+      in
+      acc := if d > 0 then madd !acc n else msub !acc n
+    done;
+    !acc
+
+  let mul_all t s f =
+    Telemetry.Counter.add c_scalarmul t.count;
+    let digits = recode s in
+    Parallel.parallel_init t.count (fun l -> f l (mul_digits t l digits))
+end
+
 (* --- base point --- *)
 
 let base =

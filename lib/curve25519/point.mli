@@ -100,6 +100,37 @@ module Table : sig
   val of_bytes : base:t -> Bytes.t -> table option
 end
 
+(** Fixed-base comb tables for many bases that share each scalar (the
+    setup bases w_1 … w_d, multiplied by one blind per round): a Lim–Lee
+    comb with 4 teeth spaced 64 bits apart and signed digits, 8 Niels
+    entries per base, held off the OCaml heap in one Bigarray (1920
+    bytes per base). A multiplication is 63 doublings and 64 {!madd}s,
+    against ~252 doublings and ~42 additions for {!mul}; the results are
+    the same group elements for bases in the prime-order subgroup.
+
+    Precondition: every base lies in that subgroup, as {!base} and the
+    points of [Gens.derive] do (it multiplies by the cofactor 8). An
+    even scalar k is recoded as k + ℓ, which gives k·P only when ℓ·P is
+    the identity; for a point with a torsion component the product is
+    wrong, and no check catches it. *)
+module Comb : sig
+  type point := t
+  type t
+
+  (** [make ps] builds the tables for every point of [ps] (about one
+      {!mul} of work per base, spread over the {!Parallel} pool). *)
+  val make : point array -> t
+
+  (** Number of bases. *)
+  val length : t -> int
+
+  (** [mul_all t s f] is [f l (s·base l)] for every base [l], in base
+      order: the scalar is recoded once and the bases run over the
+      {!Parallel} pool. [f] consumes each product where it is made, so
+      no array of the d intermediate points is ever held. *)
+  val mul_all : t -> Scalar.t -> (int -> point -> 'a) -> 'a array
+end
+
 (** 32-byte compressed encoding (canonical y with sign-of-x bit). *)
 val compress : t -> Bytes.t
 

@@ -45,9 +45,10 @@ let test_commit_homomorphic () =
 let test_commit_vec_shared_blind () =
   let d = 8 in
   let bases = Gens.derive_many "test/w" d in
+  let w_comb = Point.Comb.make bases in
   let values = Array.init d (fun i -> (i * 17) - 50) in
   let blind = Scalar.random drbg in
-  let c = Pedersen.commit_vec ~g_table:key.Pedersen.g_table ~bases ~values ~blind in
+  let c = Pedersen.commit_vec ~g_table:key.Pedersen.g_table ~w_comb ~values ~blind in
   Alcotest.(check int) "length" d (Array.length c);
   (* element l must equal g^{u_l} w_l^r *)
   Array.iteri
@@ -58,10 +59,10 @@ let test_commit_vec_shared_blind () =
   (* aggregation identity of Eqn 6: product over two clients *)
   let values2 = Array.init d (fun i -> i - 3) in
   let blind2 = Scalar.random drbg in
-  let c2 = Pedersen.commit_vec ~g_table:key.Pedersen.g_table ~bases ~values:values2 ~blind:blind2 in
+  let c2 = Pedersen.commit_vec ~g_table:key.Pedersen.g_table ~w_comb ~values:values2 ~blind:blind2 in
   let sum = Pedersen.add c c2 in
   let expected_sum =
-    Pedersen.commit_vec ~g_table:key.Pedersen.g_table ~bases
+    Pedersen.commit_vec ~g_table:key.Pedersen.g_table ~w_comb
       ~values:(Array.map2 ( + ) values values2)
       ~blind:(Scalar.add blind blind2)
   in

@@ -97,6 +97,39 @@ let test_table_matches () =
         (Point.Table.mul_small tbl e))
     [ 0; 1; -1; 7; -8; 8; 15; 16; -16; 255; -255; 65535; -65536; max_int / 2 ]
 
+(* --- comb tables over many bases vs Point.mul --- *)
+
+let test_comb_matches () =
+  let l = Scalar.order in
+  let edge =
+    List.map Scalar.of_bigint
+      [ B.zero; B.one; B.two; B.sub l B.one; B.sub l B.two; B.shift_left B.one 252 ]
+  in
+  (* random scalars of both parities: the recoding adds ℓ to even ones *)
+  let rec draw want_odd =
+    let s = rand_scalar () in
+    if B.testbit (Scalar.to_bigint s) 0 = want_odd then s else draw want_odd
+  in
+  let scalars = edge @ List.init 6 (fun i -> draw (i mod 2 = 0)) in
+  let bases =
+    Array.append
+      [| Point.identity; Point.base |]
+      (Array.init 4 (fun i -> Curve25519.Gens.derive (Printf.sprintf "test-comb/%d" i)))
+  in
+  let comb = Point.Comb.make bases in
+  Alcotest.(check int) "length" (Array.length bases) (Point.Comb.length comb);
+  List.iter
+    (fun s ->
+      let name = B.to_hex (Scalar.to_bigint s) in
+      let all = Point.Comb.mul_all comb s (fun _ p -> p) in
+      Array.iteri
+        (fun i p ->
+          Alcotest.(check bytes)
+            (Printf.sprintf "Comb.mul_all %s, base %d" name i)
+            (Point.compress (Point.mul s p)) (Point.compress all.(i)))
+        bases)
+    scalars
+
 let test_msm_matches () =
   for _ = 1 to 5 do
     let n = 1 + Prng.Drbg.uniform_int drbg 40 in
@@ -353,6 +386,7 @@ let () =
           Alcotest.test_case "mul vs double-and-add" `Quick test_wnaf_mul_matches_reference;
           Alcotest.test_case "double_mul" `Quick test_double_mul_matches;
           Alcotest.test_case "fixed-base table" `Quick test_table_matches;
+          Alcotest.test_case "comb tables vs mul" `Quick test_comb_matches;
           Alcotest.test_case "msm differential" `Quick test_msm_matches;
           Alcotest.test_case "msm Straus/Pippenger crossover" `Quick test_msm_crossover;
         ] );

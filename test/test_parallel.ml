@@ -289,7 +289,10 @@ let test_commit_vec_jobs_invariant () =
     Fun.protect
       ~finally:(fun () -> Parallel.set_default_jobs saved)
       (fun () ->
-        Commitments.Pedersen.commit_vec ~g_table:key.Commitments.Pedersen.g_table ~bases ~values
+        (* the tables are built at this job count too: the build splits
+           the bases over the pool *)
+        let w_comb = Point.Comb.make bases in
+        Commitments.Pedersen.commit_vec ~g_table:key.Commitments.Pedersen.g_table ~w_comb ~values
           ~blind)
   in
   let want = run 1 in
@@ -301,6 +304,28 @@ let test_commit_vec_jobs_invariant () =
         true
         (Array.for_all2 Point.equal want got))
     jobs_ladder
+
+(* --- the setup's lazy comb tables, first forced inside a region --- *)
+
+let test_w_comb_forced_in_region () =
+  let params =
+    Params.make ~n_clients:4 ~max_malicious:1 ~d:64 ~k:4 ~m_factor:64.0 ~bound_b:1000.0 ()
+  in
+  let setup = Setup.create ~label:"test-parallel-comb" params in
+  (* every task races to build the tables; a bare Lazy.force from two
+     domains raises CamlinternalLazy.Undefined *)
+  let got = Parallel.parallel_init ~jobs:4 16 (fun _ -> Setup.w_comb setup) in
+  Array.iter
+    (fun c -> Alcotest.(check bool) "one shared table" true (c == got.(0)))
+    got;
+  let r = Scalar.random drbg in
+  Array.iteri
+    (fun l p ->
+      Alcotest.(check bool)
+        (Printf.sprintf "base %d" l)
+        true
+        (Point.equal p (Point.mul r setup.Setup.w.(l))))
+    (Point.Comb.mul_all got.(0) r (fun _ p -> p))
 
 (* --- full protocol: parallel verification == sequential --- *)
 
@@ -374,6 +399,8 @@ let () =
       ( "protocol",
         [
           Alcotest.test_case "commit_vec jobs-invariant" `Quick test_commit_vec_jobs_invariant;
+          Alcotest.test_case "comb tables forced inside a region" `Quick
+            test_w_comb_forced_in_region;
           Alcotest.test_case "verify/aggregate jobs-invariant" `Slow test_protocol_jobs_invariant;
         ] );
     ]

@@ -462,6 +462,39 @@ let test_golden_bundle_bytes () =
   Alcotest.(check string) "proof_round digest"
     "1b2c43a717c75ad8d4be98939f5eb4f580f4041fced01b6057fac66457a7b1a7" (golden_bundle_digest ())
 
+(* one client's round-1 commit message from a fixed session seed, hashed
+   over its wire encoding: the all-to-all frame (wire v1) and the
+   k-regular frame (wire v2). Pins the d coordinate commitments
+   g^{u_l}·w_l^{r}, the VSSS check string and the sealed shares. *)
+let golden_commit_digest ?topo () =
+  let open Risefl_core in
+  let n = 5 and d = 16 and k = 2 in
+  let udrbg = Prng.Drbg.create_string "golden-commit/updates" in
+  let updates = Array.init n (fun _ -> Array.init d (fun _ -> Prng.Drbg.uniform_int udrbg 80 - 40)) in
+  let bound =
+    1.25 *. Array.fold_left (fun acc u -> Float.max acc (Encoding.Fixed_point.l2_norm_encoded u)) 0.0 updates
+  in
+  let params = Params.make ~n_clients:n ~max_malicious:1 ~d ~k ~m_factor:1024.0 ~bound_b:bound () in
+  let setup = Setup.create ~label:"golden-commit" params in
+  let root = Prng.Drbg.create_string "golden-commit" in
+  let clients = Array.init n (fun i -> Client.create setup ~id:(i + 1) (Prng.Drbg.fork root (string_of_int i))) in
+  let pks = Array.map Client.public_key clients in
+  Array.iter (fun c -> Client.install_directory c pks) clients;
+  let topo =
+    Option.map
+      (fun degree ->
+        Risefl_topology.Topology.make ~seed:"golden-commit" ~round:1 ~cohort:(Array.init n (fun i -> i + 1))
+          ~degree)
+      topo
+  in
+  sha256_hex (Serial.encode_commit_msg (Client.commit_round ?topo clients.(0) ~round:1 ~update:updates.(0)))
+
+let test_golden_commit_bytes () =
+  Alcotest.(check string) "commit_round digest (all-to-all, wire v1)"
+    "a8617c804b7e3b0727c8d2f02042ae84b0b749ebc04e028c7352fb877874a586" (golden_commit_digest ());
+  Alcotest.(check string) "commit_round digest (k-regular, wire v2)"
+    "a3b715412849bd778fdcd6ea1cbd6aa1c2902831cb33024878fc233fff9db9fb" (golden_commit_digest ~topo:2 ())
+
 let test_wf_cross_client_transcripts () =
   (* a proof bound to one transcript context must not verify in another *)
   let r, hs, vs, ss, z, es, os = make_wf_instance 2 in
@@ -527,5 +560,6 @@ let () =
         [
           Alcotest.test_case "range proof bytes" `Quick test_golden_range_bytes;
           Alcotest.test_case "proof bundle bytes" `Quick test_golden_bundle_bytes;
+          Alcotest.test_case "commit message bytes" `Quick test_golden_commit_bytes;
         ] );
     ]
