@@ -83,12 +83,13 @@ recovery-smoke:
 	  || { echo "recovery-smoke: WAL overhead records missing from bench JSON" >&2; exit 1; }
 
 # Group-layer gate: the fast-path differential suite (wNAF vs
-# double-and-add, Straus vs Pippenger across the MSM crossover, cached vs
-# rebuilt tables bit-identical, BSGS edge cases), then the group bench
-# smoke — the build fails if the warm-cache precompute speedup falls
-# below 2x over a cold build, or if the range-prove, msm-crossover or
-# fe-kernel (per-op field/point cost, comb multiply and build) records
-# are missing.
+# double-and-add, Straus vs Pippenger across the MSM crossover, fixed-base
+# tables vs msm, cached vs rebuilt tables bit-identical, BSGS edge cases),
+# then the group bench smoke — the build fails if the warm-cache
+# precompute speedup falls below 2x over a cold build, or if the
+# range-prove, msm-crossover (Straus, Pippenger, fixed tables),
+# ipa-prove (fold and table prover) or fe-kernel (per-op field/point
+# cost, comb multiply and build) records are missing.
 group-smoke:
 	dune exec test/test_group_fast.exe
 	dune exec bench/main.exe -- group --smoke --json /tmp/group-smoke.json --gate-group 2.0
@@ -98,7 +99,11 @@ group-smoke:
 	  || { echo "group-smoke: range-prove records missing from bench JSON" >&2; exit 1; }
 	@grep -q '"name": "msm-crossover-straus"' /tmp/group-smoke.json \
 	  && grep -q '"name": "msm-crossover-pippenger"' /tmp/group-smoke.json \
+	  && grep -q '"name": "msm-crossover-fixed"' /tmp/group-smoke.json \
 	  || { echo "group-smoke: msm-crossover records missing from bench JSON" >&2; exit 1; }
+	@grep -q '"name": "ipa-prove@[0-9]*/fold"' /tmp/group-smoke.json \
+	  && grep -q '"name": "ipa-prove@[0-9]*/table"' /tmp/group-smoke.json \
+	  || { echo "group-smoke: ipa-prove records missing from bench JSON" >&2; exit 1; }
 	@grep -q '"name": "fe-kernel/fe.invert-ns"' /tmp/group-smoke.json \
 	  && grep -q '"name": "fe-kernel/point.mul-ns"' /tmp/group-smoke.json \
 	  && grep -q '"name": "fe-kernel/point.comb_mul-ns"' /tmp/group-smoke.json \

@@ -126,14 +126,17 @@ let write_json path =
         (Printf.sprintf
            "  \"topology\": {\"degree\": %d, \"threshold\": %d, \"digest\": %S},\n" degree
            threshold digest));
+  (* the host's core count, on every record: a jobs>nproc row
+     time-shares domains and is no speedup signal *)
+  let nproc = Domain.recommended_domain_count () in
   Buffer.add_string buf "  \"results\": [";
   List.iteri
     (fun i r ->
       if i > 0 then Buffer.add_char buf ',';
       Buffer.add_string buf
         (Printf.sprintf
-           "\n    {\"target\": %S, \"name\": %S, \"jobs\": %d, \"d\": %d, \"k\": %d, \"n\": %d, \"seconds\": %.6f}"
-           r.r_target r.r_name r.r_jobs r.r_d r.r_k r.r_n r.r_seconds))
+           "\n    {\"target\": %S, \"name\": %S, \"jobs\": %d, \"nproc\": %d, \"d\": %d, \"k\": %d, \"n\": %d, \"seconds\": %.6f}"
+           r.r_target r.r_name r.r_jobs nproc r.r_d r.r_k r.r_n r.r_seconds))
     (List.rev !records);
   Buffer.add_string buf "\n  ]\n}\n";
   let oc = open_out path in
@@ -757,13 +760,16 @@ let rm_rf dir =
     Unix.rmdir dir
   end
 
-(* Prover kernels of the group layer: a Straus vs Pippenger sweep at the
-   same terms (the data [Msm.straus_cutoff] is read off) and range-proof
-   generation at the shapes the client proves (σ: b_ip × k, μ: b_max × 1).
-   Each row is the best of three timings; small MSMs repeat inside a
-   timing so it lasts a few milliseconds. *)
+(* Prover kernels of the group layer: a Straus vs Pippenger vs fixed-base
+   table sweep at the same terms (the data [Msm.straus_cutoff] is read
+   off), the IPA's fold prover against its table prover (the data
+   [Ipa.table_cutoff] is read off) and range-proof generation at the
+   shapes the client proves (σ: b_ip × k, μ: b_max × 1).  Each row is the
+   best of three timings; small MSMs repeat inside a timing so it lasts a
+   few milliseconds. *)
 let run_prover_kernels () =
   let module Range_proof = Zkp.Range_proof in
+  let module Ipa = Zkp.Ipa in
   let best3 f =
     let t () = snd (Telemetry.Clock.time f) in
     Float.min (t ()) (Float.min (t ()) (t ()))
@@ -774,22 +780,58 @@ let run_prover_kernels () =
   let drbg = Prng.Drbg.create_string (ns_seed "bench-group/msm") in
   let maxn = List.fold_left max 0 sizes in
   let pts = Curve25519.Gens.derive_many "bench/group/msm" maxn in
-  pf "msm crossover (jobs=1, seconds per evaluation):\n%8s %12s %12s %8s\n" "points" "straus" "pippenger" "ratio";
+  let fixed = Msm.Fixed.make pts in
+  pf "msm crossover (jobs=1, seconds per evaluation):\n%8s %12s %12s %12s %8s\n" "points" "straus" "pippenger"
+    "fixed" "ratio";
   List.iter
     (fun n ->
       let pairs = Array.init n (fun i -> (Scalar.random drbg, pts.(i))) in
-      if not (Point.equal (Msm.straus pairs) (Msm.pippenger ~jobs:1 pairs)) then
-        failwith "group bench: straus and pippenger disagree";
+      let terms = Array.mapi (fun i (s, _) -> (s, i)) pairs in
+      let want = Msm.straus pairs in
+      if not (Point.equal want (Msm.pippenger ~jobs:1 pairs) && Point.equal want (Msm.Fixed.msm fixed terms)) then
+        failwith "group bench: straus, pippenger and the fixed tables disagree";
       let reps = max 1 (256 / n) in
       let per f = best3 (fun () -> for _ = 1 to reps do ignore (f ()) done) /. float_of_int reps in
       let st = per (fun () -> Msm.straus pairs) in
       let pp = per (fun () -> Msm.pippenger ~jobs:1 pairs) in
-      pf "%8d %12.6f %12.6f %8.2f\n" n st pp (pp /. st);
+      let fx = per (fun () -> Msm.Fixed.msm fixed terms) in
+      pf "%8d %12.6f %12.6f %12.6f %8.2f\n" n st pp fx (pp /. st);
       record ~target:"group" ~name:"msm-crossover-straus" ~jobs:1 ~n st;
-      record ~target:"group" ~name:"msm-crossover-pippenger" ~jobs:1 ~n pp)
+      record ~target:"group" ~name:"msm-crossover-pippenger" ~jobs:1 ~n pp;
+      record ~target:"group" ~name:"msm-crossover-fixed" ~jobs:1 ~n fx)
     sizes;
+  (* one table over the largest generator count serves every size: the
+     table prover reads the first n g's and h's of it *)
+  let ipa_sizes = if config.smoke then [ 64; 128 ] else [ 64; 128; 256; 512; 1024; 2048; 4096 ] in
+  let maxn = List.fold_left max 0 ipa_sizes in
+  let gv = Curve25519.Gens.derive_many "bench/group/ipa-g" maxn
+  and hv = Curve25519.Gens.derive_many "bench/group/ipa-h" maxn
+  and u = Curve25519.Gens.derive "bench/group/ipa-u" in
+  let table = Msm.Fixed.make (Array.concat [ gv; hv; [| u |] ]) in
+  pf "ipa prover (jobs=1, seconds per proof):\n%8s %12s %12s %8s\n" "n" "fold" "table" "ratio";
+  List.iter
+    (fun n ->
+      let a = Array.init n (fun _ -> Scalar.random drbg) and b = Array.init n (fun _ -> Scalar.random drbg) in
+      let h_factor = Scalar.random drbg and u_scale = Scalar.random drbg in
+      let tr () = Zkp.Transcript.create "bench/ipa" in
+      let fold () =
+        Ipa.prove ~h_factor ~u_scale (tr ()) ~g:(Array.sub gv 0 n) ~h:(Array.sub hv 0 n) ~u ~a ~b
+      in
+      let tab () = Ipa.prove_table ~h_factor ~u_scale table (tr ()) ~a ~b in
+      let p1 = fold () and p2 = tab () in
+      if not (Array.for_all2 Point.equal p1.Ipa.ls p2.Ipa.ls && Array.for_all2 Point.equal p1.Ipa.rs p2.Ipa.rs)
+      then failwith "group bench: the fold and table IPA provers disagree";
+      let time f = if n <= 1024 then best3 (fun () -> ignore (f ())) else snd (Telemetry.Clock.time f) in
+      let tf = time fold and tt = time tab in
+      pf "%8d %12.4f %12.4f %8.2f%s\n" n tf tt (tf /. tt) (if n <= Ipa.table_cutoff then "  (table path)" else "");
+      record ~target:"group" ~name:(Printf.sprintf "ipa-prove@%d/fold" n) ~jobs:1 ~n tf;
+      record ~target:"group" ~name:(Printf.sprintf "ipa-prove@%d/table" n) ~jobs:1 ~n tt)
+    ipa_sizes;
   let shapes = if config.smoke then [ (32, 2); (64, 1) ] else [ (32, 2); (64, 1); (32, 4); (128, 1) ] in
   let gens = Range_proof.make_gens ~label:"bench/group/bp" 128 in
+  (* build the prover tables outside the timings, as a session's first
+     round does once *)
+  ignore (Range_proof.tables gens);
   let g = Curve25519.Gens.derive "bench/group/rp-g" and h = Curve25519.Gens.derive "bench/group/rp-h" in
   pf "range-proof generation (seconds per proof):\n";
   List.iter

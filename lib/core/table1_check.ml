@@ -52,10 +52,13 @@ let bands =
     (* absolute proof-gen cost at CI scale is dominated by the range
        proofs' O(k*b_ip + b_max) committed bits, which the asymptotic
        d/log d row drops; the marginal stage below carries the tight check
-       of the d-scaling claim.  Measured 27.9 since the prover stopped
-       materializing h' and folds each generator with one mul (47.9
-       before); the upper bound fails a return to the old prover *)
-    ("client-proofgen", (25.0, 45.0));
+       of the d-scaling claim.  Measured 16.5 since the range prover runs
+       S and each IPA round's L/R as fixed-base table MSMs over the
+       generators (Msm.Fixed, ~32 madds and no doublings per term),
+       tables built before the count; 27.9 with the fold prover (one
+       variable-base mul per folded generator), which the upper bound
+       fails *)
+    ("client-proofgen", (12.0, 22.0));
     ("proofgen-marginal", (0.8, 3.5));
     ("server-prep", (8.0, 25.0));
     ("server-verify", (2.0, 7.0));
@@ -100,6 +103,7 @@ let measure_proofgen ~n ~m ~d ~k ~seed =
   Server.begin_round server ~round:1 ~commits;
   let s, hs = Server.prepare_check server in
   let hs_tables = Parallel.parallel_map Point.Table.make hs in
+  ignore (Zkp.Range_proof.tables setup.Setup.bp_gens);
   let _, ops = delta_ops (fun () -> Client.proof_round ~hs_tables clients.(0) ~round:1 ~s ~hs) in
   ops
 
@@ -165,7 +169,10 @@ let run ?(n = 3) ?(m = 1) ?(d = 256) ?(k = 4) ?(seed = "table1-check") () =
   (* the h_t fixed-base tables are shared per-round precompute, amortized
      over all n clients; kept out of the per-stage attribution *)
   let hs_tables = Parallel.parallel_map Point.Table.make hs in
-  (* --- proof generation (client 1 measured) --- *)
+  (* --- proof generation (client 1 measured) ---
+     the range prover's generator tables are built before the count, as
+     the w comb tables are before the commit's *)
+  ignore (Zkp.Range_proof.tables setup.Setup.bp_gens);
   let p0, gen_ops =
     delta_ops (fun () -> Client.proof_round ~hs_tables clients.(0) ~round:1 ~s ~hs)
   in

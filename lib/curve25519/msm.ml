@@ -161,8 +161,11 @@ let straus pairs =
    gave Pippenger/Straus time ratios of ~3.3 at 3 points, ~1.5 at 65,
    1.2-1.9 at 129, 1.0-1.1 at 193, 1.1-1.2 at 257 and 0.8-0.9 from 385
    on: the crossover sits around 300 points.  256 keeps every size that
-   runs Straus at or above parity; it covers the IPA's cross-term MSMs
-   (3 to n+1 points for n <= 128) and the S commitment up to nt = 64. *)
+   runs Straus at or above parity.  Its small-MSM callers are now the
+   Σ-protocol and Vsss checks, the naive range-proof and IPA verifiers
+   and the fold prover's later rounds above [Ipa.table_cutoff]; the
+   range prover's S commitment and IPA cross terms up to that cutoff
+   run on [Fixed] tables instead. *)
 let straus_cutoff = 256
 
 let msm ?jobs pairs =
@@ -186,6 +189,104 @@ let msm_small ?jobs pairs =
     in
     run ?jobs ~c ~nwindows ~npoints:n ~digits ~points:pts ()
   end
+
+(* Fixed-base tables for many bases whose MSMs run again and again (the
+   Bulletproofs generators).  Entry w of base P is 2^{8w}·P, w < 32, in
+   Niels form, so a scalar's signed 8-bit digits d_w (|d_w| <= 128, an
+   exact recoding of the canonical value) turn Σ s_i·P_i into one bucket
+   sum Σ d·T over 32 terms per base: no doublings at evaluation time,
+   ~32 madds per term plus at most 2·128 additions for the reduction.
+   Entries live in one Bigarray of limbs (960 ints per base), off the
+   OCaml heap like [Point.Comb]. *)
+module Fixed = struct
+  let windows = 32
+  let base_ints = windows * Point.niels_ints
+  let buckets = 128
+
+  type t = { buf : Fe.buf; count : int }
+
+  let length t = t.count
+
+  (* 2^{8w}·p for w < windows, in extended coordinates *)
+  let entries_of p =
+    let e = Array.make windows p in
+    for w = 1 to windows - 1 do
+      let q = ref e.(w - 1) in
+      for _ = 1 to 8 do
+        q := Point.double !q
+      done;
+      e.(w) <- !q
+    done;
+    e
+
+  (* bases per Montgomery-inversion batch, at fixed offsets: the
+     transient points stay small and the batch counters do not depend on
+     the job count *)
+  let block = 16
+
+  let make ps =
+    Telemetry.Span.with_ "msm.fixed.build" @@ fun () ->
+    let count = Array.length ps in
+    let buf = Bigarray.Array1.create Bigarray.int Bigarray.c_layout (count * base_ints) in
+    Parallel.parallel_for ~lo:0 ~hi:((count + block - 1) / block) (fun blo bhi ->
+        for b = blo to bhi - 1 do
+          let l0 = b * block in
+          let n = Stdlib.min block (count - l0) in
+          let nls = Point.to_niels_batch (Array.concat (List.init n (fun i -> entries_of ps.(l0 + i)))) in
+          Array.iteri (fun e nl -> Point.store_niels buf (((l0 * windows) + e) * Point.niels_ints) nl) nls
+        done);
+    { buf; count }
+
+  (* signed digits in [-128, 127], little-endian; a scalar is < 2^253,
+     so the top digit is at most 17 and never carries out *)
+  let digits s =
+    let ds = Bigint.to_digits ~bits:8 ~count:windows (Scalar.to_bigint s) in
+    let carry = ref 0 in
+    for w = 0 to windows - 1 do
+      let d = ds.(w) + !carry in
+      carry := if d >= buckets then 1 else 0;
+      ds.(w) <- d - (!carry lsl 8)
+    done;
+    ds
+
+  (* One pass adds ±2^{8w}·P into bucket |d| for every nonzero digit,
+     then Σ_b b·bucket_b by suffix sums, skipping the leading empty
+     buckets.  The bucket array is written by every madd, so each minor
+     collection during the pass promotes its points: a variant that
+     sorted the digits by bucket and kept its sums in locals promoted
+     ~19 k words per range proof at nt = 64 against this pass's ~243 k,
+     and on the crowd workload the major GC, which OCaml paces by
+     promoted words, then let the other stages' garbage float longer
+     (peak_heap_mb +22% over 10 pairs). *)
+  let msm t terms =
+    Telemetry.Counter.incr c_evals;
+    Telemetry.Counter.add c_points (Array.length terms);
+    let bucket = Array.make (buckets + 1) Point.identity in
+    let used = Array.make (buckets + 1) false in
+    Array.iter
+      (fun (s, l) ->
+        if l < 0 || l >= t.count then invalid_arg "Msm.Fixed.msm: base index out of range";
+        let ds = digits s in
+        for w = 0 to windows - 1 do
+          let d = ds.(w) in
+          if d <> 0 then begin
+            let nl = Point.load_niels t.buf (((l * windows) + w) * Point.niels_ints) in
+            let b = abs d in
+            bucket.(b) <- (if d > 0 then Point.madd bucket.(b) nl else Point.msub bucket.(b) nl);
+            used.(b) <- true
+          end
+        done)
+      terms;
+    let running = ref None and total = ref Point.identity in
+    for b = buckets downto 1 do
+      (match (!running, used.(b)) with
+      | None, true -> running := Some bucket.(b)
+      | Some r, true -> running := Some (Point.add r bucket.(b))
+      | _, false -> ());
+      Option.iter (fun r -> total := Point.add !total r) !running
+    done;
+    !total
+end
 
 (* Growable (scalar, point) term accumulator for random-linear-combination
    batch verification: every verifier equation LHS = RHS contributes the

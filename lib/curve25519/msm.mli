@@ -44,6 +44,35 @@ val window_bits : int -> int
     window) would dominate. Exposed for tests and the cost model. *)
 val seq_cutoff : int
 
+(** Fixed-base tables for bases that many MSMs share (the Bulletproofs
+    generators of the range-proof prover). Each base P keeps its 32
+    multiples 2^{8w}·P (w < 32) in Niels form, off the OCaml heap in one
+    Bigarray: 7680 bytes per base. An evaluation recodes each scalar into
+    32 signed 8-bit digits and runs one bucket sum over 128 buckets: ~32
+    {!Point.madd}s per term, no doublings, plus at most 256 additions for
+    the running-sum reduction.
+
+    The recoding is exact (it is the scalar's canonical value), so there
+    is no subgroup precondition: for any bases, {!Fixed.msm} gives the
+    same group element as {!msm} over the same terms. *)
+module Fixed : sig
+  type t
+
+  (** [make ps] builds the tables of every point of [ps] (31·8 doublings
+      per base, in blocks of 16 bases per field inversion, spread over
+      the {!Parallel} pool). *)
+  val make : Point.t array -> t
+
+  (** Number of bases. *)
+  val length : t -> int
+
+  (** [msm t terms] is Σ s·P_l over the [(s, l)] of [terms], P_l being
+      base [l] of [t]; an index may repeat. Empty input gives the
+      identity. Sequential. Counts toward [msm.evals]/[msm.points].
+      @raise Invalid_argument if an index is outside [0, length t). *)
+  val msm : t -> (Scalar.t * int) array -> Point.t
+end
+
 (** Term accumulator for random-linear-combination batch verification.
 
     Verifier equations [LHS = RHS] are folded by pushing the terms of

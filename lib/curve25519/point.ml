@@ -67,7 +67,20 @@ let madd p n =
   let h = Fe.add b a in
   { x = Fe.mul e f; y = Fe.mul g h; z = Fe.mul f g; t = Fe.mul e h }
 
-let msub p n = madd p { yplusx = n.yminusx; yminusx = n.yplusx; td2 = Fe.neg n.td2 }
+(* madd of the negated entry: y±x swap roles and the 2d·t product
+   changes sign, so f and g trade the sign of c *)
+let msub p n =
+  Telemetry.Counter.incr c_add;
+  Telemetry.Counter.incr c_madd;
+  let a = Fe.mul (Fe.sub p.y p.x) n.yplusx in
+  let b = Fe.mul (Fe.add p.y p.x) n.yminusx in
+  let c = Fe.mul p.t n.td2 in
+  let d = Fe.add p.z p.z in
+  let e = Fe.sub b a in
+  let f = Fe.add d c in
+  let g = Fe.sub d c in
+  let h = Fe.add b a in
+  { x = Fe.mul e f; y = Fe.mul g h; z = Fe.mul f g; t = Fe.mul e h }
 
 let to_niels_batch ps =
   Telemetry.Counter.incr c_niels_batches;
@@ -79,6 +92,17 @@ let to_niels_batch ps =
       let y = Fe.mul p.y zinvs.(i) in
       { yplusx = Fe.add y x; yminusx = Fe.sub y x; td2 = Fe.mul (Fe.mul x y) Fe.edwards_d2 })
     ps
+
+(* off-heap Niels storage: three field elements of limbs per entry *)
+let niels_ints = 3 * Fe.limbs
+
+let store_niels buf o n =
+  Fe.store buf o n.yplusx;
+  Fe.store buf (o + Fe.limbs) n.yminusx;
+  Fe.store buf (o + (2 * Fe.limbs)) n.td2
+
+let load_niels buf o =
+  { yplusx = Fe.load buf o; yminusx = Fe.load buf (o + Fe.limbs); td2 = Fe.load buf (o + (2 * Fe.limbs)) }
 
 let equal p q =
   (* x1/z1 = x2/z2 and y1/z1 = y2/z2 *)
@@ -403,8 +427,7 @@ end
 module Comb = struct
   let spacing = 64
   let entries = 8
-  let entry_ints = 3 * Fe.limbs
-  let base_ints = entries * entry_ints
+  let base_ints = entries * niels_ints
 
   type t = { buf : Fe.buf; count : int }
 
@@ -456,13 +479,7 @@ module Comb = struct
           let l0 = b * block in
           let n = min block (count - l0) in
           let nls = to_niels_batch (Array.concat (List.init n (fun i -> entries_of ps.(l0 + i)))) in
-          Array.iteri
-            (fun e nl ->
-              let o = ((l0 * entries) + e) * entry_ints in
-              Fe.store buf o nl.yplusx;
-              Fe.store buf (o + Fe.limbs) nl.yminusx;
-              Fe.store buf (o + (2 * Fe.limbs)) nl.td2)
-            nls
+          Array.iteri (fun e nl -> store_niels buf (((l0 * entries) + e) * niels_ints) nl) nls
         done);
     { buf; count }
 
@@ -471,10 +488,7 @@ module Comb = struct
     for i = spacing - 1 downto 0 do
       if i < spacing - 1 then acc := double !acc;
       let d = digits.(i) in
-      let o = ((l * entries) + abs d - 1) * entry_ints in
-      let n =
-        { yplusx = Fe.load t.buf o; yminusx = Fe.load t.buf (o + Fe.limbs); td2 = Fe.load t.buf (o + (2 * Fe.limbs)) }
-      in
+      let n = load_niels t.buf (((l * entries) + abs d - 1) * niels_ints) in
       acc := if d > 0 then madd !acc n else msub !acc n
     done;
     !acc

@@ -56,6 +56,15 @@ val msub : t -> niels -> t
     inversion. Identity points convert fine (z is never 0). *)
 val to_niels_batch : t array -> niels array
 
+(** Off-heap Niels storage, for tables of many entries held in one
+    {!Fe.buf}: an entry takes {!niels_ints} ints (three field elements
+    of limbs). [store_niels b o n] writes [n] at offset [o], [load_niels
+    b o] reads it back; both unchecked, as {!Fe.load}. *)
+val niels_ints : int
+
+val store_niels : Fe.buf -> int -> niels -> unit
+val load_niels : Fe.buf -> int -> niels
+
 (** [mul_small n p] is [n]·[p] for a native-int scalar of either sign —
     much faster than {!mul} for short exponents (e.g. 16-bit gradient
     coordinates). *)

@@ -17,10 +17,13 @@ type proof = {
 
 (** [prove ?h_factor ?u_scale tr ~g ~h ~u ~a ~b]. Lengths of [g], [h],
     [a], [b] must be an equal power of two. The caller must already have
-    absorbed P into the transcript. The argument runs over the
-    generators hᵢ' = fⁱ·hᵢ and u' = w·u for [h_factor] f and [u_scale] w
-    (both default to 1), without materializing them: the proof is
-    byte-identical to proving over precomputed h' and u'. *)
+    absorbed P into the transcript. The argument runs over the generators
+    hᵢ' = fⁱ·hᵢ and u' = w·u for [h_factor] f and [u_scale] w (both
+    default to 1), without materializing them: the proof is
+    byte-identical to proving over precomputed h' and u'.
+
+    The generator vectors halve every round, each pair folded with one
+    variable-base multiplication (2·(n−2) per proof). *)
 val prove :
   ?h_factor:Scalar.t ->
   ?u_scale:Scalar.t ->
@@ -31,6 +34,30 @@ val prove :
   a:Scalar.t array ->
   b:Scalar.t array ->
   proof
+
+(** [prove_table ?h_factor ?u_scale t tr ~a ~b] — the same proof as
+    {!prove}, folding no generator: each round's L and R are one
+    {!Curve25519.Msm.Fixed.msm} of n + 1 terms over the original
+    generators, the prover keeping one scalar coefficient per index.
+    [t] holds 2c + 1 bases for some c ≥ n: g₀ … g_{c−1} at indices
+    0 … c−1, h₀ … h_{c−1} at c … 2c−1, and u at 2c; the proof runs over
+    the first n g's and h's.
+    @raise Invalid_argument if n > c. *)
+val prove_table :
+  ?h_factor:Scalar.t ->
+  ?u_scale:Scalar.t ->
+  Curve25519.Msm.Fixed.t ->
+  Transcript.t ->
+  a:Scalar.t array ->
+  b:Scalar.t array ->
+  proof
+
+(** Largest vector length the range prover runs on {!prove_table}
+    (256). The table prover costs O(n log n) table terms against
+    {!prove}'s O(n) variable-base multiplications; in the [ipa-prove@n]
+    rows of [bench group] its lead shrinks from 1.6-2.4x at n = 64 to
+    about parity from 512 to 2048 and a loss at 4096. *)
+val table_cutoff : int
 
 (** [verify tr ~g ~h ~u ~p proof] checks the argument for commitment [p]
     with a single multi-scalar multiplication. *)

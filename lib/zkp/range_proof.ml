@@ -3,14 +3,24 @@ module Point = Curve25519.Point
 module Msm = Curve25519.Msm
 module Gens = Curve25519.Gens
 
-type gens = { gv : Point.t array; hv : Point.t array; u : Point.t }
+type tables = { lock : Mutex.t; fixed : Msm.Fixed.t Lazy.t }
+type gens = { gv : Point.t array; hv : Point.t array; u : Point.t; tables : tables }
+
+(* the tables hold g_0 .. g_{c-1}, h_0 .. h_{c-1} and u, the layout
+   Ipa.prove_table reads, with h_i at index c + i *)
+let table_width n = min Ipa.table_cutoff n
 
 let make_gens ~label n =
-  {
-    gv = Gens.derive_many (label ^ "/bp-g") n;
-    hv = Gens.derive_many (label ^ "/bp-h") n;
-    u = Gens.derive (label ^ "/bp-u");
-  }
+  let gv = Gens.derive_many (label ^ "/bp-g") n
+  and hv = Gens.derive_many (label ^ "/bp-h") n
+  and u = Gens.derive (label ^ "/bp-u") in
+  let c = table_width n in
+  let fixed = lazy (Msm.Fixed.make (Array.concat [ Array.sub gv 0 c; Array.sub hv 0 c; [| u |] ])) in
+  { gv; hv; u; tables = { lock = Mutex.create (); fixed } }
+
+(* under a mutex, as Setup.w_comb: the first prove may run inside a
+   Parallel region *)
+let tables gens = Mutex.protect gens.tables.lock (fun () -> Lazy.force gens.tables.fixed)
 
 type proof = {
   a : Point.t;
@@ -112,11 +122,20 @@ let prove ?g_table ?h_table drbg tr ~gens ~g ~h ~bits ~values ~blinds =
   let sl = Array.init nt (fun _ -> Scalar.random drbg) in
   let sr = Array.init nt (fun _ -> Scalar.random drbg) in
   let rho = Scalar.random drbg in
+  (* up to the cutoff, S and the IPA run on the generators' fixed-base
+     tables; above it, on Msm.msm and the fold prover *)
+  let table = if nt <= Ipa.table_cutoff then Some (tables gens) else None in
   let s_pt =
-    Msm.msm
-      (Array.append
-         [| (rho, h) |]
-         (Array.append (Array.mapi (fun i b -> (b, gv.(i))) sl) (Array.mapi (fun i b -> (b, hv.(i))) sr)))
+    match table with
+    | Some t ->
+        let c = table_width (Array.length gens.gv) in
+        Point.add (tmul h_table rho h)
+          (Msm.Fixed.msm t (Array.init (2 * nt) (fun i -> if i < nt then (sl.(i), i) else (sr.(i - nt), c + i - nt))))
+    | None ->
+        Msm.msm
+          (Array.append
+             [| (rho, h) |]
+             (Array.append (Array.mapi (fun i b -> (b, gv.(i))) sl) (Array.mapi (fun i b -> (b, hv.(i))) sr)))
   in
   Transcript.append_point tr ~label:"rp/A" a_pt;
   Transcript.append_point tr ~label:"rp/S" s_pt;
@@ -155,7 +174,12 @@ let prove ?g_table ?h_table drbg tr ~gens ~g ~h ~bits ~values ~blinds =
   let w = Transcript.challenge_nonzero tr ~label:"rp/w" in
   (* the IPA runs over (gv, h'_i = h_i^{y^-i}, u^w); y^-1 and w go in as
      scalar factors, so h' and u^w are never materialized *)
-  let ipa = Ipa.prove ~h_factor:(Scalar.inv y) ~u_scale:w tr ~g:gv ~h:hv ~u:gens.u ~a:l ~b:r in
+  let h_factor = Scalar.inv y in
+  let ipa =
+    match table with
+    | Some t -> Ipa.prove_table ~h_factor ~u_scale:w t tr ~a:l ~b:r
+    | None -> Ipa.prove ~h_factor ~u_scale:w tr ~g:gv ~h:hv ~u:gens.u ~a:l ~b:r
+  in
   { a = a_pt; s = s_pt; t1 = t1_pt; t2 = t2_pt; t_hat; tau_x; mu; ipa }
 
 let verify tr ~gens ~g ~h ~bits ~commitments proof =

@@ -14,13 +14,30 @@
 module Scalar = Curve25519.Scalar
 module Point = Curve25519.Point
 
+(** The prover's fixed-base tables of a generator set, built on first
+    use: read them through {!tables}. *)
+type tables
+
 (** Generator set. [gv]/[hv] must be at least as long as the largest
     bits·m_padded a proof will use; [u] binds the inner product. Derive
-    once per deployment via {!make_gens}. *)
-type gens = { gv : Point.t array; hv : Point.t array; u : Point.t }
+    once per deployment via {!make_gens}, the only way to make one, so
+    the tables always match the generators. *)
+type gens = private { gv : Point.t array; hv : Point.t array; u : Point.t; tables : tables }
 
-(** [make_gens ~label n] derives 2n+1 independent generators. *)
+(** [make_gens ~label n] derives 2n+1 independent generators. It does
+    not build the tables. *)
 val make_gens : label:string -> int -> gens
+
+(** [tables gens] — the {!Curve25519.Msm.Fixed} tables of the first
+    c = min({!Ipa.table_cutoff}, |gv|) g's and h's and of u, in the
+    layout {!Ipa.prove_table} reads. The first call builds them (7680
+    bytes per base, off the OCaml heap: ~1 MB at |gv| = 64, ~2 MB at
+    128, 3.9 MB at the cutoff); later calls return the same tables.
+    {!prove} calls it when its vector length is at most the cutoff;
+    {!make_gens} and the verifiers never do. Safe from any domain,
+    including inside a {!Parallel} region: the build runs under a
+    mutex. *)
+val tables : gens -> Curve25519.Msm.Fixed.t
 
 type proof = {
   a : Point.t;
@@ -38,7 +55,9 @@ type proof = {
     g^{v_j}·h^{γ_j} with [blinds.(j)] = γ_j. The commitments themselves
     are recomputed and absorbed, so prover and verifier bind the same
     statement. [g_table]/[h_table] are optional fixed-base window tables
-    for [g]/[h] used for the value, T1 and T2 commitments.
+    for [g]/[h] used for the value, T1 and T2 commitments (and, with
+    bits·m_padded at most {!Ipa.table_cutoff}, for S's h term, while
+    S's vector part and the IPA run on {!tables}).
     @raise Invalid_argument on bad shapes, bits, or out-of-range values. *)
 val prove :
   ?g_table:Point.Table.table ->

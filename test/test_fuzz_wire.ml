@@ -16,7 +16,6 @@ module Setup = Risefl_core.Setup
 module Client = Risefl_core.Client
 module Server = Risefl_core.Server
 module Serial = Risefl_core.Serial
-module Wire = Risefl_core.Wire
 module Driver = Risefl_core.Driver
 module Point = Curve25519.Point
 

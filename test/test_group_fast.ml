@@ -191,6 +191,60 @@ let test_msm_crossover () =
         [ ("msm", fun ps -> Msm.msm ps); ("straus", Msm.straus); ("pippenger", fun ps -> Msm.pippenger ps) ])
     crossover_sizes
 
+(* --- fixed-base tables vs Msm.msm ---
+
+   [Msm.Fixed] recodes each scalar exactly into signed 8-bit digits, so
+   it must equal [Msm.msm] for any bases: the edge scalars (the digit
+   carries of ℓ−1, ℓ−2 and 2^252), the identity base, a base with a
+   torsion component (no subgroup precondition, unlike [Point.Comb]),
+   and base indices repeated across terms. *)
+
+let test_fixed_matches () =
+  with_telemetry @@ fun () ->
+  let l = Scalar.order in
+  let edge =
+    Array.of_list
+      (List.map Scalar.of_bigint [ B.zero; B.one; B.two; B.sub l B.one; B.sub l B.two; B.shift_left B.one 252 ])
+  in
+  (* (0, −1) has order 2 *)
+  let two_torsion = Option.get (Point.decompress_unchecked (Curve25519.Fe.to_bytes (Curve25519.Fe.neg Curve25519.Fe.one))) in
+  let derived = Array.init 12 (fun i -> Curve25519.Gens.derive (Printf.sprintf "test-fixed/%d" i)) in
+  let bases =
+    Array.concat [ [| Point.identity; Point.base; Point.add derived.(0) two_torsion |]; derived ]
+  in
+  let nb = Array.length bases in
+  let fixed = Msm.Fixed.make bases in
+  Alcotest.(check int) "length" nb (Msm.Fixed.length fixed);
+  List.iter
+    (fun n ->
+      (* index 7i mod nb repeats every base once n > nb *)
+      let terms =
+        Array.init n (fun i ->
+            ((if i < 2 * Array.length edge then edge.(i mod Array.length edge) else rand_scalar ()), i * 7 mod nb))
+      in
+      let want = Msm.msm (Array.map (fun (s, i) -> (s, bases.(i))) terms) in
+      let e0 = Telemetry.Counter.value c_evals and p0 = Telemetry.Counter.value c_points in
+      Alcotest.(check bytes)
+        (Printf.sprintf "Fixed.msm n=%d == msm" n)
+        (Point.compress want)
+        (Point.compress (Msm.Fixed.msm fixed terms));
+      Alcotest.(check int) (Printf.sprintf "n=%d evals" n) (e0 + 1) (Telemetry.Counter.value c_evals);
+      Alcotest.(check int) (Printf.sprintf "n=%d points" n) (p0 + n) (Telemetry.Counter.value c_points))
+    [ 0; 1; 2; 65; 129; 257 ];
+  (* every edge scalar alone on every base *)
+  Array.iter
+    (fun s ->
+      Array.iteri
+        (fun i p ->
+          Alcotest.(check bytes)
+            (Printf.sprintf "Fixed.msm %s, base %d" (B.to_hex (Scalar.to_bigint s)) i)
+            (Point.compress (Point.mul s p))
+            (Point.compress (Msm.Fixed.msm fixed [| (s, i) |])))
+        bases)
+    edge;
+  Alcotest.check_raises "index out of range" (Invalid_argument "Msm.Fixed.msm: base index out of range")
+    (fun () -> ignore (Msm.Fixed.msm fixed [| (Scalar.one, nb) |]))
+
 (* --- Dlog edge cases --- *)
 
 let test_dlog_zero_range () =
@@ -389,6 +443,7 @@ let () =
           Alcotest.test_case "comb tables vs mul" `Quick test_comb_matches;
           Alcotest.test_case "msm differential" `Quick test_msm_matches;
           Alcotest.test_case "msm Straus/Pippenger crossover" `Quick test_msm_crossover;
+          Alcotest.test_case "fixed-base tables vs msm" `Quick test_fixed_matches;
         ] );
       ( "dlog",
         [

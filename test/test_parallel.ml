@@ -327,6 +327,21 @@ let test_w_comb_forced_in_region () =
         (Point.equal p (Point.mul r setup.Setup.w.(l))))
     (Point.Comb.mul_all got.(0) r (fun _ p -> p))
 
+(* --- the range prover's lazy generator tables, first forced inside a
+   region --- *)
+
+let test_bp_tables_forced_in_region () =
+  let gens = Zkp.Range_proof.make_gens ~label:"test-parallel-bp" 16 in
+  let got = Parallel.parallel_init ~jobs:4 16 (fun _ -> Zkp.Range_proof.tables gens) in
+  Array.iter (fun t -> Alcotest.(check bool) "one shared table" true (t == got.(0))) got;
+  let bases = Array.concat [ gens.Zkp.Range_proof.gv; gens.Zkp.Range_proof.hv; [| gens.Zkp.Range_proof.u |] ] in
+  let terms = Array.mapi (fun i _ -> (Scalar.random drbg, i)) bases in
+  Alcotest.(check bool)
+    "tables hold g, h, u" true
+    (Point.equal
+       (Curve25519.Msm.msm (Array.map (fun (s, i) -> (s, bases.(i))) terms))
+       (Curve25519.Msm.Fixed.msm got.(0) terms))
+
 (* --- full protocol: parallel verification == sequential --- *)
 
 let test_protocol_jobs_invariant () =
@@ -401,6 +416,7 @@ let () =
           Alcotest.test_case "commit_vec jobs-invariant" `Quick test_commit_vec_jobs_invariant;
           Alcotest.test_case "comb tables forced inside a region" `Quick
             test_w_comb_forced_in_region;
+          Alcotest.test_case "bp tables forced inside a region" `Quick test_bp_tables_forced_in_region;
           Alcotest.test_case "verify/aggregate jobs-invariant" `Slow test_protocol_jobs_invariant;
         ] );
     ]

@@ -180,6 +180,11 @@ let test_ipa_roundtrip () =
       Alcotest.(check bool) (Printf.sprintf "n=%d" n) true (Ipa.verify tv ~g:gv ~h:hv ~u ~p proof))
     [ 1; 2; 4; 16; 64 ]
 
+let ipa_bytes (pr : Ipa.proof) =
+  Bytes.concat Bytes.empty
+    (List.map Point.compress (Array.to_list pr.Ipa.ls @ Array.to_list pr.Ipa.rs)
+    @ [ Scalar.to_bytes pr.Ipa.a; Scalar.to_bytes pr.Ipa.b ])
+
 (* the factor form: proving over (h, u) with h_factor f and u_scale w
    must give the very bytes of proving over materialized h'_i = f^i·h_i
    and u' = w·u, and verify against them *)
@@ -203,17 +208,36 @@ let test_ipa_factor_form () =
           (Array.concat
              [ Array.map2 (fun s pt -> (s, pt)) a gv; Array.map2 (fun s pt -> (s, pt)) b hv'; [| (c, u') |] ])
       in
-      let bytes (pr : Ipa.proof) =
-        Bytes.concat Bytes.empty
-          (List.map Point.compress (Array.to_list pr.Ipa.ls @ Array.to_list pr.Ipa.rs)
-          @ [ Scalar.to_bytes pr.Ipa.a; Scalar.to_bytes pr.Ipa.b ])
-      in
       let factored = Ipa.prove ~h_factor:f ~u_scale:w (Transcript.create "ipa") ~g:gv ~h:hv ~u ~a ~b in
       let plain = Ipa.prove (Transcript.create "ipa") ~g:gv ~h:hv' ~u:u' ~a ~b in
-      Alcotest.(check bytes) (Printf.sprintf "n=%d same bytes" n) (bytes plain) (bytes factored);
+      Alcotest.(check bytes) (Printf.sprintf "n=%d same bytes" n) (ipa_bytes plain) (ipa_bytes factored);
       Alcotest.(check bool) (Printf.sprintf "n=%d verifies" n) true
         (Ipa.verify (Transcript.create "ipa") ~g:gv ~h:hv' ~u:u' ~p factored))
     [ 1; 2; 4; 64 ]
+
+(* the table prover (no generator fold, L/R as fixed-base MSMs over the
+   original generators) must give the fold prover's bytes at every
+   length, with random h_factor/u_scale; the tables come from
+   Range_proof.tables, so its layout is the one prove_table reads *)
+let test_ipa_table_vs_fold () =
+  let gens = Range_proof.make_gens ~label:"zkp-test/ipa-table" 256 in
+  let table = Range_proof.tables gens in
+  List.iter
+    (fun n ->
+      let gv = Array.sub gens.Range_proof.gv 0 n and hv = Array.sub gens.Range_proof.hv 0 n in
+      let h_factor = Scalar.random drbg and u_scale = Scalar.random drbg in
+      let a = Array.init n (fun _ -> Scalar.random drbg) in
+      let b = Array.init n (fun _ -> Scalar.random drbg) in
+      let fold =
+        Ipa.prove ~h_factor ~u_scale (Transcript.create "ipa") ~g:gv ~h:hv ~u:gens.Range_proof.u ~a ~b
+      in
+      let tab = Ipa.prove_table ~h_factor ~u_scale table (Transcript.create "ipa") ~a ~b in
+      Alcotest.(check bytes) (Printf.sprintf "n=%d same bytes" n) (ipa_bytes fold) (ipa_bytes tab))
+    [ 1; 2; 4; 8; 16; 32; 64; 128; 256 ];
+  Alcotest.check_raises "longer than the table"
+    (Invalid_argument "Ipa.prove_table: more generators than the table holds") (fun () ->
+      let a = Array.make 512 Scalar.one in
+      ignore (Ipa.prove_table table (Transcript.create "ipa") ~a ~b:a))
 
 let test_ipa_rejects_wrong_p () =
   let n = 8 in
@@ -538,6 +562,7 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_ipa_roundtrip;
           Alcotest.test_case "factor form" `Quick test_ipa_factor_form;
+          Alcotest.test_case "table prover vs fold" `Quick test_ipa_table_vs_fold;
           Alcotest.test_case "rejects" `Quick test_ipa_rejects_wrong_p;
         ] );
       ( "range",
