@@ -89,7 +89,7 @@ recovery-smoke:
 # precompute speedup falls below 2x over a cold build, or if the
 # range-prove, msm-crossover (Straus, Pippenger, fixed tables),
 # ipa-prove (fold and table prover) or fe-kernel (per-op field/point
-# cost, comb multiply and build) records are missing.
+# cost, table and comb multiply and build) records are missing.
 group-smoke:
 	dune exec test/test_group_fast.exe
 	dune exec bench/main.exe -- group --smoke --json /tmp/group-smoke.json --gate-group 2.0
@@ -106,6 +106,8 @@ group-smoke:
 	  || { echo "group-smoke: ipa-prove records missing from bench JSON" >&2; exit 1; }
 	@grep -q '"name": "fe-kernel/fe.invert-ns"' /tmp/group-smoke.json \
 	  && grep -q '"name": "fe-kernel/point.mul-ns"' /tmp/group-smoke.json \
+	  && grep -q '"name": "fe-kernel/point.table_mul-ns"' /tmp/group-smoke.json \
+	  && grep -q '"name": "fe-kernel/point.table_build-ns"' /tmp/group-smoke.json \
 	  && grep -q '"name": "fe-kernel/point.comb_mul-ns"' /tmp/group-smoke.json \
 	  && grep -q '"name": "fe-kernel/point.comb_build-ns"' /tmp/group-smoke.json \
 	  || { echo "group-smoke: fe-kernel records missing from bench JSON" >&2; exit 1; }

@@ -859,8 +859,10 @@ let run_fe_kernel () =
   let p = Point.mul_base (Scalar.random drbg) and q = Point.mul_base (Scalar.random drbg) in
   let qn = (Point.to_niels_batch [| q |]).(0) in
   let enc = Point.compress p in
-  (* comb rows: one base multiplied (recoding included), and the build
-     cost per base of a 16-base batch, the size one inversion covers *)
+  (* table and comb rows: one base multiplied (recoding included), and
+     the build cost per base: one base for a table, a 16-base batch (the
+     size one inversion covers) for the comb *)
+  let table = Point.Table.make q in
   let comb = Point.Comb.make [| q |] in
   let comb_batch = Array.init 16 (fun _ -> Point.mul_base (Scalar.random drbg)) in
   (* the result escapes, so the compiler cannot drop the call *)
@@ -897,6 +899,8 @@ let run_fe_kernel () =
       ("point.double", 4_000, keep (fun () -> Point.double p));
       ("point.madd", 4_000, keep (fun () -> Point.madd p qn));
       ("point.mul", 20, keep (fun () -> Point.mul s p));
+      ("point.table_mul", 100, keep (fun () -> Point.Table.mul table s));
+      ("point.table_build", 4, keep (fun () -> Point.Table.make q));
       ("point.comb_mul", 40, keep (fun () -> Point.Comb.mul_all comb s (fun _ p -> p)));
       ("point.decompress_unchecked", 400, keep (fun () -> Point.decompress_unchecked enc));
     ];

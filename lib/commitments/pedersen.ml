@@ -4,7 +4,6 @@ module Point = Curve25519.Point
 type key = { g : Point.t; h : Point.t; g_table : Point.Table.table; h_table : Point.Table.table }
 
 let make_key ~g ~h = { g; h; g_table = Point.Table.make g; h_table = Point.Table.make h }
-let of_tables ~g_table ~h_table ~g ~h = { g; h; g_table; h_table }
 
 let commit key ~value ~blind =
   Point.add (Point.Table.mul key.g_table value) (Point.Table.mul key.h_table blind)

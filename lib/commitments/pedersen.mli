@@ -20,12 +20,6 @@ type key = {
 (** [make_key ~g ~h] precomputes fixed-base tables for both bases. *)
 val make_key : g:Point.t -> h:Point.t -> key
 
-(** [of_tables ~g_table ~h_table ~g ~h] assembles a key from prebuilt
-    (e.g. cache-loaded) tables instead of rebuilding them; the caller is
-    responsible for each table actually matching its base. *)
-val of_tables :
-  g_table:Point.Table.table -> h_table:Point.Table.table -> g:Point.t -> h:Point.t -> key
-
 (** [commit key ~value ~blind] = g^value · h^blind. *)
 val commit : key -> value:Scalar.t -> blind:Scalar.t -> Point.t
 

@@ -1,8 +1,10 @@
 (* Cached construction of the expensive group-layer precomputations: the
-   BSGS baby table (~sqrt(n·2^b) group elements) and fixed-base point
-   tables (512 entries each).  Both dominate process start-up once the
-   hot paths themselves are fast, so warm starts load them from a
-   Store.Cache directory instead of rebuilding.
+   BSGS baby table (~sqrt(n·2^b) group elements) and the g/q fixed-base
+   tables ([Point.Table]: 512 Niels entries each, off the OCaml heap,
+   serialized by the one serializer every [Point.Niels_store] shares).
+   Both dominate process start-up once the hot paths themselves are fast,
+   so warm starts load them from a Store.Cache directory instead of
+   rebuilding.  The comb and Bulletproofs tables are not persisted yet.
 
    Configuration is process-global (set from the CLI via [configure])
    because the constructors run deep inside Server.create / Setup.create
@@ -70,7 +72,7 @@ let table ?cache ~label ~base () =
   match cache with
   | None -> Point.Table.make base
   | Some c ->
-      let key = Printf.sprintf "table/v2/%s/%s" label (hex (Point.compress base)) in
+      let key = Printf.sprintf "table/v3/%s/%s" label (hex (Point.compress base)) in
       let cached =
         match Store.Cache.load c ~key with
         | None -> None

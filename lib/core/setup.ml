@@ -11,7 +11,6 @@ type t = {
   w_tables : w_tables;
   g_table : Point.Table.table;
   q_table : Point.Table.table;
-  gq_key : Commitments.Pedersen.key;
   bp_gens : Zkp.Range_proof.gens;
   b0 : Bigint.t;
 }
@@ -31,16 +30,14 @@ let create ~label (params : Params.t) =
      persistent cache when one is configured *)
   let g_table = Group_cache.table ~label:(label ^ "/g") ~base:g () in
   let q_table = Group_cache.table ~label:(label ^ "/q") ~base:q () in
-  let gq_key = Commitments.Pedersen.of_tables ~g_table ~h_table:q_table ~g ~h:q in
   {
     params;
     g;
     q;
     w;
     w_tables = { lock = Mutex.create (); tables = lazy (Point.Comb.make w) };
-    g_table = gq_key.Commitments.Pedersen.g_table;
-    q_table = gq_key.Commitments.Pedersen.h_table;
-    gq_key;
+    g_table;
+    q_table;
     bp_gens = Zkp.Range_proof.make_gens ~label:(label ^ "/bp") (bp_gen_count params);
     b0 = Params.b0 params;
   }

@@ -18,7 +18,6 @@ type t = {
   w_tables : w_tables;
   g_table : Curve25519.Point.Table.table;
   q_table : Curve25519.Point.Table.table;
-  gq_key : Commitments.Pedersen.key;  (** Pedersen key over (g, q) *)
   bp_gens : Zkp.Range_proof.gens;
   b0 : Bigint.t;  (** Theorem 1 bound, precomputed *)
 }

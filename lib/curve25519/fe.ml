@@ -142,19 +142,24 @@ let mul_small f c =
   carry (l f 0 * c) (l f 1 * c) (l f 2 * c) (l f 3 * c) (l f 4 * c) (l f 5 * c) (l f 6 * c)
     (l f 7 * c) (l f 8 * c) (l f 9 * c)
 
-(* Off-heap limb storage: ten native ints per element, so a large table
-   of field elements costs the GC one custom block, not one array each. *)
-type buf = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+(* Off-heap limb storage: ten 32-bit limbs per element, so a large table
+   of field elements costs the GC one custom block, not one array each,
+   at half the bytes of native ints.  Every limb a table stores (a
+   product's carried limbs, or the sum or difference of two) is below
+   2^28 in magnitude; [store] checks the 32-bit range. *)
+type buf = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 let limbs = 10
 
 let load (b : buf) o =
-  let g i = Bigarray.Array1.unsafe_get b (o + i) in
+  let g i = Int32.to_int (Bigarray.Array1.unsafe_get b (o + i)) in
   [| g 0; g 1; g 2; g 3; g 4; g 5; g 6; g 7; g 8; g 9 |]
 
 let store (b : buf) o f =
   for i = 0 to limbs - 1 do
-    Bigarray.Array1.unsafe_set b (o + i) (l f i)
+    let v = Int32.of_int (l f i) in
+    if Int32.to_int v <> l f i then invalid_arg "Fe.store: limb out of 32-bit range";
+    Bigarray.Array1.unsafe_set b (o + i) v
   done
 
 (* Canonical reduction and little-endian packing (ref10 fe_tobytes). *)

@@ -39,9 +39,9 @@ val invert_batch : t array -> t array
     [x^(2^250-1)]. *)
 val pow_p58 : t -> t
 
-(** Off-heap storage for many field elements: {!limbs} native ints per
+(** Off-heap storage for many field elements: {!limbs} 32-bit ints per
     element, limbs exactly as held in a {!t} (not reduced). *)
-type buf = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+type buf = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 (** Ints per stored element (10). *)
 val limbs : int
@@ -50,7 +50,8 @@ val limbs : int
     caller keeps [o + limbs <= dim b]). *)
 val load : buf -> int -> t
 
-(** [store b o x] writes [x] at offset [o] (unchecked, as {!load}). *)
+(** [store b o x] writes [x] at offset [o] (unchecked, as {!load}).
+    @raise Invalid_argument if a limb of [x] does not fit in 32 bits. *)
 val store : buf -> int -> t -> unit
 
 (** Canonical 32-byte little-endian encoding (top bit clear). *)

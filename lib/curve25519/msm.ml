@@ -129,16 +129,7 @@ let straus pairs =
   if m = 0 then Point.identity
   else begin
     let digits = Array.map (fun (s, _) -> Scalar.to_wnaf s) live in
-    let ext = Array.make (8 * m) Point.identity in
-    Array.iteri
-      (fun j (_, p) ->
-        let p2 = Point.double p in
-        ext.(8 * j) <- p;
-        for k = 1 to 7 do
-          ext.((8 * j) + k) <- Point.add ext.((8 * j) + k - 1) p2
-        done)
-      live;
-    let tbl = Point.to_niels_batch ext in
+    let tbl = Point.to_niels_batch (Array.concat (List.map (fun (_, p) -> Point.odd_multiples p) (Array.to_list live))) in
     let top = ref 255 in
     while !top > 0 && Array.for_all (fun ds -> ds.(!top) = 0) digits do
       decr top
@@ -192,20 +183,20 @@ let msm_small ?jobs pairs =
 
 (* Fixed-base tables for many bases whose MSMs run again and again (the
    Bulletproofs generators).  Entry w of base P is 2^{8w}·P, w < 32, in
-   Niels form, so a scalar's signed 8-bit digits d_w (|d_w| <= 128, an
-   exact recoding of the canonical value) turn Σ s_i·P_i into one bucket
-   sum Σ d·T over 32 terms per base: no doublings at evaluation time,
-   ~32 madds per term plus at most 2·128 additions for the reduction.
-   Entries live in one Bigarray of limbs (960 ints per base), off the
-   OCaml heap like [Point.Comb]. *)
+   a [Point.Niels_store], so a scalar's signed 8-bit digits d_w
+   (|d_w| <= 128, an exact recoding of the canonical value) turn
+   Σ s_i·P_i into one bucket sum Σ d·T over 32 terms per base: no
+   doublings at evaluation time, ~32 madds per term plus at most 2·128
+   additions for the reduction. *)
 module Fixed = struct
+  module Store = Point.Niels_store
+
   let windows = 32
-  let base_ints = windows * Point.niels_ints
   let buckets = 128
 
-  type t = { buf : Fe.buf; count : int }
+  type t = Store.t
 
-  let length t = t.count
+  let length = Store.count
 
   (* 2^{8w}·p for w < windows, in extended coordinates *)
   let entries_of p =
@@ -219,35 +210,7 @@ module Fixed = struct
     done;
     e
 
-  (* bases per Montgomery-inversion batch, at fixed offsets: the
-     transient points stay small and the batch counters do not depend on
-     the job count *)
-  let block = 16
-
-  let make ps =
-    Telemetry.Span.with_ "msm.fixed.build" @@ fun () ->
-    let count = Array.length ps in
-    let buf = Bigarray.Array1.create Bigarray.int Bigarray.c_layout (count * base_ints) in
-    Parallel.parallel_for ~lo:0 ~hi:((count + block - 1) / block) (fun blo bhi ->
-        for b = blo to bhi - 1 do
-          let l0 = b * block in
-          let n = Stdlib.min block (count - l0) in
-          let nls = Point.to_niels_batch (Array.concat (List.init n (fun i -> entries_of ps.(l0 + i)))) in
-          Array.iteri (fun e nl -> Point.store_niels buf (((l0 * windows) + e) * Point.niels_ints) nl) nls
-        done);
-    { buf; count }
-
-  (* signed digits in [-128, 127], little-endian; a scalar is < 2^253,
-     so the top digit is at most 17 and never carries out *)
-  let digits s =
-    let ds = Bigint.to_digits ~bits:8 ~count:windows (Scalar.to_bigint s) in
-    let carry = ref 0 in
-    for w = 0 to windows - 1 do
-      let d = ds.(w) + !carry in
-      carry := if d >= buckets then 1 else 0;
-      ds.(w) <- d - (!carry lsl 8)
-    done;
-    ds
+  let make ps = Store.build ~span:"msm.fixed.build" ~entries:windows entries_of ps
 
   (* One pass adds ±2^{8w}·P into bucket |d| for every nonzero digit,
      then Σ_b b·bucket_b by suffix sums, skipping the leading empty
@@ -257,7 +220,8 @@ module Fixed = struct
      ~19 k words per range proof at nt = 64 against this pass's ~243 k,
      and on the crowd workload the major GC, which OCaml paces by
      promoted words, then let the other stages' garbage float longer
-     (peak_heap_mb +22% over 10 pairs). *)
+     (peak_heap_mb +22% over 10 pairs).  A scalar is < 2^253, so the top
+     digit is at most 17 and never carries out. *)
   let msm t terms =
     Telemetry.Counter.incr c_evals;
     Telemetry.Counter.add c_points (Array.length terms);
@@ -265,12 +229,12 @@ module Fixed = struct
     let used = Array.make (buckets + 1) false in
     Array.iter
       (fun (s, l) ->
-        if l < 0 || l >= t.count then invalid_arg "Msm.Fixed.msm: base index out of range";
-        let ds = digits s in
+        if l < 0 || l >= length t then invalid_arg "Msm.Fixed.msm: base index out of range";
+        let ds = Store.signed_digits ~bits:8 (Bigint.to_digits ~bits:8 ~count:windows (Scalar.to_bigint s)) in
         for w = 0 to windows - 1 do
           let d = ds.(w) in
           if d <> 0 then begin
-            let nl = Point.load_niels t.buf (((l * windows) + w) * Point.niels_ints) in
+            let nl = Store.entry t l w in
             let b = abs d in
             bucket.(b) <- (if d > 0 then Point.madd bucket.(b) nl else Point.msub bucket.(b) nl);
             used.(b) <- true

@@ -45,16 +45,13 @@ val window_bits : int -> int
 val seq_cutoff : int
 
 (** Fixed-base tables for bases that many MSMs share (the Bulletproofs
-    generators of the range-proof prover). Each base P keeps its 32
-    multiples 2^{8w}·P (w < 32) in Niels form, off the OCaml heap in one
-    Bigarray: 7680 bytes per base. An evaluation recodes each scalar into
-    32 signed 8-bit digits and runs one bucket sum over 128 buckets: ~32
-    {!Point.madd}s per term, no doublings, plus at most 256 additions for
-    the running-sum reduction.
-
-    The recoding is exact (it is the scalar's canonical value), so there
-    is no subgroup precondition: for any bases, {!Fixed.msm} gives the
-    same group element as {!msm} over the same terms. *)
+    generators of the range-proof prover): a {!Point.Niels_store} of the
+    32 multiples 2^{8w}·P (w < 32) of each base P, 3840 bytes per base.
+    An evaluation recodes each scalar into 32 signed 8-bit digits and
+    runs one bucket sum over 128 buckets: ~32 {!Point.madd}s per term, no
+    doublings, plus at most 256 additions for the running-sum reduction.
+    For any bases, {!Fixed.msm} gives the same group element as {!msm}
+    over the same terms. *)
 module Fixed : sig
   type t
 

@@ -93,17 +93,6 @@ let to_niels_batch ps =
       { yplusx = Fe.add y x; yminusx = Fe.sub y x; td2 = Fe.mul (Fe.mul x y) Fe.edwards_d2 })
     ps
 
-(* off-heap Niels storage: three field elements of limbs per entry *)
-let niels_ints = 3 * Fe.limbs
-
-let store_niels buf o n =
-  Fe.store buf o n.yplusx;
-  Fe.store buf (o + Fe.limbs) n.yminusx;
-  Fe.store buf (o + (2 * Fe.limbs)) n.td2
-
-let load_niels buf o =
-  { yplusx = Fe.load buf o; yminusx = Fe.load buf (o + Fe.limbs); td2 = Fe.load buf (o + (2 * Fe.limbs)) }
-
 let equal p q =
   (* x1/z1 = x2/z2 and y1/z1 = y2/z2 *)
   Fe.equal (Fe.mul p.x q.z) (Fe.mul q.x p.z) && Fe.equal (Fe.mul p.y q.z) (Fe.mul q.y p.z)
@@ -251,202 +240,228 @@ let mul_small n p =
     mul_digits digits tbl
   end
 
-(* --- fixed-base tables --- *)
+(* --- fixed-base tables ---
 
-module Table = struct
-  (* tbl.win.(w).(k) = (k+1) * 16^w * P  for w in [0, 63], k in [0, 8),
-     held in precomputed mixed-affine (Niels) form.  Scalars are recoded
-     into signed base-16 digits in [-8, 7], so one multiplication is
-     <= 64 cheap madds against an 8-entry-per-window table — half the
-     entries (and half the build work) of the old unsigned layout. *)
-  type table = { win : niels array array }
+   Every fixed-base table is a [Niels_store]: a fixed number of Niels
+   entries per base, held in one Bigarray of limbs rather than on the
+   OCaml heap (a few MB of long-lived tables would otherwise inflate the
+   major heap the GC scans and sizes).  Entry 0 of every base is the base
+   itself.  One build, one entry loader, one signed-digit recoding and
+   one serializer serve the three multiplication loops, one per shape:
+   [Table] (one base, many scalars), [Comb] (many bases, one scalar) and
+   [Msm.Fixed] (many bases, many scalars, summed). *)
 
-  let windows = 64
-  let entries = 8
+module Niels_store = struct
+  type t = { buf : Fe.buf; count : int; entries : int }
 
-  let make p =
-    (* build time is a span, not a counter: counters must be jobs-invariant *)
-    Telemetry.Span.with_ "point.table.build" @@ fun () ->
-    let ext = Array.make (windows * entries) identity in
-    let base = ref p in
-    for w = 0 to windows - 1 do
-      let e1 = !base in
-      ext.(w * entries) <- e1;
-      let acc = ref (double e1) in
-      ext.((w * entries) + 1) <- !acc;
-      for k = 2 to entries - 1 do
-        acc := add !acc e1;
-        ext.((w * entries) + k) <- !acc
-      done;
-      if w < windows - 1 then begin
-        let b = ref !base in
-        for _ = 1 to 4 do
-          b := double !b
-        done;
-        base := !b
-      end
-    done;
-    (* one Montgomery pass flushes all 512 entries to affine Niels form *)
-    let nls = to_niels_batch ext in
-    let win = Array.init windows (fun w -> Array.sub nls (w * entries) entries) in
-    ignore p;
-    { win }
+  let entry_limbs = 3 * Fe.limbs
 
-  (* signed base-16 recoding: digits in [-8, 7] with carry; scalars are
-     < 2^253 so the top window digit is at most 2 and never carries out *)
-  let signed_digits e =
-    let raw = Bigint.to_digits ~bits:4 ~count:windows e in
-    let out = Array.make windows 0 in
+  let count t = t.count
+
+  let create ~count ~entries =
+    { buf = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout (count * entries * entry_limbs); count; entries }
+
+  let offset t l e = ((l * t.entries) + e) * entry_limbs
+
+  (* checked, so no index reaches the unchecked [Fe.load] out of range *)
+  let entry t l e =
+    if l < 0 || l >= t.count || e < 0 || e >= t.entries then invalid_arg "Point.Niels_store.entry";
+    let o = offset t l e in
+    { yplusx = Fe.load t.buf o; yminusx = Fe.load t.buf (o + Fe.limbs); td2 = Fe.load t.buf (o + (2 * Fe.limbs)) }
+
+  let set t l e n =
+    let o = offset t l e in
+    Fe.store t.buf o n.yplusx;
+    Fe.store t.buf (o + Fe.limbs) n.yminusx;
+    Fe.store t.buf (o + (2 * Fe.limbs)) n.td2
+
+  (* bases per Montgomery-inversion batch: small, so the transient
+     extended points never leave the minor heap in bulk.  Blocks sit at
+     fixed offsets, so the batch counters do not depend on the job count,
+     and a build of one block runs inline *)
+  let block = 16
+
+  let build ~span ~entries entries_of ps =
+    Telemetry.Span.with_ span @@ fun () ->
+    let t = create ~count:(Array.length ps) ~entries in
+    Parallel.parallel_for ~lo:0 ~hi:((t.count + block - 1) / block) (fun blo bhi ->
+        for b = blo to bhi - 1 do
+          let l0 = b * block in
+          let n = Stdlib.min block (t.count - l0) in
+          let ext = Array.concat (List.init n (fun i -> entries_of ps.(l0 + i))) in
+          if Array.length ext <> n * entries then invalid_arg "Point.Niels_store.build: entry count";
+          Array.iteri (fun i nl -> set t (l0 + (i / entries)) (i mod entries) nl) (to_niels_batch ext)
+        done);
+    t
+
+  (* in place: unsigned [bits]-bit digits (little-endian) become signed
+     ones in [-2^(bits-1), 2^(bits-1)) of the same value, by carrying into
+     the next digit; the top digit must leave no carry *)
+  let signed_digits ~bits ds =
     let carry = ref 0 in
-    for w = 0 to windows - 1 do
-      let d = raw.(w) + !carry in
-      if d >= 8 then begin
-        out.(w) <- d - 16;
-        carry := 1
-      end
-      else begin
-        out.(w) <- d;
-        carry := 0
-      end
-    done;
-    assert (!carry = 0);
-    out
+    Array.iteri
+      (fun w d ->
+        let d = d + !carry in
+        carry := if d >= 1 lsl (bits - 1) then 1 else 0;
+        ds.(w) <- d - (!carry lsl bits))
+      ds;
+    if !carry <> 0 then invalid_arg "Point.Niels_store.signed_digits: carry out of the top digit";
+    ds
 
-  let mul tbl s =
-    Telemetry.Counter.incr c_scalarmul;
-    let digits = signed_digits (Scalar.to_bigint s) in
-    let acc = ref identity in
-    for w = 0 to windows - 1 do
-      let d = digits.(w) in
-      if d > 0 then acc := madd !acc tbl.win.(w).(d - 1)
-      else if d < 0 then acc := msub !acc tbl.win.(w).((-d) - 1)
-    done;
-    !acc
+  (* --- serialization ---
 
-  let mul_small tbl n =
-    Telemetry.Counter.incr c_scalarmul;
-    if n = 0 then identity
-    else if n = min_int then invalid_arg "Table.mul_small: exponent out of range"
-    else begin
-      let negp = n < 0 in
-      let acc = ref identity in
-      let w = ref 0 in
-      let v = ref (abs n) in
-      while !v <> 0 do
-        let d0 = !v land 0xf in
-        let d = if d0 >= 8 then d0 - 16 else d0 in
-        if d > 0 then acc := madd !acc tbl.win.(!w).(d - 1)
-        else if d < 0 then acc := msub !acc tbl.win.(!w).((-d) - 1);
-        v := (!v - d) asr 4;
-        incr w
-      done;
-      if negp then neg !acc else !acc
-    end
+     Layout: "RTB3" | u32 count | u32 entries (little-endian), then
+     count·entries Niels triples (y+x, y-x, 2d*t) in base-major order,
+     each a canonical 32-byte field encoding.  Canonical encodings make
+     the serialized form identical whether the table was freshly built or
+     loaded.  Integrity (CRC) and keying are the cache layer's job;
+     [of_bytes] validates the structure and that entry 0 of every base
+     really is that base. *)
 
-  (* --- serialization (for the persistent table cache) ---
+  let magic = "RTB3"
+  let header = 12
+  let serialized_size ~count ~entries = header + (count * entries * 96)
 
-     Layout: "RTB2" | u8 windows | u8 entries | 2 zero bytes, then
-     windows*entries Niels triples (y+x, y-x, 2d*t), each a canonical
-     32-byte field encoding.  Canonical encodings make the serialized
-     form identical whether the table was freshly built or cache-loaded.
-     Integrity (CRC) and keying (base-point compress + params) are the
-     cache layer's job; [of_bytes] validates the structure and that
-     entry (0,0) really is [base]. *)
-
-  let magic = "RTB2"
-  let serialized_size = 8 + (windows * entries * 96)
-
-  let inv_two = lazy (Fe.invert (Fe.of_int 2))
-
-  let to_bytes tbl =
-    let buf = Bytes.make serialized_size '\000' in
+  let to_bytes t =
+    let buf = Bytes.make (serialized_size ~count:t.count ~entries:t.entries) '\000' in
     Bytes.blit_string magic 0 buf 0 4;
-    Bytes.set buf 4 (Char.chr windows);
-    Bytes.set buf 5 (Char.chr entries);
-    let off = ref 8 in
-    Array.iter
-      (fun row ->
-        Array.iter
-          (fun n ->
-            Bytes.blit (Fe.to_bytes n.yplusx) 0 buf !off 32;
-            Bytes.blit (Fe.to_bytes n.yminusx) 0 buf (!off + 32) 32;
-            Bytes.blit (Fe.to_bytes n.td2) 0 buf (!off + 64) 32;
-            off := !off + 96)
-          row)
-      tbl.win;
+    Bytes.set_int32_le buf 4 (Int32.of_int t.count);
+    Bytes.set_int32_le buf 8 (Int32.of_int t.entries);
+    for i = 0 to (t.count * t.entries) - 1 do
+      let n = entry t (i / t.entries) (i mod t.entries) and o = header + (i * 96) in
+      Bytes.blit (Fe.to_bytes n.yplusx) 0 buf o 32;
+      Bytes.blit (Fe.to_bytes n.yminusx) 0 buf (o + 32) 32;
+      Bytes.blit (Fe.to_bytes n.td2) 0 buf (o + 64) 32
+    done;
     buf
 
-  (* reconstruct the extended point a Niels entry denotes *)
+  let half = Fe.invert (Fe.of_int 2)
+
+  (* the extended point a Niels entry denotes *)
   let point_of_niels n =
-    let half = Lazy.force inv_two in
     let x = Fe.mul (Fe.sub n.yplusx n.yminusx) half in
     let y = Fe.mul (Fe.add n.yplusx n.yminusx) half in
     { x; y; z = Fe.one; t = Fe.mul x y }
 
-  let of_bytes ~base b =
-    if Bytes.length b <> serialized_size then None
-    else if not (String.equal (Bytes.sub_string b 0 4) magic) then None
-    else if Char.code (Bytes.get b 4) <> windows || Char.code (Bytes.get b 5) <> entries then
-      None
+  let of_bytes ~entries ~bases b =
+    let count = Array.length bases in
+    if
+      Bytes.length b <> serialized_size ~count ~entries
+      || (not (String.equal (Bytes.sub_string b 0 4) magic))
+      || Bytes.get_int32_le b 4 <> Int32.of_int count
+      || Bytes.get_int32_le b 8 <> Int32.of_int entries
+    then None
     else begin
-      let win =
-        Array.init windows (fun w ->
-            Array.init entries (fun k ->
-                let off = 8 + (((w * entries) + k) * 96) in
-                let fe j = Fe.of_bytes (Bytes.sub b (off + (32 * j)) 32) in
-                { yplusx = fe 0; yminusx = fe 1; td2 = fe 2 }))
-      in
-      let tbl = { win } in
-      (* the cheap semantic check: the (0,0) entry must denote the base
-         point itself (guards against a cache entry for the wrong base
-         slipping past the key) *)
-      if equal (point_of_niels win.(0).(0)) base then Some tbl else None
+      let t = create ~count ~entries in
+      for i = 0 to (count * entries) - 1 do
+        let fe j = Fe.of_bytes (Bytes.sub b (header + (i * 96) + (32 * j)) 32) in
+        set t (i / entries) (i mod entries) { yplusx = fe 0; yminusx = fe 1; td2 = fe 2 }
+      done;
+      (* the cheap semantic check: a cache entry for the wrong base must
+         not slip past the key *)
+      let rec bases_match l = l = count || (equal (point_of_niels (entry t l 0)) bases.(l) && bases_match (l + 1)) in
+      if bases_match 0 then Some t else None
     end
+end
+
+(* One base, many scalars: entry 8w + k of P is (k+1)·16^w·P for w < 64
+   and k < 8.  Scalars are recoded into signed base-16 digits in [-8, 7],
+   so one multiplication is at most 64 madds and no doublings. *)
+module Table = struct
+  type table = Niels_store.t
+
+  let windows = 64
+  let per_window = 8
+  let entries = windows * per_window
+
+  let entries_of p =
+    let ext = Array.make entries p in
+    let base = ref p in
+    for w = 0 to windows - 1 do
+      let e1 = !base in
+      ext.(w * per_window) <- e1;
+      let acc = ref (double e1) in
+      ext.((w * per_window) + 1) <- !acc;
+      for k = 2 to per_window - 1 do
+        acc := add !acc e1;
+        ext.((w * per_window) + k) <- !acc
+      done;
+      if w < windows - 1 then
+        for _ = 1 to 4 do
+          base := double !base
+        done
+    done;
+    ext
+
+  let make p = Niels_store.build ~span:"point.table.build" ~entries entries_of [| p |]
+
+  (* signed digit d of window w selects ±entry 8w + |d| − 1 *)
+  let add_digits tbl ds =
+    let acc = ref identity in
+    Array.iteri
+      (fun w d ->
+        if d > 0 then acc := madd !acc (Niels_store.entry tbl 0 ((w * per_window) + d - 1))
+        else if d < 0 then acc := msub !acc (Niels_store.entry tbl 0 ((w * per_window) - d - 1)))
+      ds;
+    !acc
+
+  (* scalars are < 2^253, so the top window never carries out *)
+  let mul tbl s =
+    Telemetry.Counter.incr c_scalarmul;
+    add_digits tbl (Niels_store.signed_digits ~bits:4 (Bigint.to_digits ~bits:4 ~count:windows (Scalar.to_bigint s)))
+
+  (* |n| < 2^62 fills at most 16 nibbles; one more digit takes the carry *)
+  let mul_small tbl n =
+    Telemetry.Counter.incr c_scalarmul;
+    if n = min_int then invalid_arg "Table.mul_small: exponent out of range";
+    let v = abs n in
+    let rec len w = if w < 16 && v lsr (4 * w) <> 0 then len (w + 1) else w in
+    let nibbles = Array.init (len 0 + 1) (fun w -> if w < 16 then (v lsr (4 * w)) land 0xf else 0) in
+    let p = add_digits tbl (Niels_store.signed_digits ~bits:4 nibbles) in
+    if n < 0 then neg p else p
+
+  let serialized_size = Niels_store.serialized_size ~count:1 ~entries
+  let to_bytes = Niels_store.to_bytes
+  let of_bytes ~base b = Niels_store.of_bytes ~entries ~bases:[| base |] b
 end
 
 (* --- fixed-base comb tables for many bases ---
 
    A Lim–Lee comb with 4 teeth spaced 64 bits apart and signed digits.
-   Entry b (0 <= b < 8) of base P is
+   Comb entry b (0 <= b < 8) of base P is
 
      T[b] = (1 + Σ_{j=1..3} ±2^{64j})·P,  sign of tooth j = + iff bit j−1 of b
 
-   A scalar k is made odd (k + ℓ names the same multiple when k is even)
-   and recoded as k' = (k + 2^256 − 1)/2 < 2^256, so that
+   and sits at entry 1 + b, after P itself.  An odd scalar k < 2^256 is
+   recoded as k' = (k + 2^256 − 1)/2 < 2^256, so that
    k = Σ_m (2·bit_m(k') − 1)·2^m: every bit position carries ±1.  Column
    i gathers positions i, i+64, i+128, i+192; factoring out the sign of
    the first tooth leaves ±T[b_i], with b_i the other three bits (flipped
    when the first one is 0).  One multiplication is then 63 doublings
    and 64 madds, every column nonzero, and the recoding is done once per
-   scalar however many bases share it.
-
-   Entries live in one Bigarray of limbs (8 Niels triples, 240 ints per
-   base) rather than on the OCaml heap: a few MB of long-lived table
-   would otherwise inflate the major heap the GC scans and sizes. *)
+   scalar however many bases share it.  An even k runs as (k + 1)·P − P,
+   one more msub, so the result is exact for every base, torsion
+   component or not. *)
 
 module Comb = struct
   let spacing = 64
-  let entries = 8
-  let base_ints = entries * niels_ints
 
-  type t = { buf : Fe.buf; count : int }
+  type t = Niels_store.t
 
-  let length t = t.count
+  let length = Niels_store.count
 
   (* 2^256 − 1 *)
   let all_ones = Bigint.sub (Bigint.shift_left Bigint.one 256) Bigint.one
 
-  (* signed column digits, column i at index i: d > 0 selects +T[d−1],
-     d < 0 selects −T[−d−1]; never 0 *)
-  let recode s =
-    let k = Scalar.to_bigint s in
-    let k = if Bigint.testbit k 0 then k else Bigint.add k Scalar.order in
+  (* signed column digits of an odd k, column i at index i: d > 0 selects
+     +T[d−1], d < 0 selects −T[−d−1]; never 0 *)
+  let recode k =
     let bits = Bigint.to_digits ~bits:1 ~count:256 (Bigint.shift_right (Bigint.add k all_ones) 1) in
     Array.init spacing (fun i ->
         let b = bits.(i + 64) lor (bits.(i + 128) lsl 1) lor (bits.(i + 192) lsl 2) in
         if bits.(i) = 1 then b + 1 else -((b lxor 7) + 1))
 
-  (* the 8 entries of one base, in extended coordinates *)
+  (* P and its 8 comb entries, in extended coordinates *)
   let entries_of p =
     let q = Array.make 3 p in
     let acc = ref p in
@@ -456,47 +471,37 @@ module Comb = struct
       done;
       q.(j) <- !acc
     done;
-    let tbl = Array.make entries (sub (sub (sub p q.(0)) q.(1)) q.(2)) in
+    let tbl = Array.make 9 p in
+    tbl.(1) <- sub (sub (sub p q.(0)) q.(1)) q.(2);
     for j = 0 to 2 do
       let step = double q.(j) and bit = 1 lsl j in
       for b = bit to (2 * bit) - 1 do
-        tbl.(b) <- add tbl.(b - bit) step
+        tbl.(1 + b) <- add tbl.(1 + b - bit) step
       done
     done;
     tbl
 
-  (* bases per Montgomery-inversion batch: small, so the transient
-     extended points never leave the minor heap in bulk.  Blocks sit at
-     fixed offsets, so the batch counters do not depend on the job count *)
-  let block = 16
+  let make ps = Niels_store.build ~span:"point.comb.build" ~entries:9 entries_of ps
 
-  let make ps =
-    Telemetry.Span.with_ "point.comb.build" @@ fun () ->
-    let count = Array.length ps in
-    let buf = Bigarray.Array1.create Bigarray.int Bigarray.c_layout (count * base_ints) in
-    Parallel.parallel_for ~lo:0 ~hi:((count + block - 1) / block) (fun blo bhi ->
-        for b = blo to bhi - 1 do
-          let l0 = b * block in
-          let n = min block (count - l0) in
-          let nls = to_niels_batch (Array.concat (List.init n (fun i -> entries_of ps.(l0 + i)))) in
-          Array.iteri (fun e nl -> store_niels buf (((l0 * entries) + e) * niels_ints) nl) nls
-        done);
-    { buf; count }
-
+  (* digit d selects ±T[|d| − 1], which is entry |d| *)
   let mul_digits t l digits =
     let acc = ref identity in
     for i = spacing - 1 downto 0 do
       if i < spacing - 1 then acc := double !acc;
       let d = digits.(i) in
-      let n = load_niels t.buf (((l * entries) + abs d - 1) * niels_ints) in
+      let n = Niels_store.entry t l (abs d) in
       acc := if d > 0 then madd !acc n else msub !acc n
     done;
     !acc
 
   let mul_all t s f =
-    Telemetry.Counter.add c_scalarmul t.count;
-    let digits = recode s in
-    Parallel.parallel_init t.count (fun l -> f l (mul_digits t l digits))
+    Telemetry.Counter.add c_scalarmul (length t);
+    let k = Scalar.to_bigint s in
+    let even = not (Bigint.testbit k 0) in
+    let digits = recode (if even then Bigint.add k Bigint.one else k) in
+    Parallel.parallel_init (length t) (fun l ->
+        let p = mul_digits t l digits in
+        f l (if even then msub p (Niels_store.entry t l 0) else p))
 end
 
 (* --- base point --- *)

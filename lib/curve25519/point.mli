@@ -56,14 +56,9 @@ val msub : t -> niels -> t
     inversion. Identity points convert fine (z is never 0). *)
 val to_niels_batch : t array -> niels array
 
-(** Off-heap Niels storage, for tables of many entries held in one
-    {!Fe.buf}: an entry takes {!niels_ints} ints (three field elements
-    of limbs). [store_niels b o n] writes [n] at offset [o], [load_niels
-    b o] reads it back; both unchecked, as {!Fe.load}. *)
-val niels_ints : int
-
-val store_niels : Fe.buf -> int -> niels -> unit
-val load_niels : Fe.buf -> int -> niels
+(** [odd_multiples p] is [[| p; 3p; 5p; …; 15p |]]: the precompute of
+    a width-5 wNAF multiplication (one doubling and seven additions). *)
+val odd_multiples : t -> t array
 
 (** [mul_small n p] is [n]·[p] for a native-int scalar of either sign —
     much faster than {!mul} for short exponents (e.g. 16-bit gradient
@@ -77,10 +72,47 @@ val mul_base : Scalar.t -> t
     generation: g^x · h^r). *)
 val double_mul : Scalar.t -> t -> Scalar.t -> t -> t
 
-(** A precomputed fixed-base table for an arbitrary base point: 64
-    windows of the 8 multiples (k+1)·16^w·P in Niels form, driven by a
-    signed base-16 recoding (digits in [−8, 7]), so a multiplication is
-    at most 64 {!madd}s. *)
+(** {2 Fixed-base tables}
+
+    Every fixed-base table is a {!Niels_store}: a fixed number of Niels
+    entries per base, off the OCaml heap in one {!Fe.buf}, entry 0 of
+    each base being the base itself. Three multiplication loops read it,
+    one per shape: {!Table} (one base, many scalars), {!Comb} (many
+    bases, one scalar) and [Msm.Fixed] (many bases, many scalars,
+    summed). Every loop gives exactly [s]·P for any base P, torsion
+    component or not. *)
+
+module Niels_store : sig
+  type point := t
+  type t
+
+  (** [build ~span ~entries entries_of ps] stores the [entries] points
+      [entries_of p] of every base [p] of [ps], in Niels form. Bases go
+      in blocks of 16 per field inversion at fixed offsets, spread over
+      the {!Parallel} pool, so the [point.niels.*] counters do not depend
+      on the job count; a build of one block runs inline. The build runs
+      inside the telemetry span [span].
+      @raise Invalid_argument if [entries_of] returns another count. *)
+  val build : span:string -> entries:int -> (point -> point array) -> point array -> t
+
+  (** Number of bases. *)
+  val count : t -> int
+
+  (** [entry t l e] is entry [e] of base [l].
+      @raise Invalid_argument if either index is out of range. *)
+  val entry : t -> int -> int -> niels
+
+  (** [signed_digits ~bits ds] recodes the little-endian unsigned
+      [bits]-bit digits [ds], in place, into signed digits in
+      [[−2^(bits−1), 2^(bits−1))] of the same value, and returns [ds].
+      @raise Invalid_argument if the top digit carries out. *)
+  val signed_digits : bits:int -> int array -> int array
+end
+
+(** One base, many scalars: 64 windows of the 8 multiples (k+1)·16^w·P,
+    512 entries (60 KB) per table, driven by a signed base-16 recoding
+    (digits in [−8, 7]), so a multiplication is at most 64 {!madd}s and
+    no doublings. *)
 module Table : sig
   type table
 
@@ -89,16 +121,17 @@ module Table : sig
 
   val mul : table -> Scalar.t -> t
 
-  (** [mul_small tbl n] for native-int exponents of either sign. *)
+  (** [mul_small tbl n] for native-int exponents of either sign.
+      @raise Invalid_argument on [min_int]. *)
   val mul_small : table -> int -> t
 
-  (** Serialized size in bytes (fixed: a 8-byte header plus 64·8 Niels
+  (** Serialized size in bytes (fixed: a 12-byte header plus 512 Niels
       triples of canonical 32-byte field encodings). *)
   val serialized_size : int
 
-  (** Canonical serialization for the persistent table cache. The bytes
-      are identical whether the table was freshly built or loaded from
-      cache. *)
+  (** Canonical serialization for the persistent table cache, shared by
+      every {!Niels_store}. The bytes are identical whether the table was
+      freshly built or loaded from cache. *)
   val to_bytes : table -> Bytes.t
 
   (** [of_bytes ~base b] — parse a serialized table. Returns [None] on
@@ -109,19 +142,12 @@ module Table : sig
   val of_bytes : base:t -> Bytes.t -> table option
 end
 
-(** Fixed-base comb tables for many bases that share each scalar (the
-    setup bases w_1 … w_d, multiplied by one blind per round): a Lim–Lee
-    comb with 4 teeth spaced 64 bits apart and signed digits, 8 Niels
-    entries per base, held off the OCaml heap in one Bigarray (1920
-    bytes per base). A multiplication is 63 doublings and 64 {!madd}s,
-    against ~252 doublings and ~42 additions for {!mul}; the results are
-    the same group elements for bases in the prime-order subgroup.
-
-    Precondition: every base lies in that subgroup, as {!base} and the
-    points of [Gens.derive] do (it multiplies by the cofactor 8). An
-    even scalar k is recoded as k + ℓ, which gives k·P only when ℓ·P is
-    the identity; for a point with a torsion component the product is
-    wrong, and no check catches it. *)
+(** Many bases that share each scalar (the setup bases w_1 … w_d,
+    multiplied by one blind per round): a Lim–Lee comb with 4 teeth
+    spaced 64 bits apart and signed digits. Each base keeps itself and 8
+    comb entries (1080 bytes per base). A multiplication is 63 doublings
+    and 64 {!madd}s, plus one {!msub} of the base for an even scalar,
+    against ~252 doublings and ~42 additions for {!mul}. *)
 module Comb : sig
   type point := t
   type t

@@ -404,8 +404,9 @@ let run_round st ~round =
         | Error e ->
             failwith ("client: check broadcast undecodable: " ^ Serial.error_to_string e)
       in
-      let hs_tables = Parallel.parallel_map Curve25519.Point.Table.make hs in
-      match Driver.proof_step ~hs_tables v b c ~s ~hs with
+      (* no h_t tables: each would serve only two multiplications, which
+         save less than a table build costs *)
+      match Driver.proof_step v b c ~s ~hs with
       | Some proof -> submit st ~round ~stage:Netsim.Proof (Serial.encode_proof_msg proof)
       | None ->
           (* the rational-adversary move: the sampled projections would

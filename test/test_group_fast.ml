@@ -19,6 +19,10 @@ let rand_point () = Point.mul_base (rand_scalar ())
 
 let check_point msg p q = Alcotest.(check bool) msg true (Point.equal p q)
 
+(* (0, −1) has order 2 *)
+let two_torsion =
+  Option.get (Point.decompress_unchecked (Curve25519.Fe.to_bytes (Curve25519.Fe.neg Curve25519.Fe.one)))
+
 let with_temp_dir f =
   let dir = Filename.temp_file "risefl-test-cache" "" in
   Sys.remove dir;
@@ -83,19 +87,63 @@ let test_double_mul_matches () =
   done
 
 let test_table_matches () =
-  let p = rand_point () in
-  let tbl = Point.Table.make p in
-  for _ = 1 to 25 do
-    let s = rand_scalar () in
-    check_point "Table.mul == reference" (mul_ref s p) (Point.Table.mul tbl s)
-  done;
+  (* a random base, and one with a torsion component *)
+  let p0 = rand_point () in
   List.iter
-    (fun e ->
-      check_point
-        (Printf.sprintf "Table.mul_small %d" e)
-        (Point.mul_small e p)
-        (Point.Table.mul_small tbl e))
-    [ 0; 1; -1; 7; -8; 8; 15; 16; -16; 255; -255; 65535; -65536; max_int / 2 ]
+    (fun p ->
+      let tbl = Point.Table.make p in
+      for _ = 1 to 25 do
+        let s = rand_scalar () in
+        check_point "Table.mul == reference" (mul_ref s p) (Point.Table.mul tbl s)
+      done;
+      List.iter
+        (fun e ->
+          check_point
+            (Printf.sprintf "Table.mul_small %d" e)
+            (Point.mul_small e p)
+            (Point.Table.mul_small tbl e))
+        [ 0; 1; -1; 7; -8; 8; 15; 16; -16; 255; -255; 65535; -65536; max_int / 2; max_int; -max_int ])
+    [ p0; Point.add p0 two_torsion ]
+
+(* --- the shared off-heap store: checked indices, exact recoding --- *)
+
+let test_niels_store () =
+  let module S = Point.Niels_store in
+  let bases = Array.init 17 (fun _ -> rand_point ()) in
+  let s = S.build ~span:"test.store" ~entries:2 (fun p -> [| p; Point.double p |]) bases in
+  Alcotest.(check int) "count" 17 (S.count s);
+  (* base 16 sits in the second inversion block *)
+  check_point "entry (16, 1) is 2·P" (Point.double bases.(16)) (Point.madd Point.identity (S.entry s 16 1));
+  List.iter
+    (fun (l, e) ->
+      Alcotest.check_raises
+        (Printf.sprintf "entry (%d, %d)" l e)
+        (Invalid_argument "Point.Niels_store.entry")
+        (fun () -> ignore (S.entry s l e)))
+    [ (-1, 0); (17, 0); (0, -1); (0, 2) ];
+  (* a limb past 32 bits (eight doublings without a carry) is refused *)
+  let big = List.fold_left (fun x _ -> Curve25519.Fe.add x x) (Curve25519.Fe.of_int (-1)) (List.init 8 Fun.id) in
+  Alcotest.check_raises "limb out of range" (Invalid_argument "Fe.store: limb out of 32-bit range") (fun () ->
+      Curve25519.Fe.store (Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout Curve25519.Fe.limbs) 0 big);
+  Alcotest.check_raises "wrong entry count" (Invalid_argument "Point.Niels_store.build: entry count") (fun () ->
+      ignore (S.build ~span:"test.store" ~entries:3 (fun p -> [| p |]) bases));
+  (* signed digits reconstruct the value and stay in range *)
+  for _ = 1 to 20 do
+    let k = Scalar.to_bigint (rand_scalar ()) in
+    List.iter
+      (fun (bits, count) ->
+        let ds = S.signed_digits ~bits (B.to_digits ~bits ~count k) in
+        let acc = ref B.zero in
+        for w = count - 1 downto 0 do
+          Alcotest.(check bool) "digit range" true (ds.(w) >= -(1 lsl (bits - 1)) && ds.(w) < 1 lsl (bits - 1));
+          acc := B.add (B.shift_left !acc bits) (B.of_int ds.(w))
+        done;
+        Alcotest.(check string) (Printf.sprintf "radix 2^%d reconstruction" bits) (B.to_hex k) (B.to_hex !acc))
+      [ (4, 64); (8, 32) ]
+  done;
+  Alcotest.check_raises "carry out of the top digit"
+    (Invalid_argument "Point.Niels_store.signed_digits: carry out of the top digit")
+    (fun () -> ignore (S.signed_digits ~bits:4 [| 15; 8 |]))
 
 (* --- comb tables over many bases vs Point.mul --- *)
 
@@ -105,17 +153,15 @@ let test_comb_matches () =
     List.map Scalar.of_bigint
       [ B.zero; B.one; B.two; B.sub l B.one; B.sub l B.two; B.shift_left B.one 252 ]
   in
-  (* random scalars of both parities: the recoding adds ℓ to even ones *)
+  (* random scalars of both parities: an even one runs as (k + 1)·P − P *)
   let rec draw want_odd =
     let s = rand_scalar () in
     if B.testbit (Scalar.to_bigint s) 0 = want_odd then s else draw want_odd
   in
   let scalars = edge @ List.init 6 (fun i -> draw (i mod 2 = 0)) in
-  let bases =
-    Array.append
-      [| Point.identity; Point.base |]
-      (Array.init 4 (fun i -> Curve25519.Gens.derive (Printf.sprintf "test-comb/%d" i)))
-  in
+  let derived = Array.init 4 (fun i -> Curve25519.Gens.derive (Printf.sprintf "test-comb/%d" i)) in
+  (* a base with a torsion component: k + ℓ would name another multiple *)
+  let bases = Array.concat [ [| Point.identity; Point.base; Point.add derived.(0) two_torsion |]; derived ] in
   let comb = Point.Comb.make bases in
   Alcotest.(check int) "length" (Array.length bases) (Point.Comb.length comb);
   List.iter
@@ -196,8 +242,7 @@ let test_msm_crossover () =
    [Msm.Fixed] recodes each scalar exactly into signed 8-bit digits, so
    it must equal [Msm.msm] for any bases: the edge scalars (the digit
    carries of ℓ−1, ℓ−2 and 2^252), the identity base, a base with a
-   torsion component (no subgroup precondition, unlike [Point.Comb]),
-   and base indices repeated across terms. *)
+   torsion component, and base indices repeated across terms. *)
 
 let test_fixed_matches () =
   with_telemetry @@ fun () ->
@@ -206,8 +251,6 @@ let test_fixed_matches () =
     Array.of_list
       (List.map Scalar.of_bigint [ B.zero; B.one; B.two; B.sub l B.one; B.sub l B.two; B.shift_left B.one 252 ])
   in
-  (* (0, −1) has order 2 *)
-  let two_torsion = Option.get (Point.decompress_unchecked (Curve25519.Fe.to_bytes (Curve25519.Fe.neg Curve25519.Fe.one))) in
   let derived = Array.init 12 (fun i -> Curve25519.Gens.derive (Printf.sprintf "test-fixed/%d" i)) in
   let bases =
     Array.concat [ [| Point.identity; Point.base; Point.add derived.(0) two_torsion |]; derived ]
@@ -440,6 +483,7 @@ let () =
           Alcotest.test_case "mul vs double-and-add" `Quick test_wnaf_mul_matches_reference;
           Alcotest.test_case "double_mul" `Quick test_double_mul_matches;
           Alcotest.test_case "fixed-base table" `Quick test_table_matches;
+          Alcotest.test_case "off-heap table store" `Quick test_niels_store;
           Alcotest.test_case "comb tables vs mul" `Quick test_comb_matches;
           Alcotest.test_case "msm differential" `Quick test_msm_matches;
           Alcotest.test_case "msm Straus/Pippenger crossover" `Quick test_msm_crossover;

@@ -29,7 +29,7 @@ let test_crc_vectors () =
 
 let test_crc_sub () =
   let b = Bytes.of_string "xxhelloyy" in
-  if Store.Crc32.digest_sub b 2 5 <> Store.Crc32.digest (Bytes.of_string "hello") then
+  if Store.Crc32.digest_sub b ~pos:2 ~len:5 <> Store.Crc32.digest (Bytes.of_string "hello") then
     fail "digest_sub must equal digest of the slice"
 
 (* ------------------------------------------------------------------ *)
@@ -210,5 +210,5 @@ let () =
           Alcotest.test_case "mid-log corruption keeps the prefix" `Quick test_midlog_corruption;
         ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest [ prop_roundtrip; prop_truncation_keeps_prefix ] );
+        List.map (fun t -> QCheck_alcotest.to_alcotest t) [ prop_roundtrip; prop_truncation_keeps_prefix ] );
     ]
