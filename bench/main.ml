@@ -935,14 +935,15 @@ let run_group () =
   let cache = Store.Cache.open_ ~dir in
   Fun.protect ~finally:(fun () -> Risefl_core.Group_cache.reset (); rm_rf dir)
   @@ fun () ->
-  (* --- precompute: cold build vs warm cache load, same artifacts --- *)
-  let time_min f =
-    let s1 = snd (Telemetry.Clock.time f) in
-    let s2 = snd (Telemetry.Clock.time f) in
-    Float.min s1 s2
+  (* --- precompute: cold build vs warm cache load, same artifacts ---
+     each side is the median of 7 samples of a few ms, so one GC slice
+     or host stall cannot decide the --gate-group ratio *)
+  let time_median f =
+    let xs = List.sort compare (List.init 7 (fun _ -> snd (Telemetry.Clock.time f))) in
+    List.nth xs 3
   in
   let cold_s =
-    time_min (fun () ->
+    time_median (fun () ->
         ignore (Point.Table.make g);
         ignore (Point.Table.make q);
         ignore (Curve25519.Dlog.create ~m_scale ~base:g ~max_abs ()))
@@ -952,7 +953,7 @@ let run_group () =
   let built_q = Risefl_core.Group_cache.table ~cache ~label:"bench/q" ~base:q () in
   let built_dlog = Risefl_core.Group_cache.dlog ~cache ~m_scale ~base:g ~max_abs () in
   let warm_s =
-    time_min (fun () ->
+    time_median (fun () ->
         ignore (Risefl_core.Group_cache.table ~cache ~label:"bench/g" ~base:g ());
         ignore (Risefl_core.Group_cache.table ~cache ~label:"bench/q" ~base:q ());
         ignore (Risefl_core.Group_cache.dlog ~cache ~m_scale ~base:g ~max_abs ()))
@@ -1218,7 +1219,7 @@ let run_serve () =
    committed round; [peak] is the max live-words delta over the
    post-commit baseline while the proof stage holds its inputs.  The
    one-batch run (Server.verify_proofs) has its caller retain every
-   proof frame until the stage's single MSM; the streamed run folds each
+   proof frame until the stage's single block sum; the streamed run folds each
    frame on arrival and evicts after every small batch, so its delta
    stays bounded by the batch plus the compressed per-client spill —
    near-flat in n.                                                      *)

@@ -386,6 +386,7 @@ let accumulate_one t ~round ~ctx ~drbg ~rlc shift_pt (msg : Wire.proof_msg) =
       else begin
         let acc = Curve25519.Msm.Acc.create ~coalesce:[| setup.Setup.g; setup.Setup.q |] () in
         let push s pt = Curve25519.Msm.Acc.push acc s pt in
+        let gen = Range_proof.gen_vector setup.Setup.bp_gens in
         let outer = Scalar.random rlc in
         let rho () = Scalar.mul outer (Scalar.random rlc) in
         let ok =
@@ -416,11 +417,11 @@ let accumulate_one t ~round ~ctx ~drbg ~rlc shift_pt (msg : Wire.proof_msg) =
                    ~e:c_w ~o:cos.Wire.o_w cos.Wire.link
                  && Sigma.Square.accumulate ~rho ~push tr ~g:setup.Setup.g ~q:setup.Setup.q
                       ~y1:cos.Wire.o_w ~y2:cos.Wire.o_w2 cos.Wire.w_square
-                 && Range_proof.accumulate ~rho ~push tr ~gens:setup.Setup.bp_gens ~g:setup.Setup.g
-                      ~h:setup.Setup.q ~bits:p.Params.b_ip_bits ~commitments:[| cos.Wire.o_w |]
+                 && Range_proof.accumulate ~rho ~push ~gen tr ~gens:setup.Setup.bp_gens
+                      ~g:setup.Setup.g ~h:setup.Setup.q ~bits:p.Params.b_ip_bits ~commitments:[| cos.Wire.o_w |]
                       cos.Wire.w_range)
           && (let sigma_commitments = Array.map (fun o -> Point.add o shift_pt) msg.Wire.os in
-              Range_proof.accumulate ~rho ~push tr ~gens:setup.Setup.bp_gens ~g:setup.Setup.g
+              Range_proof.accumulate ~rho ~push ~gen tr ~gens:setup.Setup.bp_gens ~g:setup.Setup.g
                 ~h:setup.Setup.q ~bits:p.Params.b_ip_bits ~commitments:sigma_commitments
                 msg.Wire.sigma_range)
           &&
@@ -433,29 +434,46 @@ let accumulate_one t ~round ~ctx ~drbg ~rlc shift_pt (msg : Wire.proof_msg) =
           let p_commit =
             Point.sub budget_commit (Array.fold_left Point.add Point.identity msg.Wire.os')
           in
-          Range_proof.accumulate ~rho ~push tr ~gens:setup.Setup.bp_gens ~g:setup.Setup.g
+          Range_proof.accumulate ~rho ~push ~gen tr ~gens:setup.Setup.bp_gens ~g:setup.Setup.g
             ~h:setup.Setup.q ~bits:p.Params.b_max_bits ~commitments:[| p_commit |] msg.Wire.mu_range
         in
-        if ok then Some (Curve25519.Msm.Acc.terms acc) else None
+        if ok then Some (Curve25519.Msm.Acc.terms acc, gen) else None
       end
 
-(* Find the clients whose term blocks make [total] nonzero, recursively
+(* The sum of a set of blocks, each a client's (terms, gen) from
+   [accumulate_one]: the terms, wire points among them, on Msm.msm, and
+   the blocks' generator coefficients summed per base and run once on
+   the generators' fixed-base tables.  Those bases lie in the prime-order
+   subgroup, so this is the group element Msm.msm gives over every block's
+   terms with each generator coefficient as a term of its own; wire
+   points, which may carry a small-order component, are only ever
+   multiplied by their own scalars. *)
+let block_sum ?jobs tables blocks =
+  let gen = Array.make (Curve25519.Msm.Fixed.length tables) Scalar.zero in
+  Array.iter (fun (_, g) -> Array.iteri (fun l s -> gen.(l) <- Scalar.add gen.(l) s) g) blocks;
+  let fixed = ref [] in
+  for l = Array.length gen - 1 downto 0 do
+    if not (Scalar.is_zero gen.(l)) then fixed := (gen.(l), l) :: !fixed
+  done;
+  Point.add
+    (Curve25519.Msm.msm ?jobs (Array.concat (Array.to_list (Array.map fst blocks))))
+    (Curve25519.Msm.Fixed.msm tables (Array.of_list !fixed))
+
+(* Find the clients whose blocks make [total] nonzero, recursively
    splitting the candidate list. The right half's sum is derived by
-   subtraction (total - left), so each tree level costs one MSM over half
-   the terms instead of two. Invariant: [total] = Σ terms of [cands] and
-   is not the identity. *)
-let rec bisect_failures ?jobs cands total =
+   subtraction (total - left), so each tree level costs one block sum over
+   half the blocks instead of two. Invariant: [total] = the block sum of
+   [cands] and is not the identity. *)
+let rec bisect_failures ?jobs tables cands total =
   let ncands = Array.length cands in
   if ncands = 1 then [ fst cands.(0) ]
   else begin
     let mid = ncands / 2 in
     let left = Array.sub cands 0 mid and right = Array.sub cands mid (ncands - mid) in
-    let left_sum =
-      Curve25519.Msm.msm ?jobs (Array.concat (Array.to_list (Array.map snd left)))
-    in
+    let left_sum = block_sum ?jobs tables (Array.map snd left) in
     let right_sum = Point.sub total left_sum in
-    (if Point.is_identity left_sum then [] else bisect_failures ?jobs left left_sum)
-    @ if Point.is_identity right_sum then [] else bisect_failures ?jobs right right_sum
+    (if Point.is_identity left_sum then [] else bisect_failures ?jobs tables left left_sum)
+    @ if Point.is_identity right_sum then [] else bisect_failures ?jobs tables right right_sum
   end
 
 (* Naive reference path: every equation evaluated directly, per-client in
@@ -580,8 +598,9 @@ let spill_decode bytes =
       | None -> assert false (* we compressed a valid point ourselves *))
 
 (* Fold one shard's buffered batch: accumulate each client's equations in
-   parallel (pure scalar work), judge the whole batch by ONE MSM over its
-   concatenated term blocks, and on a non-identity sum bisect the blocks —
+   parallel (pure scalar work), judge the whole batch by one block sum (an
+   MSM over its concatenated terms plus one table MSM over its summed
+   generator coefficients), and on a non-identity sum bisect the blocks —
    while they are still resident — for exact per-client blame. Honest
    blocks sum to the identity individually, so any batch of complete
    blocks is judged independently of arrival order or batch boundaries,
@@ -604,6 +623,9 @@ let flush_shard st sh =
     Telemetry.Gauge.observe g_stream_peak_batch bn;
     st.sflushes <- st.sflushes + 1;
     Telemetry.Counter.incr c_stream_flushes;
+    (* forced here, not inside the parallel map: a standalone server
+       builds them at its first verify *)
+    let tables = Range_proof.tables t.setup.Setup.bp_gens in
     (* per-client forks by (round, id) alone, as in the naive path, so
        verdicts cannot depend on arrival order, batching or job count *)
     let checks =
@@ -615,7 +637,7 @@ let flush_shard st sh =
             let rlc = Prng.Drbg.fork t.drbg (Printf.sprintf "rlc/r%d/c%d" st.sround sender) in
             match accumulate_one t ~round:st.sround ~ctx:st.sctx ~drbg ~rlc st.sshift msg with
             | None -> Error "proof failed"
-            | Some terms -> Ok terms
+            | Some block -> Ok block
           end)
         batch
     in
@@ -625,19 +647,17 @@ let flush_shard st sh =
         let sender, _ = batch.(bi) in
         match r with
         | Error reason -> mark t sender reason
-        | Ok terms -> cands := (sender - 1, terms) :: !cands)
+        | Ok block -> cands := (sender - 1, block) :: !cands)
       checks;
     let cands = Array.of_list (List.rev !cands) in
     st.sfolded <- st.sfolded + Array.length cands;
     Telemetry.Counter.add c_stream_folded (Array.length cands);
     if Array.length cands > 0 then begin
-      let total =
-        Curve25519.Msm.msm ?jobs:st.sjobs (Array.concat (Array.to_list (Array.map snd cands)))
-      in
+      let total = block_sum ?jobs:st.sjobs tables (Array.map snd cands) in
       if not (Point.is_identity total) then
         List.iter
           (fun idx -> mark t (idx + 1) "proof failed")
-          (bisect_failures ?jobs:st.sjobs cands total)
+          (bisect_failures ?jobs:st.sjobs tables cands total)
     end;
     (* survivors: fold aggregate contribution, then evict *)
     Array.iter
@@ -740,7 +760,7 @@ let stream_elapsed_s st = st.selapsed
 let stream_stats t = t.stream_last
 
 (* The whole proof stage as one batch: a single shard whose batch holds
-   every present proof, i.e. one MSM over the round's term blocks. *)
+   every present proof, i.e. one block sum over the round's blocks. *)
 let verify_proofs ?predicate ?jobs t ~round ~proofs =
   if Array.length proofs <> n_of t then invalid_arg "Server.verify_proofs: wrong size";
   let st = stream_begin ?predicate ?jobs t ~round ~cfg:(stream_cfg ~batch:(n_of t) ()) in

@@ -87,12 +87,12 @@ val prepare_check : t -> Bytes.t * Point.t array
     predicate). Clients whose proof fails (or is absent) are added to C*.
 
     Every verifier equation of every client is folded into a single
-    random-linear-combination MSM: each equation contributes
+    random-linear-combination sum: each equation contributes
     ρ_j·(LHS − RHS) with an independent coefficient ρ_j drawn from a DRBG
     forked by (round, client), scaled by a per-client outer coefficient
-    σ_i, and the round is accepted by ONE evaluation returning the
-    identity. On failure the per-client term blocks are bisected to
-    recover exact C* attribution. A batch containing a cheating equation
+    σ_i, and the round is accepted by ONE {!block_sum} returning the
+    identity. On failure the per-client blocks are bisected to recover
+    exact C* attribution. A batch containing a cheating equation
     survives with probability ≤ (#equations)/ℓ ≈ 2⁻²⁴⁰ over the
     coefficient draw.
 
@@ -129,6 +129,22 @@ val verify_proofs_naive :
   proofs:Wire.proof_msg option array ->
   unit
 
+(** [block_sum ?jobs tables blocks] — the group element a set of client
+    blocks sums to; the batched verifier judges every batch, and every
+    bisection step, by it. A block is a client's folded equations: terms
+    [(s, P)] and a coefficient vector over the bases of [tables] (the
+    range-proof generators, {!Zkp.Range_proof.tables}, in the layout of
+    {!Zkp.Range_proof.gen_vector}). The terms of every block run as one
+    {!Curve25519.Msm.msm}; the coefficient vectors are summed per base
+    and run as one {!Curve25519.Msm.Fixed.msm}. For bases in the
+    prime-order subgroup this equals {!Curve25519.Msm.msm} over every
+    term with each coefficient as a term of its own. *)
+val block_sum :
+  ?jobs:int ->
+  Curve25519.Msm.Fixed.t ->
+  ((Scalar.t * Point.t) array * Scalar.t array) array ->
+  Point.t
+
 (** The honest list H = cohort \ C* (1-based ids). *)
 val honest : t -> int list
 
@@ -136,8 +152,8 @@ val honest : t -> int list
 
     The server's one batched verifier. It folds each proof {e as it
     arrives}: frames buffer per shard, and a full batch is judged by one
-    MSM over its clients' complete term blocks (honest blocks sum to the
-    identity individually, so any batch of complete blocks is
+    {!block_sum} over its clients' complete blocks (honest blocks sum to
+    the identity individually, so any batch of complete blocks is
     independently checkable), bisected on failure. Survivors fold their y
     into a running aggregate and their check string into a running
     combined check, spill their y compressed (32 B/point) for possible

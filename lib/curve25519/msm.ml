@@ -153,10 +153,13 @@ let straus pairs =
    1.2-1.9 at 129, 1.0-1.1 at 193, 1.1-1.2 at 257 and 0.8-0.9 from 385
    on: the crossover sits around 300 points.  256 keeps every size that
    runs Straus at or above parity.  Its small-MSM callers are now the
-   Σ-protocol and Vsss checks, the naive range-proof and IPA verifiers
-   and the fold prover's later rounds above [Ipa.table_cutoff]; the
-   range prover's S commitment and IPA cross terms up to that cutoff
-   run on [Fixed] tables instead. *)
+   Σ-protocol and Vsss checks, the naive range-proof and IPA verifiers,
+   the fold prover's later rounds above [Ipa.table_cutoff] and the
+   server's block sums over few clients, whose terms are now only the
+   wire points and the bases outside the generator tables (~100 per
+   client at k = 2).  The range prover's S commitment and IPA cross
+   terms up to that cutoff, and the block sums' summed generator
+   coefficients, run on [Fixed] tables instead. *)
 let straus_cutoff = 256
 
 let msm ?jobs pairs =

@@ -157,7 +157,7 @@ let prove_table ?(h_factor = Scalar.one) ?(u_scale = Scalar.one) table tr ~a ~b 
    512, 0.95-1.3 at 1024, 0.7-1.0 at 2048 and 0.84-0.93 at 4096.  256
    is the largest size the tables won in every sweep.  It covers the client's
    σ proof up to k = 8 at 32 bits and every μ proof (at most 128 bits),
-   and bounds a table at 513 bases (3.9 MB). *)
+   and bounds a table at 513 bases (1.97 MB). *)
 let table_cutoff = 256
 
 let verify tr ~g ~h ~u ~p proof =
@@ -204,6 +204,35 @@ let verify tr ~g ~h ~u ~p proof =
     end
   end
 
+(* The scalars s_i = Π_j x_j^{±1} of [verify], + where bit (rounds−1−j)
+   of i is set, with n − 1 multiplications instead of n·log n: s_0 =
+   Π_j x_j⁻¹, and setting the top bit b of i multiplies by x_j² for j =
+   rounds−1−b, so s_i = s_{i−2^b}·x_j² (the recurrence of dalek's
+   verification_scalars).  The x_j⁻¹ come from one batched inversion:
+   prefix products, one [Scalar.inv] of the full product (which is s_0),
+   then a walk back. *)
+let verification_scalars xs =
+  let rounds = Array.length xs in
+  let prefix = Array.make (rounds + 1) Scalar.one in
+  for j = 0 to rounds - 1 do
+    prefix.(j + 1) <- Scalar.mul prefix.(j) xs.(j)
+  done;
+  let s0 = Scalar.inv prefix.(rounds) in
+  let xinvs = Array.make rounds Scalar.zero in
+  let acc = ref s0 in
+  for j = rounds - 1 downto 0 do
+    xinvs.(j) <- Scalar.mul !acc prefix.(j);
+    acc := Scalar.mul !acc xs.(j)
+  done;
+  let xsq = Array.map Scalar.square xs in
+  let s = Array.make (1 lsl rounds) s0 in
+  let top = ref 0 in
+  for i = 1 to (1 lsl rounds) - 1 do
+    if i = 2 lsl !top then incr top;
+    s.(i) <- Scalar.mul s.(i - (1 lsl !top)) xsq.(rounds - 1 - !top)
+  done;
+  (xinvs, s)
+
 (* RLC form of [verify] for batch verification. The whole IPA check is a
    single point equation; [rho] is its random batching coefficient. Base
    coefficients are handed back by index ([push_g i c] means "add c·g_i",
@@ -225,16 +254,7 @@ let accumulate ~rho ~push_g ~push_h ~push_u ~push tr ~n proof =
         Transcript.append_point tr ~label:"ipa/R" proof.rs.(j);
         xs.(j) <- Transcript.challenge_nonzero tr ~label:"ipa/x"
       done;
-      let xinvs = Array.map Scalar.inv xs in
-      let s = Array.make n Scalar.one in
-      for i = 0 to n - 1 do
-        let acc = ref Scalar.one in
-        for j = 0 to rounds - 1 do
-          let bit = (i lsr (rounds - 1 - j)) land 1 in
-          acc := Scalar.mul !acc (if bit = 1 then xs.(j) else xinvs.(j))
-        done;
-        s.(i) <- !acc
-      done;
+      let xinvs, s = verification_scalars xs in
       let ra = Scalar.mul rho proof.a and rb = Scalar.mul rho proof.b in
       for i = 0 to n - 1 do
         push_g i (Scalar.mul ra s.(i));

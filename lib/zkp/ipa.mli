@@ -64,6 +64,12 @@ val table_cutoff : int
 val verify :
   Transcript.t -> g:Point.t array -> h:Point.t array -> u:Point.t -> p:Point.t -> proof -> bool
 
+(** [verification_scalars xs] for the challenges x₀ … x_{r−1} of an
+    r-round proof: the inverses x_j⁻¹ and the 2^r scalars s_i = Π_j
+    x_j^{±1}, the sign + where bit r−1−j of i is set. One field
+    inversion and O(2^r) multiplications. *)
+val verification_scalars : Scalar.t array -> Scalar.t array * Scalar.t array
+
 (** Batch-verification form of [verify] — the IPA check is one point
     equation with batching coefficient [rho]. Coefficients for the
     generator vectors are returned by index ([push_g i c] ≙ add c·gᵢ,

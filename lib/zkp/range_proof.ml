@@ -22,6 +22,8 @@ let make_gens ~label n =
    Parallel region *)
 let tables gens = Mutex.protect gens.tables.lock (fun () -> Lazy.force gens.tables.fixed)
 
+let gen_vector gens = Array.make ((2 * table_width (Array.length gens.gv)) + 1) Scalar.zero
+
 type proof = {
   a : Point.t;
   s : Point.t;
@@ -257,9 +259,18 @@ let verify tr ~gens ~g ~h ~bits ~commitments proof =
    Likewise u_x = u^w stays as a coefficient w on the raw u, and the
    whole P commitment for the IPA is pushed as terms instead of being
    evaluated. Identity padding commitments (value count below the padded
-   power of two) contribute nothing and are skipped. *)
-let accumulate ~rho ~push tr ~gens ~g ~h ~bits ~commitments proof =
+   power of two) contribute nothing and are skipped.
+
+   The generator coefficients go into [gen] in the layout of [tables]
+   (g_i at i, h_i at c + i, u at 2c), where the proofs that share the
+   vector sum them per base; only indices at or past c, which exist
+   only when the set is longer than Ipa.table_cutoff, are pushed as
+   terms.  The generators lie in the prime-order subgroup, so a summed
+   coefficient gives the same group element as the terms it replaces. *)
+let accumulate ~rho ~push ~gen tr ~gens ~g ~h ~bits ~commitments proof =
   check_bits bits;
+  let c = table_width (Array.length gens.gv) in
+  if Array.length gen <> (2 * c) + 1 then invalid_arg "Range_proof.accumulate: gen vector length";
   let m_orig = Array.length commitments in
   if m_orig = 0 then false
   else begin
@@ -321,12 +332,21 @@ let accumulate ~rho ~push tr ~gens ~g ~h ~bits ~commitments proof =
            push (Scalar.mul r2 proof.mu) h;
            ucoef := Scalar.sub !ucoef (Scalar.mul r2 proof.t_hat);
            let r2z = Scalar.mul r2 z in
+           let add l s = gen.(l) <- Scalar.add gen.(l) s in
            for i = 0 to nt - 1 do
-             push (Scalar.add gcoef.(i) r2z) gens.gv.(i);
+             let gi = Scalar.add gcoef.(i) r2z in
              let h_exp = Scalar.add (Scalar.mul z ys.(i)) zv.(i) in
-             push (Scalar.mul (Scalar.sub hcoef.(i) (Scalar.mul r2 h_exp)) yinv_pows.(i)) gens.hv.(i)
+             let hi = Scalar.mul (Scalar.sub hcoef.(i) (Scalar.mul r2 h_exp)) yinv_pows.(i) in
+             if i < c then begin
+               add i gi;
+               add (c + i) hi
+             end
+             else begin
+               push gi gens.gv.(i);
+               push hi gens.hv.(i)
+             end
            done;
-           push (Scalar.mul w !ucoef) gens.u;
+           add (2 * c) (Scalar.mul w !ucoef);
            true
          end
     end

@@ -30,14 +30,20 @@ val make_gens : label:string -> int -> gens
 
 (** [tables gens] — the {!Curve25519.Msm.Fixed} tables of the first
     c = min({!Ipa.table_cutoff}, |gv|) g's and h's and of u, in the
-    layout {!Ipa.prove_table} reads. The first call builds them (7680
-    bytes per base, off the OCaml heap: ~1 MB at |gv| = 64, ~2 MB at
-    128, 3.9 MB at the cutoff); later calls return the same tables.
-    {!prove} calls it when its vector length is at most the cutoff;
-    {!make_gens} and the verifiers never do. Safe from any domain,
+    layout {!Ipa.prove_table} reads. The first call builds them (3840
+    bytes per base, off the OCaml heap: 0.50 MB at |gv| = 64, 0.99 MB
+    at 128, 1.97 MB at the cutoff); later calls return the same tables.
+    {!prove} calls it when its vector length is at most the cutoff, and
+    the server's batched verifier once per batch; {!make_gens}, {!verify}
+    and {!accumulate} never do. Safe from any domain,
     including inside a {!Parallel} region: the build runs under a
     mutex. *)
 val tables : gens -> Curve25519.Msm.Fixed.t
+
+(** [gen_vector gens] — a zero coefficient per base of [tables gens],
+    in the same layout (2c + 1 entries), for {!accumulate}. It does not
+    build the tables. *)
+val gen_vector : gens -> Scalar.t array
 
 type proof = {
   a : Point.t;
@@ -85,15 +91,21 @@ val verify :
 
 (** Batch-verification form of [verify]: draws one coefficient via [rho]
     per point equation (the τ-consistency check and the folded IPA check)
-    and pushes every term of ρ·(LHS − RHS) through [push]; the h'ᵢ =
+    and adds every term of ρ·(LHS − RHS) to the caller's sum; the h'ᵢ =
     hᵢ^{y^{-i}} reindexing and u_x = u^w are folded into scalar
-    coefficients, so no point multiplication happens here at all. Returns
-    [false] only on structural mismatch (same cases and transcript
-    behavior as [verify]); the equations themselves are decided when the
-    caller evaluates its accumulator. *)
+    coefficients, so no point multiplication happens here at all. The
+    coefficients of the generators that {!tables} holds are added into
+    [gen] (a {!gen_vector} of [gens], which several proofs may share:
+    entry l is the coefficient of base l of [tables gens]); every other
+    term, and the generators past {!Ipa.table_cutoff}, go through [push].
+    Returns [false] only on structural mismatch (same cases and
+    transcript behavior as [verify]); the equations themselves are
+    decided when the caller evaluates its sum.
+    @raise Invalid_argument if [gen] is not as long as {!gen_vector}. *)
 val accumulate :
   rho:(unit -> Scalar.t) ->
   push:(Scalar.t -> Point.t -> unit) ->
+  gen:Scalar.t array ->
   Transcript.t ->
   gens:gens ->
   g:Point.t ->

@@ -11,6 +11,11 @@
      and 4 to pin jobs-invariance of the batched bisection.
    - Multi-client corruption: the failure bisection must attribute every
      corrupted client, and only those.
+   - [Server.block_sum], which judges every batch and bisection step,
+     against one Msm.msm over every term with each generator coefficient
+     expanded to a term of its own: random batches with a wire point
+     that carries a small-order component, and range proofs over a
+     generator set longer than Ipa.table_cutoff.
 
    BATCH_STRIDE (default 1 = full corpus) subsamples the corpus for
    quicker local iterations. *)
@@ -222,6 +227,101 @@ let test_multi_client_bisection () =
   in
   check_both ~name:"all-corrupt" ~jobs:1 ~expected:[ 1; 2; 3; 4 ] all_bad
 
+(* --- block sums --- *)
+
+let msm_drbg = Prng.Drbg.create_string "batch-verify-block-sum"
+let rand_scalar () = Scalar.random msm_drbg
+
+(* (0, −1) has order 2 *)
+let two_torsion =
+  Option.get (Point.decompress_unchecked (Curve25519.Fe.to_bytes (Curve25519.Fe.neg Curve25519.Fe.one)))
+
+(* base l of [Rp.tables gens], from the generators themselves: g_l at l,
+   h_{l−c} at c ≤ l < 2c, u at 2c *)
+let table_base (gens : Rp.gens) l =
+  let c = (Array.length (Rp.gen_vector gens) - 1) / 2 in
+  if l < c then gens.Rp.gv.(l) else if l < 2 * c then gens.Rp.hv.(l - c) else gens.Rp.u
+
+let expanded_sum gens blocks =
+  Curve25519.Msm.msm
+    (Array.concat
+       (List.concat_map
+          (fun (terms, gen) -> [ terms; Array.mapi (fun l s -> (s, table_base gens l)) gen ])
+          (Array.to_list blocks)))
+
+let test_block_sum_random () =
+  let gens = setup.Setup.bp_gens in
+  let tables = Rp.tables gens in
+  for trial = 1 to 12 do
+    let blocks =
+      Array.init (1 + (trial mod 4)) (fun b ->
+          let terms =
+            Array.init (2 + ((trial + b) mod 5)) (fun i ->
+                let p = Point.mul_base (rand_scalar ()) in
+                (rand_scalar (), if i = 0 then Point.add p two_torsion else p))
+          in
+          (* half the coefficients zero, which block_sum leaves out *)
+          let gen =
+            Array.mapi
+              (fun l _ -> if (l + b) mod 2 = 0 then rand_scalar () else Scalar.zero)
+              (Rp.gen_vector gens)
+          in
+          (terms, gen))
+    in
+    let got = Server.block_sum tables blocks in
+    Alcotest.(check bool) (Printf.sprintf "trial %d: block sum = expanded MSM" trial) true
+      (Point.equal (expanded_sum gens blocks) got);
+    Alcotest.(check bool) (Printf.sprintf "trial %d: not the identity" trial) false (Point.is_identity got)
+  done;
+  (* the torsion term alone: a block sum must keep it exact *)
+  let t = [| ([| (Scalar.one, two_torsion) |], Rp.gen_vector gens) |] in
+  Alcotest.(check bool) "torsion term survives" true (Point.equal two_torsion (Server.block_sum tables t))
+
+(* a 512-bit vector (128 bits × 4 values) over 512 generators: the
+   tables hold the first 256 g's and h's, so indices 256 … 511 must reach
+   the terms; valid proofs sum to the identity, a corrupted one to the
+   expanded MSM, and both agree with Range_proof.verify *)
+let test_block_sum_past_cutoff () =
+  let nt = 512 in
+  Alcotest.(check bool) "past the cutoff" true (nt > Ipa.table_cutoff);
+  let gens = Rp.make_gens ~label:"test-batch-verify/wide" nt in
+  let tables = Rp.tables gens in
+  let g = setup.Setup.g and h = setup.Setup.q in
+  let values = Array.init 4 (fun j -> Bigint.of_int ((j * 7919) + 3)) in
+  let blinds = Array.init 4 (fun _ -> rand_scalar ()) in
+  let commitments = Array.mapi (fun j v -> Point.double_mul (Scalar.of_bigint v) g blinds.(j) h) values in
+  let proof =
+    Rp.prove msm_drbg (Zkp.Transcript.create "wide") ~gens ~g ~h ~bits:128 ~values ~blinds
+  in
+  let block proof =
+    let terms = ref [] and gen = Rp.gen_vector gens in
+    let ok =
+      Rp.accumulate ~rho:rand_scalar
+        ~push:(fun s p -> terms := (s, p) :: !terms)
+        ~gen (Zkp.Transcript.create "wide") ~gens ~g ~h ~bits:128 ~commitments proof
+    in
+    Alcotest.(check bool) "accumulates" true ok;
+    (Array.of_list !terms, gen)
+  in
+  let naive proof = Rp.verify (Zkp.Transcript.create "wide") ~gens ~g ~h ~bits:128 ~commitments proof in
+  let terms, gen = block proof in
+  let c = Ipa.table_cutoff in
+  let on_terms base = Array.exists (fun (_, p) -> p == base) terms in
+  Alcotest.(check bool) "table width" true (Array.length gen = (2 * c) + 1);
+  for i = 0 to nt - 1 do
+    if on_terms gens.Rp.gv.(i) <> (i >= c) || on_terms gens.Rp.hv.(i) <> (i >= c) then
+      Alcotest.failf "generator %d: on the terms iff past the cutoff" i
+  done;
+  Alcotest.(check bool) "naive accepts" true (naive proof);
+  Alcotest.(check bool) "valid block sums to the identity" true
+    (Point.is_identity (Server.block_sum tables [| (terms, gen) |]));
+  let bad = { proof with Rp.mu = Scalar.add proof.Rp.mu Scalar.one } in
+  let blocks = [| block proof; block bad |] in
+  let got = Server.block_sum tables blocks in
+  Alcotest.(check bool) "naive rejects" false (naive bad);
+  Alcotest.(check bool) "corrupted batch is not the identity" false (Point.is_identity got);
+  Alcotest.(check bool) "block sum = expanded MSM" true (Point.equal (expanded_sum gens blocks) got)
+
 let () =
   ignore clients;
   Alcotest.run "batch-verify"
@@ -231,6 +331,8 @@ let () =
           Alcotest.test_case "valid proofs, jobs 1/2/4" `Quick test_valid_all_jobs;
           Alcotest.test_case "structural failures" `Quick test_structural;
           Alcotest.test_case "multi-client bisection" `Quick test_multi_client_bisection;
+          Alcotest.test_case "block sum, random batches" `Quick test_block_sum_random;
+          Alcotest.test_case "block sum past the table cutoff" `Quick test_block_sum_past_cutoff;
           Alcotest.test_case "corruption corpus (client 1)" `Slow test_corruption_corpus;
           Alcotest.test_case "corruption corpus (client 3, stride)" `Slow test_corruption_other_client;
         ] );

@@ -239,6 +239,29 @@ let test_ipa_table_vs_fold () =
       let a = Array.make 512 Scalar.one in
       ignore (Ipa.prove_table table (Transcript.create "ipa") ~a ~b:a))
 
+(* the batched inversion and the s_i recurrence against the product
+   form Ipa.verify uses, s_i = Π_j x_j^{±1} with + where bit
+   (rounds−1−j) of i is set, for every length 1 … 256 *)
+let test_ipa_verification_scalars () =
+  for rounds = 0 to 8 do
+    let n = 1 lsl rounds in
+    let xs = Array.init rounds (fun _ -> Scalar.random drbg) in
+    let xinvs = Array.map Scalar.inv xs in
+    let product i =
+      let acc = ref Scalar.one in
+      for j = 0 to rounds - 1 do
+        acc := Scalar.mul !acc (if (i lsr (rounds - 1 - j)) land 1 = 1 then xs.(j) else xinvs.(j))
+      done;
+      !acc
+    in
+    let got_inv, got_s = Ipa.verification_scalars xs in
+    Alcotest.(check bool) (Printf.sprintf "n=%d inverses" n) true (Array.for_all2 Scalar.equal xinvs got_inv);
+    Alcotest.(check int) (Printf.sprintf "n=%d length" n) n (Array.length got_s);
+    Array.iteri
+      (fun i s -> Alcotest.(check bool) (Printf.sprintf "n=%d s_%d" n i) true (Scalar.equal (product i) s))
+      got_s
+  done
+
 let test_ipa_rejects_wrong_p () =
   let n = 8 in
   let gv = Array.sub bp_gens.Range_proof.gv 0 n and hv = Array.sub bp_gens.Range_proof.hv 0 n in
@@ -563,6 +586,7 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_ipa_roundtrip;
           Alcotest.test_case "factor form" `Quick test_ipa_factor_form;
           Alcotest.test_case "table prover vs fold" `Quick test_ipa_table_vs_fold;
+          Alcotest.test_case "verification scalars" `Quick test_ipa_verification_scalars;
           Alcotest.test_case "rejects" `Quick test_ipa_rejects_wrong_p;
         ] );
       ( "range",
