@@ -118,10 +118,13 @@ group-smoke:
 # attack — kill -9 the server mid-proof with the WAL armed, restart it
 # on the same log while the clients ride through under backoff, and
 # require the server and every client to match the in-process round's
-# flagged/aggregate lines byte for byte (serve waits out the silent
-# attacker under a stage deadline below the clients' wait). Finishes
-# with the serve bench smoke (socket-loopback latency + transport
-# counters into the JSON).
+# flagged/aggregate lines byte for byte. The server runs at its default
+# stage deadline and waits the silent attacker out; the clients learn
+# that deadline from the server's announcement and give up on a
+# broadcast only after twice that long without a word from the server,
+# so the restarted server's fresh wait does not outlast them. Finishes with the
+# serve bench smoke (socket-loopback latency + transport counters into
+# the JSON).
 serve-smoke:
 	dune exec test/test_transport.exe
 	dune build bin/risefl_cli.exe
@@ -135,11 +138,11 @@ serve-smoke:
 	    > $$DIR/client$$i.txt 2>&1 & \
 	done; \
 	$$BIN serve $$ARGS --listen unix:$$DIR/sock --wal $$DIR/wal --crash proof:1 \
-	  --stage-deadline 5 > $$DIR/serve1.txt 2>&1 || true; \
+	  > $$DIR/serve1.txt 2>&1 || true; \
 	grep -q "server crashed at proof:1" $$DIR/serve1.txt \
 	  || { echo "serve-smoke: planned crash did not fire" >&2; exit 1; }; \
 	$$BIN serve $$ARGS --listen unix:$$DIR/sock --wal $$DIR/wal \
-	  --stage-deadline 5 > $$DIR/serve2.txt 2>&1; \
+	  > $$DIR/serve2.txt 2>&1; \
 	wait; \
 	grep -q "recovered round 1 from the write-ahead log" $$DIR/serve2.txt \
 	  || { echo "serve-smoke: restart did not resume from the WAL" >&2; exit 1; }; \
@@ -225,9 +228,11 @@ topology-smoke:
 # across jobs {1,2,4} and under a k-regular topology (with the shrunken
 # rounds' degree clamp), a crash at an epoch boundary must resume from
 # the WAL onto the identical transcript, and a serve/client deployment —
-# one client enrolling late with --rejoin — must match the in-process
-# session line for line. Finishes with the churn bench smoke (per-epoch
-# enrollment/rotation costs into the JSON).
+# one client enrolling late, every client told only its security
+# parameters (the rounds and the churn spec are the server's
+# announcement) — must match the in-process session line for line.
+# Finishes with the churn bench smoke (per-epoch enrollment/rotation
+# costs into the JSON).
 churn-smoke:
 	dune exec test/test_churn.exe -- -q
 	dune build bin/risefl_cli.exe
@@ -258,25 +263,25 @@ churn-smoke:
 	grep -vE "recovered" $$DIR/crash.txt > $$DIR/crash-key.txt; \
 	diff $$DIR/ref.txt $$DIR/crash-key.txt \
 	  || { echo "churn-smoke: epoch-boundary resume diverged from the uncrashed run" >&2; exit 1; }; \
-	SARGS="--clients 5 --dimension 16 --samples 4 --seed churn-serve --rounds 3 \
-	  --churn leave=0.4,rejoin=0.6,rotate=0.3,min=3"; \
-	$$BIN round $$SARGS | grep -E "flagged|aggregate|cohorts" > $$DIR/sref.txt; \
+	SARGS="--clients 5 --dimension 16 --samples 4 --seed churn-serve"; \
+	SESSION="--rounds 3 --churn leave=0.4,rejoin=0.6,rotate=0.3,min=3"; \
+	$$BIN round $$SARGS $$SESSION | grep -E "flagged|aggregate|cohorts" > $$DIR/sref.txt; \
 	for i in 1 2 3 5; do \
 	  $$BIN client $$SARGS --id $$i --connect unix:$$DIR/sock \
 	    > $$DIR/client$$i.txt 2>&1 & \
 	done; \
-	( sleep 1; $$BIN client $$SARGS --id 4 --rejoin --connect unix:$$DIR/sock \
+	( sleep 1; $$BIN client $$SARGS --id 4 --connect unix:$$DIR/sock \
 	    > $$DIR/client4.txt 2>&1 ) & \
-	$$BIN serve $$SARGS --verbose --listen unix:$$DIR/sock > $$DIR/serve.txt 2>&1; \
+	$$BIN serve $$SARGS $$SESSION --verbose --listen unix:$$DIR/sock > $$DIR/serve.txt 2>&1; \
 	wait; \
-	grep -q "client 4 re-enrolling" $$DIR/serve.txt \
-	  || { echo "churn-smoke: the late client never re-enrolled" >&2; exit 1; }; \
+	grep -q "client 4 enrolled at round" $$DIR/serve.txt \
+	  || { echo "churn-smoke: the late client never enrolled" >&2; exit 1; }; \
 	grep -E "flagged|aggregate|cohorts" $$DIR/serve.txt > $$DIR/srv-key.txt; \
 	diff $$DIR/sref.txt $$DIR/srv-key.txt \
 	  || { echo "churn-smoke: elastic deployment diverged from the in-process session" >&2; exit 1; }; \
 	grep -E "flagged|aggregate" $$DIR/client4.txt > $$DIR/c4-key.txt; \
 	test -s $$DIR/c4-key.txt \
-	  || { echo "churn-smoke: the rejoin client reported no results" >&2; exit 1; }; \
+	  || { echo "churn-smoke: the late client reported no results" >&2; exit 1; }; \
 	echo "churn-smoke: elastic session jobs/topology/crash/deployment bit-identical"
 	dune exec bench/main.exe -- churn --smoke --json /tmp/churn-smoke.json
 	@grep -q '"name": "epoch-advance-s"' /tmp/churn-smoke.json \

@@ -505,19 +505,23 @@ let serve_cmd =
     Printf.printf "serving %d client(s) on %s\n%!" n (Evloop.addr_to_string listen);
     print_topology ~seed ~n topology;
     let report =
-      Tserver.serve ~log
-        {
-          Tserver.addr = listen;
-          setup;
-          seed;
-          rounds;
-          stage_deadline_s = stage_deadline;
-          wal_path = wal_file;
-          crash;
-          stream;
-          topology;
-          churn;
-        }
+      try
+        Tserver.serve ~log
+          {
+            Tserver.addr = listen;
+            setup;
+            seed;
+            rounds;
+            stage_deadline_s = stage_deadline;
+            wal_path = wal_file;
+            crash;
+            stream;
+            topology;
+            churn;
+          }
+      with Invalid_argument e ->
+        Printf.eprintf "serve: %s\n" e;
+        exit 2
     in
     print_resumed report.Tserver.resumed_round;
     List.iter (fun (r, outcome) -> print_outcome ~d ~round:r outcome) report.Tserver.outcomes;
@@ -565,8 +569,8 @@ let client_cmd =
       value & opt int 60
       & info [ "max-retries" ] ~docv:"N" ~doc:"Connection attempts before giving up.")
   in
-  let run n m d k bound seed attackers jobs cache_dir dlog_mem connect id rounds stage_deadline
-      die_at loris retries trace verbose topology_mode degree churn_spec rejoin =
+  let run n m d k bound seed attackers jobs cache_dir dlog_mem connect id die_at loris retries
+      trace verbose =
     if jobs > 0 then Parallel.set_default_jobs jobs;
     configure_group_cache cache_dir dlog_mem;
     if trace <> None then begin
@@ -599,7 +603,6 @@ let client_cmd =
     let params = Params.make ~n_clients:n ~max_malicious:m ~d ~k ~m_factor:128.0 ~bound_b:bound () in
     let setup = Setup.create ~label:("cli/" ^ seed) params in
     let log s = if verbose then Printf.eprintf "[client %d] %s\n%!" id s in
-    let topology = make_topology ~n ~m ~topology:topology_mode ~degree in
     let results =
       Tclient.run ~log
         {
@@ -607,17 +610,10 @@ let client_cmd =
           setup;
           seed;
           id;
-          rounds;
-          d;
-          bound;
           behaviours = make_behaviours ~n ~attackers;
-          deadline_s = stage_deadline;
           loris;
           die_at;
           max_connect_attempts = retries;
-          topology;
-          churn = make_churn churn_spec;
-          rejoin;
         }
     in
     List.iter
@@ -641,20 +637,17 @@ let client_cmd =
     write_trace trace
   in
   Cmd.v
-    (Cmd.info "client" ~doc:"Drive one client process against a serve instance.")
+    (Cmd.info "client"
+       ~doc:
+         "Drive one client process against a serve instance. The round count, stage deadline, \
+          share topology and churn schedule are the server's: the client learns them from the \
+          server's announcement when it connects. The security parameters and the seed are the \
+          client's own and must equal the server's.")
     Term.(
       const run $ n_arg $ m_arg $ d_arg $ k_arg $ bound_arg $ seed_arg $ attackers_arg $ jobs_arg
-      $ cache_dir_arg $ dlog_mem_arg $ addr_conv "connect" $ id_arg $ rounds_arg $ deadline_s_arg
-      $ die_at_arg $ loris_arg $ retries_arg $ trace_arg
-      $ Arg.(value & flag & info [ "verbose" ] ~doc:"Log transport events to stderr.")
-      $ topology_arg $ degree_arg $ churn_arg
-      $ Arg.(
-          value & flag
-          & info [ "rejoin" ]
-              ~doc:
-                "Re-enroll into a session already in flight: learn the current round from the \
-                 server, fast-forward the locally derivable membership epochs, and participate \
-                 from the current round on (standing carries over)."))
+      $ cache_dir_arg $ dlog_mem_arg $ addr_conv "connect" $ id_arg $ die_at_arg $ loris_arg
+      $ retries_arg $ trace_arg
+      $ Arg.(value & flag & info [ "verbose" ] ~doc:"Log transport events to stderr."))
 
 (* --- train --- *)
 

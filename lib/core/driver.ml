@@ -61,7 +61,9 @@ type session = {
      durable runtime. Client-side randomness is one sequential stream per
      client, so a stage's messages must be produced exactly once per
      process: in-process recovery replays these bytes instead of re-running
-     the clients (which would advance their DRBGs and break bit-identity) *)
+     the clients (which would advance their DRBGs and break bit-identity).
+     Only the round in flight is ever replayed: opening a round drops the
+     earlier rounds' entries *)
   outbox : (int * Netsim.stage, Bytes.t option array) Hashtbl.t;
 }
 
@@ -402,6 +404,7 @@ let open_round ?(serialize = false) ?endpoint ?reliable ?remote ?wal ?crash ?rec
   let honest =
     List.filter (fun i -> behaviours.(i) = Honest && v.in_cohort.(i)) (List.init n Fun.id)
   in
+  Hashtbl.filter_map_inplace (fun (r, _) b -> if r < round then None else Some b) session.outbox;
   {
     s = session;
     v;

@@ -20,10 +20,6 @@ type t = {
   ep : TI.endpoint;
   max_attempts : int;
   base_deadline : int;
-  (* receive-side dedup by (round, stage index, sender, seq): an ack is
-     implied by membership, so a duplicate or a replayed copy of an
-     already-accepted frame is suppressed idempotently *)
-  seen : (int * int * int * int, unit) Hashtbl.t;
   mutable c_logical : int;
   mutable c_attempts : int;
   mutable c_retransmits : int;
@@ -41,7 +37,6 @@ let create_ep ?(max_attempts = 4) ?base_deadline (ep : TI.endpoint) =
     ep;
     max_attempts = max 1 max_attempts;
     base_deadline;
-    seen = Hashtbl.create 97;
     c_logical = 0;
     c_attempts = 0;
     c_retransmits = 0;
@@ -75,6 +70,13 @@ let exchange t ~round ~stage ?(already = []) payloads =
         t.c_logical <- t.c_logical + 1
       end)
     payloads;
+  (* receive-side dedup by (sender, seq): an ack is implied by
+     membership, so a duplicate or a replayed copy of an already-accepted
+     frame is suppressed idempotently. One table per exchange: the header
+     check below rejects every other (round, stage) first, and a crashed
+     stage that recovery runs again must take its unlogged senders' frames
+     afresh *)
+  let seen = Hashtbl.create 17 in
   let accepted = ref [] in
   let attempt = ref 0 in
   while !pending > 0 && !attempt < t.max_attempts do
@@ -114,13 +116,13 @@ let exchange t ~round ~stage ?(already = []) payloads =
               Telemetry.Counter.incr c_rejected
             end
             else begin
-              let key = (round, stage_ix, hdr.Serial.fh_sender, hdr.Serial.fh_seq) in
-              if Hashtbl.mem t.seen key then begin
+              let key = (hdr.Serial.fh_sender, hdr.Serial.fh_seq) in
+              if Hashtbl.mem seen key then begin
                 t.c_dup <- t.c_dup + 1;
                 Telemetry.Counter.incr c_dup
               end
               else begin
-                Hashtbl.replace t.seen key ();
+                Hashtbl.replace seen key ();
                 if not acked.(hdr.Serial.fh_sender - 1) then begin
                   acked.(hdr.Serial.fh_sender - 1) <- true;
                   decr pending;

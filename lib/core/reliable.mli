@@ -46,7 +46,7 @@ type counters = {
   retransmits : int;  (** sends beyond a frame's first attempt *)
   recovered : int;  (** frames acked only after >= 1 retransmission *)
   lost : int;  (** frames never acked by the final deadline *)
-  dup_suppressed : int;  (** deliveries dropped by (round,stage,sender,seq) dedup *)
+  dup_suppressed : int;  (** deliveries dropped by the per-exchange (sender, seq) dedup *)
   rejected : int;  (** framing/CRC failures and cross-round replays *)
 }
 

@@ -18,34 +18,44 @@ type config = {
   setup : Setup.t;
   seed : string;
   id : int;
-  rounds : int;
-  d : int;
-  bound : float;
   behaviours : Driver.behaviour array;
-  deadline_s : float;
   loris : bool;
   die_at : (int * Netsim.stage) option;
   max_connect_attempts : int;
-  topology : Topology.mode;
-  churn : Membership.spec option;
-      (* elastic membership: derive each round's cohort and epoch locally
-         from the seeded churn schedule — must match the server's spec *)
-  rejoin : bool;
-      (* re-enroll into a session already in flight: learn the current
-         round from the server, fast-forward the local epochs, skip the
-         rounds this process missed *)
+}
+
+(* everything this process keeps about one round; dropped once the next
+   round opens (the server seals a round before broadcasting its Result,
+   so a restarted server never asks about a finished round again) *)
+type round_rec = {
+  acked : bool array;  (* by stage index: the server's write-ahead ack *)
+  outbox : Bytes.t option array;  (* by stage index: the framed submit *)
+  mutable commits : Bytes.t array option;
+  mutable check : Bytes.t option;
+  mutable honest : (int list * int list) option;
+  mutable result : Proto.result_view option;
+  mutable cleared_done : bool;  (* the Cleared broadcast was applied *)
+  (* the round's view, derived once when the round opens: the round's
+     steps and its later recovery requests all answer from it *)
+  mutable view : Driver.round_view option;
+  (* reveal answers by sorted requests and recovery answers by dropout:
+     a re-request after a server restart must answer identically *)
+  reveals : (int list, (int * Curve25519.Scalar.t) list option) Hashtbl.t;
+  recoveries : (int, (Curve25519.Scalar.t option * Curve25519.Scalar.t) option) Hashtbl.t;
 }
 
 type st = {
   cfg : config;
   client : Client_sm.t;
   session : Driver.session;
-  (* the memoized elastic-cohort hook (None = static membership): every
-     epoch is derived locally — the schedule is a pure function of the
-     session seed, so no membership bytes ever cross the wire *)
-  cohort_for : (int -> Membership.epoch option) option;
+  (* the server's announcement (Hello_ok or Reject_stale): None until
+     the handshake; only the stage deadline may differ in a later one *)
+  mutable announced : Proto.session option;
+  mutable heard_at : float;  (* when the last envelope from the server arrived *)
+  (* the memoized elastic-cohort hook, derived from the announcement
+     (None = static membership): every epoch is derived locally *)
+  mutable cohort_for : (int -> Membership.epoch option) option;
   mutable epoch_applied : int;  (* last epoch applied to the session *)
-  mutable skip_until : int;  (* first round this process participates in *)
   mutable resync : int option;  (* set by Reject_stale: fast-forward here *)
   mutable server_round : int option;  (* from the last Hello_ok *)
   n : int;
@@ -55,25 +65,7 @@ type st = {
   mutable reasm : Frame.Reassembler.t;
   mutable cur_round : int;
   mutable pending : Bytes.t option;  (* unacked submit, resent on reconnect *)
-  acked : (int * int, unit) Hashtbl.t;  (* (round, stage index) *)
-  commits : (int, Bytes.t array) Hashtbl.t;
-  checks : (int, Bytes.t) Hashtbl.t;
-  honests : (int, int list * int list) Hashtbl.t;
-  results : (int, Proto.result_view) Hashtbl.t;
-  cleared_done : (int, unit) Hashtbl.t;  (* rounds whose Cleared was applied *)
-  (* each round's view, derived once when the round opens: the round's
-     steps and its later recovery requests all answer from it *)
-  views : (int, Driver.round_view) Hashtbl.t;
-  (* reveal answers cached by (round, sorted requests) and recovery
-     answers by (round, dropout): a re-request after a server restart
-     must answer identically without re-deriving *)
-  reveals : (int * int list, (int * Curve25519.Scalar.t) list option) Hashtbl.t;
-  recoveries : (int * int, (Curve25519.Scalar.t option * Curve25519.Scalar.t) option) Hashtbl.t;
-  outbox : (int * int, Bytes.t) Hashtbl.t;  (* cached framed submit bytes *)
-  (* the share topology in force — the server's Hello_ok announcement
-     wins over the locally configured mode, so a client started with the
-     wrong flag still derives the graph the cohort agreed on *)
-  mutable topo_mode : Topology.mode;
+  rounds : (int, round_rec) Hashtbl.t;  (* rounds >= [cur_round] only *)
 }
 
 let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
@@ -116,16 +108,72 @@ let fast_forward st ~upto =
       done;
       if upto > st.epoch_applied then st.epoch_applied <- upto
 
+(* the announcement every wait and derivation reads; the handshake in
+   [run] establishes it before any round work *)
+let announced st =
+  match st.announced with Some a -> a | None -> invalid_arg "Client: no session announced yet"
+
+(* adopt the server's session record: the first one fixes the derived
+   state (the churn schedule depends on the round count), a later one
+   may only move the stage deadline (a restarted server's own setting) *)
+let adopt st (a : Proto.session) =
+  (match st.announced with
+  | None ->
+      st.cohort_for <-
+        Option.map
+          (fun spec -> Driver.churn_cohort_for st.session ~spec ~rounds:a.Proto.rounds)
+          a.Proto.churn
+  | Some old ->
+      if { old with Proto.deadline_s = a.Proto.deadline_s } <> a then
+        failwith
+          (Printf.sprintf "client %d: the server announced a different session mid-run" st.cfg.id));
+  st.announced <- Some a
+
+let n_stages = 4 (* commit, flag, proof, agg: Netsim.stage_index *)
+
+(* the round's record; None once the round is behind this process *)
+let record st round =
+  if round < st.cur_round then None
+  else
+    match Hashtbl.find_opt st.rounds round with
+    | Some r -> Some r
+    | None ->
+        let r =
+          {
+            acked = Array.make n_stages false;
+            outbox = Array.make n_stages None;
+            commits = None;
+            check = None;
+            honest = None;
+            result = None;
+            cleared_done = false;
+            view = None;
+            reveals = Hashtbl.create 1;
+            recoveries = Hashtbl.create 1;
+          }
+        in
+        Hashtbl.replace st.rounds round r;
+        Some r
+
+(* [round] opens here: earlier rounds' records are dropped, and a round
+   behind [cur_round] (joined in flight, resync) never opens at all *)
+let open_round st round =
+  st.cur_round <- max st.cur_round round;
+  Hashtbl.filter_map_inplace (fun r v -> if r < st.cur_round then None else Some v) st.rounds
+
 (* the round's view: its epoch (and every earlier one) applied to the
    session, then the cohort and share graph the server derives too *)
-let view_for st ~round =
+let view_for st r ~round =
   let epoch =
     Option.bind st.cohort_for (fun f ->
         fast_forward st ~upto:round;
         f round)
   in
-  let v = Driver.round_view ?epoch ~topology:st.topo_mode st.session ~round in
-  Hashtbl.replace st.views round v;
+  let topology =
+    match (announced st).Proto.degree with 0 -> Topology.Full | k -> Topology.Kregular k
+  in
+  let v = Driver.round_view ?epoch ~topology st.session ~round in
+  r.view <- Some v;
   v
 
 let rec connect st ~attempt =
@@ -138,8 +186,7 @@ let rec connect st ~attempt =
       let jitter = 0.02 +. (float_of_int (Prng.Drbg.uniform_int st.backoff 200) /. 2000.0) in
       Unix.sleepf jitter;
       fast_forward st ~upto:(r - 1);
-      st.skip_until <- max st.skip_until r;
-      st.cur_round <- max st.cur_round r
+      open_round st r
   | None -> ());
   if attempt > st.cfg.max_connect_attempts then
     failwith
@@ -169,7 +216,6 @@ let rec connect st ~attempt =
              resume_round = st.cur_round;
              version = Proto.proto_version;
              epoch = st.epoch_applied;
-             rejoin = st.cfg.rejoin;
            });
       (* the write-ahead ack may have been lost with the old connection:
          retransmit the in-flight frame, the server re-acks or collects *)
@@ -189,71 +235,72 @@ let ensure_connected st = if st.fd = None then connect st ~attempt:0
 
 let behaviour st = st.cfg.behaviours.(st.cfg.id - 1)
 
-(* a cached answer, computed from [round]'s view on first request (no
+(* a cached answer, computed from the round's view on first request (no
    view: the round never opened here, so nothing to answer) *)
-let answer st tbl key ~round ~what f =
+let answer st r tbl key ~round ~what f =
   match Hashtbl.find_opt tbl key with
   | Some ans -> ans
   | None ->
-      let ans =
-        Option.bind (Hashtbl.find_opt st.views round) (fun v -> f v (behaviour st) st.client)
-      in
+      let ans = Option.bind r.view (fun v -> f v (behaviour st) st.client) in
       if Option.is_none ans then st.log (Printf.sprintf "round %d: no %s answer" round what);
       Hashtbl.replace tbl key ans;
       ans
 
+(* the broadcasts are set-once: a replay after reconnect changes nothing *)
 let dispatch st msg =
+  let on_round round f = Option.iter f (record st round) in
   match msg with
-  | Proto.Hello_ok { degree; round; _ } ->
-      st.server_round <- Some round;
-      st.topo_mode <- (if degree > 0 then Topology.Kregular degree else Topology.Full)
+  | Proto.Hello_ok { round; session; _ } ->
+      adopt st session;
+      st.server_round <- Some round
   | Proto.Ack { round; stage; sender; seq = _ } ->
       if sender = st.cfg.id then begin
-        Hashtbl.replace st.acked (round, Netsim.stage_index stage) ();
+        on_round round (fun r -> r.acked.(Netsim.stage_index stage) <- true);
         st.pending <- None
       end
   | Proto.Commits { round; commits } ->
-      if not (Hashtbl.mem st.commits round) then Hashtbl.replace st.commits round commits
+      on_round round (fun r -> if r.commits = None then r.commits <- Some commits)
   | Proto.Cleared { round; shares } ->
-      (* set-once: a replay after reconnect must not double-apply *)
-      if not (Hashtbl.mem st.cleared_done round) then begin
-        Hashtbl.replace st.cleared_done round ();
-        List.iter
-          (fun (flagger, dealer, value) ->
-            if flagger = st.cfg.id then
-              Client_sm.accept_cleared_share st.client ~from:dealer ~value)
-          shares
-      end
+      on_round round (fun r ->
+          if not r.cleared_done then begin
+            r.cleared_done <- true;
+            List.iter
+              (fun (flagger, dealer, value) ->
+                if flagger = st.cfg.id then
+                  Client_sm.accept_cleared_share st.client ~from:dealer ~value)
+              shares
+          end)
   | Proto.Check { round; bcast } ->
-      if not (Hashtbl.mem st.checks round) then Hashtbl.replace st.checks round bcast
+      on_round round (fun r -> if r.check = None then r.check <- Some bcast)
   | Proto.Honest { round; honest; malicious } ->
-      if not (Hashtbl.mem st.honests round) then
-        Hashtbl.replace st.honests round (honest, malicious)
+      on_round round (fun r -> if r.honest = None then r.honest <- Some (honest, malicious))
   | Proto.Result { round; view } ->
-      if not (Hashtbl.mem st.results round) then Hashtbl.replace st.results round view
+      on_round round (fun r -> if r.result = None then r.result <- Some view)
   | Proto.Reveal_req { dealer; requests } ->
-      if dealer = st.cfg.id then begin
+      if dealer = st.cfg.id then
         (* a reveal request names no round: it belongs to the round in
            flight, and a dealer re-deals every round *)
-        let round = st.cur_round in
-        let shares =
-          answer st st.reveals (round, List.sort_uniq compare requests) ~round ~what:"reveal"
-            (Driver.reveal_step ~requests)
-        in
-        send_msg st (Proto.Reveal_resp { dealer; shares })
-      end
-  | Proto.Recover_req { round; dropout } -> (
-      match
-        answer st st.recoveries (round, dropout) ~round ~what:"recovery"
-          (Driver.recovery_step ~dropout)
-      with
-      | Some (share, mask) -> send_msg st (Proto.Recover_resp { round; dropout; share; mask })
-      | None -> ())
-  | Proto.Reject_stale { current_round; reason } ->
+        on_round st.cur_round (fun r ->
+            let shares =
+              answer st r r.reveals (List.sort_uniq compare requests) ~round:st.cur_round
+                ~what:"reveal" (Driver.reveal_step ~requests)
+            in
+            send_msg st (Proto.Reveal_resp { dealer; shares }))
+  | Proto.Recover_req { round; dropout } ->
+      on_round round (fun r ->
+          match
+            answer st r r.recoveries dropout ~round ~what:"recovery"
+              (Driver.recovery_step ~dropout)
+          with
+          | Some (share, mask) -> send_msg st (Proto.Recover_resp { round; dropout; share; mask })
+          | None -> ())
+  | Proto.Reject_stale { current_round; session; reason } ->
       st.log (Printf.sprintf "stale membership epoch: %s" reason);
+      adopt st session;
       st.resync <- Some current_round;
       disconnect st
   | Proto.Reject { reason } -> failwith (Printf.sprintf "client %d rejected: %s" st.cfg.id reason)
+  | Proto.Alive -> () (* [pump] restarted the wait clock *)
   | Proto.Hello _ | Proto.Submit _ | Proto.Reveal_resp _ | Proto.Recover_resp _ | Proto.Bye ->
       (* client-to-server traffic echoed back: ignore *)
       ()
@@ -286,7 +333,16 @@ let pump st ~until_s =
                   List.iter
                     (fun body ->
                       match Proto.decode body with
-                      | Ok msg -> dispatch st msg
+                      | Ok msg ->
+                          st.heard_at <- Clock.now_s ();
+                          dispatch st msg
+                      | Error e when st.server_round = None ->
+                          (* the first envelope on a connection is the
+                             announcement: one this build cannot decode
+                             is a session it cannot follow *)
+                          failwith
+                            (Printf.sprintf "client %d: undecodable session announcement (%s)"
+                               st.cfg.id (Serial.error_to_string e))
                       | Error _ -> st.log "undecodable envelope from server; dropped")
                     bodies)
           | exception Unix.Unix_error _ ->
@@ -294,63 +350,73 @@ let pump st ~until_s =
               connect st ~attempt:0)
       | exception Unix.Unix_error _ -> ())
 
+(* The wait rule: 2·D without a word from the server. The server is
+   never quiet for longer than D plus its compute: a stage's collection
+   lasts at most D and ends in a broadcast, each reveal or recovery
+   sub-exchange (up to D apiece) opens with an Alive, and a restarted
+   server announces itself and re-collects under a fresh D. So every
+   envelope from the server restarts the clock. *)
+let wait_deadline st ~start =
+  Float.max start st.heard_at +. (2.0 *. (announced st).Proto.deadline_s)
+
 (* wait until [pred] holds; a Result for the round (the server resolved
    it without us) or the deadline degrade to the quorum path *)
-let wait st ~round pred =
-  let deadline = Clock.now_s () +. st.cfg.deadline_s in
+let wait st r pred =
+  let start = Clock.now_s () in
   let rec go () =
-    if pred () then `Got
-    else if Hashtbl.mem st.results round then `Resolved
-    else if Clock.now_s () >= deadline then begin
-      Telemetry.Counter.incr c_timeouts;
-      `Timeout
-    end
-    else begin
-      pump st ~until_s:deadline;
-      go ()
-    end
+    if pred r then `Got
+    else if r.result <> None then `Resolved
+    else
+      let deadline = wait_deadline st ~start in
+      if Clock.now_s () >= deadline then begin
+        Telemetry.Counter.incr c_timeouts;
+        `Timeout
+      end
+      else begin
+        pump st ~until_s:deadline;
+        go ()
+      end
   in
   go ()
 
-let framed_of st ~round ~stage payload =
-  let stage_ix = Netsim.stage_index stage in
-  match Hashtbl.find_opt st.outbox (round, stage_ix) with
-  | Some framed -> framed
-  | None ->
-      let framed =
-        Serial.encode_framed ~round ~stage:stage_ix ~sender:st.cfg.id ~seq:0 payload
-      in
-      Hashtbl.replace st.outbox (round, stage_ix) framed;
-      framed
-
 (* submit-until-acked under exponential backoff (quorum path on deadline) *)
-let submit st ~round ~stage payload =
+let submit st r ~round ~stage payload =
   (match st.cfg.die_at with
-  | Some (r, s) when r = round && s = stage ->
+  | Some (dr, ds) when dr = round && ds = stage ->
       st.log
         (Printf.sprintf "dying before %s of round %d" (Netsim.stage_to_string stage) round);
       disconnect st;
       exit 0
   | _ -> ());
   let stage_ix = Netsim.stage_index stage in
-  let framed = framed_of st ~round ~stage payload in
+  let framed =
+    match r.outbox.(stage_ix) with
+    | Some framed -> framed
+    | None ->
+        let framed =
+          Serial.encode_framed ~round ~stage:stage_ix ~sender:st.cfg.id ~seq:0 payload
+        in
+        r.outbox.(stage_ix) <- Some framed;
+        framed
+  in
   st.pending <- Some framed;
-  let deadline = Clock.now_s () +. st.cfg.deadline_s in
+  let start = Clock.now_s () in
+  let deadline () = wait_deadline st ~start in
+  let open_ () = (not r.acked.(stage_ix)) && r.result = None in
   let window = ref 0.25 in
   let attempt = ref 0 in
-  let acked () = Hashtbl.mem st.acked (round, stage_ix) in
-  while (not (acked ())) && (not (Hashtbl.mem st.results round)) && Clock.now_s () < deadline do
+  while open_ () && Clock.now_s () < deadline () do
     ensure_connected st;
     if !attempt > 0 then Telemetry.Counter.incr c_retransmits;
     incr attempt;
     send_msg st (Proto.Submit framed);
-    let wdl = Float.min deadline (Clock.now_s () +. !window) in
-    while (not (acked ())) && (not (Hashtbl.mem st.results round)) && Clock.now_s () < wdl do
-      pump st ~until_s:wdl
+    let wdl = Clock.now_s () +. !window in
+    while open_ () && Clock.now_s () < Float.min wdl (deadline ()) do
+      pump st ~until_s:(Float.min wdl (deadline ()))
     done;
     window := Float.min 4.0 (!window *. 2.0)
   done;
-  if not (acked ()) then Telemetry.Counter.incr c_timeouts;
+  if not r.acked.(stage_ix) then Telemetry.Counter.incr c_timeouts;
   st.pending <- None
 
 (* the server's validated commit view; it never sends an undecodable one *)
@@ -364,42 +430,46 @@ let decode_commits bytes =
 
 let run_round st ~round =
   let cfg = st.cfg in
-  (* a round this process missed (rejoin/resync): the session already
-     resolved it, nothing to do *)
-  if round < st.skip_until then None
-  else begin
+  open_round st round;
+  match record st round with
+  | None ->
+      (* a round this process missed (joined in flight, or resync): the
+         session already resolved it, nothing to do *)
+      None
+  | Some r ->
   (* freeze the round's membership first: the epoch rotates keys and
      installs the directory before any frame is built *)
-  let v = view_for st ~round in
+  let v = view_for st r ~round in
   if not v.Driver.in_cohort.(cfg.id - 1) then begin
     st.log (Printf.sprintf "round %d: outside this round's cohort; sitting out" round);
     None
   end
   else begin
-  st.cur_round <- round;
   let b = behaviour st and c = st.client in
-  let send stage encode = Option.iter (fun m -> submit st ~round ~stage (encode m)) in
+  let send stage encode = Option.iter (fun m -> submit st r ~round ~stage (encode m)) in
   (* the update derivation scales the session's Oversized clients *)
   let attackers =
     List.filter
       (fun id -> match cfg.behaviours.(id - 1) with Driver.Oversized _ -> true | _ -> false)
       (List.init st.n succ)
   in
+  let p = cfg.setup.Setup.params in
   let update =
-    (Updates.make ~n:st.n ~d:cfg.d ~bound:cfg.bound ~seed:cfg.seed ~attackers ~round).(cfg.id - 1)
+    (Updates.make ~n:st.n ~d:p.Params.d ~bound:p.Params.bound_b ~seed:cfg.seed ~attackers ~round).(
+      cfg.id - 1)
   in
   send Netsim.Commit Serial.encode_commit_msg (Driver.commit_step v b c ~update);
   (* --- flags (needs the server's validated commit set) --- *)
-  (match wait st ~round (fun () -> Hashtbl.mem st.commits round) with
+  (match wait st r (fun r -> r.commits <> None) with
   | `Got ->
-      let commits = decode_commits (Hashtbl.find st.commits round) in
+      let commits = decode_commits (Option.get r.commits) in
       send Netsim.Flag Serial.encode_flag_msg (Driver.flag_step v b c ~commits)
   | `Resolved | `Timeout -> ());
   (* --- probabilistic check + proof --- *)
-  (match wait st ~round (fun () -> Hashtbl.mem st.checks round) with
+  (match wait st r (fun r -> r.check <> None) with
   | `Got -> (
       let s, hs =
-        match Serial.decode_broadcast_r (Hashtbl.find st.checks round) with
+        match Serial.decode_broadcast_r (Option.get r.check) with
         | Ok v -> v
         | Error e ->
             failwith ("client: check broadcast undecodable: " ^ Serial.error_to_string e)
@@ -407,26 +477,30 @@ let run_round st ~round =
       (* no h_t tables: each would serve only two multiplications, which
          save less than a table build costs *)
       match Driver.proof_step v b c ~s ~hs with
-      | Some proof -> submit st ~round ~stage:Netsim.Proof (Serial.encode_proof_msg proof)
+      | Some proof -> submit st r ~round ~stage:Netsim.Proof (Serial.encode_proof_msg proof)
       | None ->
           (* the rational-adversary move: the sampled projections would
              betray the update, stay silent *)
           st.log (Printf.sprintf "round %d: staying silent at proof stage" round))
   | `Resolved | `Timeout -> ());
   (* --- aggregation --- *)
-  (match wait st ~round (fun () -> Hashtbl.mem st.honests round) with
+  (match wait st r (fun r -> r.honest <> None) with
   | `Got ->
-      let honest, malicious = Hashtbl.find st.honests round in
+      let honest, malicious = Option.get r.honest in
       send Netsim.Agg Serial.encode_agg_msg (Driver.agg_step v b c ~honest ~malicious)
   | `Resolved | `Timeout -> ());
   (* --- result --- *)
-  match wait st ~round (fun () -> Hashtbl.mem st.results round) with
-  | `Got | `Resolved -> Hashtbl.find_opt st.results round
+  match wait st r (fun r -> r.result <> None) with
+  | `Got | `Resolved -> r.result
   | `Timeout ->
       st.log (Printf.sprintf "round %d: no result before deadline" round);
       None
   end
-  end
+
+(* a server answers a Hello at its next poll, at most one stage's
+   compute away: a listener that announces nothing for this long is not
+   a server this client can follow *)
+let handshake_timeout_s = 60.0
 
 let run ?(log = fun _ -> ()) cfg =
   (* a dying server mid-write must surface as EPIPE, not kill us *)
@@ -437,17 +511,15 @@ let run ?(log = fun _ -> ()) cfg =
   (* the same session as the server and every sibling: only our own
      client's DRBG fork ever advances in this process *)
   let session = Driver.create_session cfg.setup ~seed:cfg.seed in
-  let cohort_for =
-    Option.map (fun spec -> Driver.churn_cohort_for session ~spec ~rounds:cfg.rounds) cfg.churn
-  in
   let st =
     {
       cfg;
       client = (Driver.session_clients session).(cfg.id - 1);
       session;
-      cohort_for;
+      announced = None;
+      heard_at = 0.0;
+      cohort_for = None;
       epoch_applied = 0;
-      skip_until = 1;
       resync = None;
       server_round = None;
       n;
@@ -457,40 +529,32 @@ let run ?(log = fun _ -> ()) cfg =
       reasm = Frame.Reassembler.create ();
       cur_round = 1;
       pending = None;
-      acked = Hashtbl.create 16;
-      commits = Hashtbl.create 4;
-      checks = Hashtbl.create 4;
-      honests = Hashtbl.create 4;
-      results = Hashtbl.create 4;
-      cleared_done = Hashtbl.create 4;
-      views = Hashtbl.create 4;
-      reveals = Hashtbl.create 4;
-      recoveries = Hashtbl.create 4;
-      outbox = Hashtbl.create 16;
-      topo_mode = cfg.topology;
+      rounds = Hashtbl.create 4;
     }
   in
+  (* the one handshake: learn the session and where it stands before any
+     round work. Either Hello_ok answers directly, or a stale-epoch
+     rejection routes through the resync path (reconnect fast-forwards
+     and re-enrolls) until one Hello is accepted. A lost connection
+     reconnects under the bounded backoff. *)
   connect st ~attempt:0;
-  (* rejoin bootstrap: learn where the session is before doing any round
-     work. Either Hello_ok answers directly, or a stale-epoch rejection
-     routes through the resync path (reconnect fast-forwards and
-     re-enrolls) until one Hello is accepted. *)
-  if cfg.rejoin then begin
-    let deadline = Clock.now_s () +. cfg.deadline_s in
-    while st.server_round = None && Clock.now_s () < deadline do
-      pump st ~until_s:deadline
-    done;
-    match st.server_round with
-    | Some r when r > 1 ->
-        log (Printf.sprintf "re-enrolled: session is at round %d" r);
-        fast_forward st ~upto:(r - 1);
-        st.skip_until <- max st.skip_until r;
-        st.cur_round <- max st.cur_round r
-    | Some _ -> ()
-    | None -> failwith (Printf.sprintf "client %d: rejoin handshake timed out" cfg.id)
-  end;
+  let give_up = Clock.now_s () +. handshake_timeout_s in
+  while st.server_round = None do
+    if Clock.now_s () >= give_up then
+      failwith
+        (Printf.sprintf "client %d: no session announcement within %.0f s of connecting" cfg.id
+           handshake_timeout_s);
+    pump st ~until_s:give_up
+  done;
+  let a = announced st in
+  (match st.server_round with
+  | Some r when r > 1 ->
+      log (Printf.sprintf "joined in flight: session is at round %d" r);
+      fast_forward st ~upto:(r - 1);
+      open_round st r
+  | _ -> ());
   let results = ref [] in
-  for round = 1 to cfg.rounds do
+  for round = 1 to a.Proto.rounds do
     match run_round st ~round with
     | Some view -> results := (round, view) :: !results
     | None -> ()

@@ -3,13 +3,21 @@ module Scalar = Curve25519.Scalar
 module W = Serial.W
 module R = Serial.R
 
-(* The transport protocol revision this build speaks: v3, with the
-   k-regular recovery sub-exchange (tags 14/15) and elastic membership
-   (the Hello epoch/rejoin fields, the Hello_ok epoch and the typed
-   stale-epoch rejection, tag 16). Bumped with any change a peer of
-   another revision cannot follow; a server talks to its own revision
-   only. *)
-let proto_version = 3
+(* The transport protocol revision this build speaks: v4, whose
+   Hello_ok and Reject_stale carry the announced session record, whose
+   Hello has no rejoin flag, and which adds Alive. Bumped
+   with any change a peer of another revision cannot follow; a server
+   talks to its own revision only. *)
+let proto_version = 4
+
+module Membership = Risefl_core.Membership
+
+type session = {
+  deadline_s : float;
+  rounds : int;
+  degree : int;
+  churn : Membership.spec option;
+}
 
 type result_view =
   | Rv_completed of { cstar : int list; aggregate : int array option }
@@ -17,11 +25,11 @@ type result_view =
   | Rv_aborted_decode of int list
 
 type msg =
-  | Hello of { client_id : int; resume_round : int; version : int; epoch : int; rejoin : bool }
+  | Hello of { client_id : int; resume_round : int; version : int; epoch : int }
   | Submit of Bytes.t
   | Reveal_resp of { dealer : int; shares : (int * Scalar.t) list option }
   | Bye
-  | Hello_ok of { n : int; round : int; version : int; degree : int; epoch : int }
+  | Hello_ok of { n : int; round : int; version : int; epoch : int; session : session }
   | Ack of { round : int; stage : Netsim.stage; sender : int; seq : int }
   | Commits of { round : int; commits : Bytes.t array }
   | Cleared of { round : int; shares : (int * int * Scalar.t) list }
@@ -32,9 +40,10 @@ type msg =
   | Reject of { reason : string }
   | Recover_req of { round : int; dropout : int }
   | Recover_resp of { round : int; dropout : int; share : Scalar.t option; mask : Scalar.t }
-  | Reject_stale of { current_round : int; reason : string }
+  | Reject_stale of { current_round : int; session : session; reason : string }
       (* typed: the client's membership epoch is behind the session —
          fast-forward the locally derivable epochs and re-enroll *)
+  | Alive  (* the server starts a sub-exchange wait: clients restart theirs *)
 
 let tag_name = function
   | Hello _ -> "hello"
@@ -53,6 +62,7 @@ let tag_name = function
   | Recover_req _ -> "recover-req"
   | Recover_resp _ -> "recover-resp"
   | Reject_stale _ -> "reject-stale"
+  | Alive -> "alive"
 
 (* counts inside an envelope are bounded before any per-element work: a
    hostile count fails fast instead of driving a long read loop *)
@@ -78,18 +88,77 @@ let r_scalar r =
 let w_string b s = W.bytes b (Bytes.of_string s)
 let r_string r = Bytes.to_string (R.bytes r)
 
+(* floats travel as their IEEE-754 bits (high word first): both sides
+   derive the churn schedule from these values, so no decimal rounding *)
+let w_float b f =
+  let bits = Int64.bits_of_float f in
+  W.u32 b (Int64.to_int (Int64.shift_right_logical bits 32));
+  W.u32 b (Int64.to_int (Int64.logand bits 0xFFFF_FFFFL))
+
+let r_float r =
+  let hi = R.u32 r in
+  let lo = R.u32 r in
+  Int64.float_of_bits (Int64.logor (Int64.shift_left (Int64.of_int hi) 32) (Int64.of_int lo))
+
+let rate_ok p = p >= 0.0 && p <= 1.0
+
+let session_error { deadline_s; rounds; degree; churn } =
+  if not (Float.is_finite deadline_s && deadline_s > 0.0) then
+    Some "the stage deadline must be finite and positive"
+  else if rounds < 1 then Some "the round count must be at least 1"
+  else if degree < 0 then Some "the topology degree must be non-negative"
+  else
+    match churn with
+    | Some { Membership.p_leave; p_rejoin; p_rotate; min_cohort } ->
+        if not (rate_ok p_leave && rate_ok p_rejoin && rate_ok p_rotate) then
+          Some "the churn rates must lie in [0, 1]"
+        else if min_cohort < 0 then Some "the churn cohort floor must be non-negative"
+        else None
+    | None -> None
+
+let w_session b { deadline_s; rounds; degree; churn } =
+  w_float b deadline_s;
+  W.u32 b rounds;
+  W.u32 b degree;
+  match churn with
+  | None -> W.u8 b 0
+  | Some { Membership.p_leave; p_rejoin; p_rotate; min_cohort } ->
+      W.u8 b 1;
+      w_float b p_leave;
+      w_float b p_rejoin;
+      w_float b p_rotate;
+      W.u32 b min_cohort
+
+(* a record the server could not have announced (it checks its own with
+   [session_error] before listening) is undecodable *)
+let r_session r =
+  let deadline_s = r_float r in
+  let rounds = R.u32 r in
+  let degree = R.u32 r in
+  let churn =
+    match R.u8 r with
+    | 0 -> None
+    | 1 ->
+        let p_leave = r_float r in
+        let p_rejoin = r_float r in
+        let p_rotate = r_float r in
+        let min_cohort = R.u32 r in
+        Some { Membership.p_leave; p_rejoin; p_rotate; min_cohort }
+    | _ -> failwith "bad option tag"
+  in
+  let session = { deadline_s; rounds; degree; churn } in
+  match session_error session with Some e -> failwith e | None -> session
+
 let encode msg =
   let b = W.create () in
   (match msg with
-  | Hello { client_id; resume_round; version; epoch; rejoin } ->
+  | Hello { client_id; resume_round; version; epoch } ->
       W.u8 b 1;
       W.u32 b client_id;
       W.u32 b resume_round;
       W.u32 b version;
-      (* the last membership epoch the client has applied, plus the
-         enrollment intent (re-enrolling after an absence) *)
-      W.u32 b epoch;
-      W.u8 b (if rejoin then 1 else 0)
+      (* the last membership epoch the client has applied *)
+      W.u32 b epoch
   | Submit framed ->
       W.u8 b 2;
       W.bytes b framed
@@ -107,15 +176,14 @@ let encode msg =
               w_scalar b s)
             shares)
   | Bye -> W.u8 b 4
-  | Hello_ok { n; round; version; degree; epoch } ->
+  | Hello_ok { n; round; version; epoch; session } ->
       W.u8 b 5;
       W.u32 b n;
       W.u32 b round;
       W.u32 b version;
-      (* the round topology degree (0 = all-to-all) and the server's
-         current membership epoch (0 = static) *)
-      W.u32 b degree;
-      W.u32 b epoch
+      (* the server's current membership epoch (0 = static) *)
+      W.u32 b epoch;
+      w_session b session
   | Ack { round; stage; sender; seq } ->
       W.u8 b 6;
       W.u32 b round;
@@ -188,10 +256,12 @@ let encode msg =
           W.u8 b 1;
           w_scalar b s);
       w_scalar b mask
-  | Reject_stale { current_round; reason } ->
+  | Reject_stale { current_round; session; reason } ->
       W.u8 b 16;
       W.u32 b current_round;
-      w_string b reason);
+      w_session b session;
+      w_string b reason
+  | Alive -> W.u8 b 17);
   Buffer.to_bytes b
 
 let decode body =
@@ -203,8 +273,7 @@ let decode body =
         let resume_round = R.u32 r in
         let version = R.u32 r in
         let epoch = R.u32 r in
-        let rejoin = R.u8 r <> 0 in
-        Hello { client_id; resume_round; version; epoch; rejoin }
+        Hello { client_id; resume_round; version; epoch }
     | 2 -> Submit (R.bytes r)
     | 3 ->
         let dealer = R.u32 r in
@@ -226,9 +295,9 @@ let decode body =
         let n = R.u32 r in
         let round = R.u32 r in
         let version = R.u32 r in
-        let degree = R.u32 r in
         let epoch = R.u32 r in
-        Hello_ok { n; round; version; degree; epoch }
+        let session = r_session r in
+        Hello_ok { n; round; version; epoch; session }
     | 6 ->
         let round = R.u32 r in
         let stage =
@@ -307,8 +376,10 @@ let decode body =
         Recover_resp { round; dropout; share; mask }
     | 16 ->
         let current_round = R.u32 r in
+        let session = r_session r in
         let reason = r_string r in
-        Reject_stale { current_round; reason }
+        Reject_stale { current_round; session; reason }
+    | 17 -> Alive
     | _ -> failwith "unknown tag"
   in
   R.finish r;

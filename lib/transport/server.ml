@@ -43,21 +43,21 @@ type st = {
   loop : Evloop.t;
   n : int;
   session : Driver.session;
-  deadline_s : float;
+  (* the session record every Hello_ok (and Reject_stale) announces *)
+  announced : Proto.session;
   log : string -> unit;
   (* (round, stage index, sender, seq) already in the WAL: a retransmit
      of any of these is re-acked without touching the driver *)
   acked : (int * int * int * int, unit) Hashtbl.t;
   (* broadcasts already emitted, oldest first, for Hello-time replay to
      a (re)connecting client *)
-  mutable bcast_log : (int * target * Proto.msg) list;
+  bcast_log : (int * target * Proto.msg) Queue.t;
   (* frames that arrived before their stage's collector started *)
   inbox : (int * int, (int * int * Bytes.t) Queue.t) Hashtbl.t;
   reveal_box : (int, (int * Curve25519.Scalar.t) list option) Hashtbl.t;
   (* (round, dropout, responder) -> the responder's recovery answer *)
   recover_box :
     (int * int * int, Curve25519.Scalar.t option * Curve25519.Scalar.t) Hashtbl.t;
-  topo_mode : Topology.mode;
   (* the elastic cohort hook (None = static membership), memoized per
      round: the collector asks for the epoch the driver already froze *)
   cohort_for : (int -> Risefl_core.Membership.epoch option) option;
@@ -84,7 +84,7 @@ let ack_of hdr stage =
     }
 
 let send_bcast st ~round target msg =
-  st.bcast_log <- st.bcast_log @ [ (round, target, msg) ];
+  Queue.add (round, target, msg) st.bcast_log;
   match target with
   | All -> Evloop.broadcast st.loop msg
   | One id -> (
@@ -151,7 +151,7 @@ let handle_event st = function
   | Evloop.Accepted _ -> ()
   | Evloop.Msg (conn, msg) -> (
       match msg with
-      | Proto.Hello { client_id; resume_round; version; epoch; rejoin } ->
+      | Proto.Hello { client_id; resume_round; version; epoch } ->
           if client_id < 1 || client_id > st.n then begin
             Evloop.send st.loop conn (Proto.Reject { reason = "unknown client id" });
             Evloop.close_conn st.loop conn
@@ -179,6 +179,7 @@ let handle_event st = function
               (Proto.Reject_stale
                  {
                    current_round = st.round_now;
+                   session = st.announced;
                    reason =
                      Printf.sprintf
                        "membership epoch %d is stale: the session is at round %d — fast-forward \
@@ -192,20 +193,20 @@ let handle_event st = function
             | Some old when old != conn -> Evloop.close_conn st.loop old
             | _ -> ());
             Evloop.set_conn_id conn client_id;
-            if rejoin then
-              st.log (Printf.sprintf "client %d re-enrolling from round %d" client_id resume_round);
-            let degree = match st.topo_mode with Topology.Full -> 0 | Topology.Kregular k -> k in
+            st.log
+              (Printf.sprintf "client %d enrolled at round %d (resuming from round %d)" client_id
+                 st.round_now resume_round);
             Evloop.send st.loop conn
               (Proto.Hello_ok
                  {
                    n = st.n;
                    round = st.round_now;
                    version = Proto.proto_version;
-                   degree;
                    epoch = (if churn_enabled st then st.round_now else 0);
+                   session = st.announced;
                  });
             (* replay the broadcasts the client may have missed *)
-            List.iter
+            Queue.iter
               (fun (round, target, msg) ->
                 if round >= resume_round then
                   match target with
@@ -240,11 +241,28 @@ let pump st ~until_s =
   let timeout = Float.max 0.0 (Float.min 0.05 (until_s -. Clock.now_s ())) in
   List.iter (handle_event st) (Evloop.poll st.loop ~timeout_s:timeout)
 
+(* A reconnecting client can still need the previous round's Result (it
+   resumes from the round it was in), never anything older: broadcasts,
+   ack keys and recovery answers of earlier rounds are dropped. Early
+   frames queued for a round the collectors have left (its later stages
+   never ran: the round aborted) can never be collected. *)
+let prune st =
+  Hashtbl.filter_map_inplace (fun (r, _) q -> if r >= st.round_now then Some q else None) st.inbox;
+  let keep r = r >= st.round_now - 1 in
+  while
+    match Queue.peek_opt st.bcast_log with Some (r, _, _) -> not (keep r) | None -> false
+  do
+    ignore (Queue.pop st.bcast_log)
+  done;
+  Hashtbl.filter_map_inplace (fun (r, _, _, _) () -> if keep r then Some () else None) st.acked;
+  Hashtbl.filter_map_inplace (fun (r, _, _) v -> if keep r then Some v else None) st.recover_box
+
 (* the driver's per-stage intake: drain the inbox, convict violators,
    poll the loop for more — under the stage deadline *)
 let collect st ~round ~stage ~already ~push =
   let stage_ix = Netsim.stage_index stage in
   st.round_now <- round;
+  prune st;
   let banned = Server_sm.malicious (Driver.session_server st.session) in
   (* under an elastic epoch only the round's cohort owes frames: absent
      clients are neither awaited nor timed out *)
@@ -261,7 +279,7 @@ let collect st ~round ~stage ~already ~push =
       if (not (List.mem i already)) && not (List.mem i banned) then
         Hashtbl.replace pending i ())
     expected;
-  let deadline = Clock.now_s () +. st.deadline_s in
+  let deadline = Clock.now_s () +. st.announced.Proto.deadline_s in
   let accept (sender, seq, framed) =
     (* write-ahead ack: push appends to the WAL (or raises, crashing the
        server) before we acknowledge anything *)
@@ -311,12 +329,18 @@ let collect st ~round ~stage ~already ~push =
   end;
   st.pos <- (round, stage_ix)
 
+(* A sub-exchange wait can last D on top of the stage's own D, and the
+   clients waiting for the stage's broadcast cannot see it: tell them the
+   server is still at work, so their 2·D wait restarts here. *)
+let keep_alive st = Evloop.broadcast st.loop Proto.Alive
+
 let reveal st ~dealer ~requests =
   Hashtbl.remove st.reveal_box dealer;
+  keep_alive st;
   (match Evloop.conn_of_id st.loop dealer with
   | Some c -> Evloop.send st.loop c (Proto.Reveal_req { dealer; requests })
   | None -> ());
-  let deadline = Clock.now_s () +. st.deadline_s in
+  let deadline = Clock.now_s () +. st.announced.Proto.deadline_s in
   while (not (Hashtbl.mem st.reveal_box dealer)) && Clock.now_s () < deadline do
     pump st ~until_s:deadline
   done;
@@ -331,6 +355,7 @@ let reveal st ~dealer ~requests =
    under the stage deadline — same pump discipline as [reveal] *)
 let recover st ~round ~dropout ~responders =
   List.iter (fun id -> Hashtbl.remove st.recover_box (round, dropout, id)) responders;
+  keep_alive st;
   List.iter
     (fun id ->
       match Evloop.conn_of_id st.loop id with
@@ -340,7 +365,7 @@ let recover st ~round ~dropout ~responders =
   let outstanding () =
     List.filter (fun id -> not (Hashtbl.mem st.recover_box (round, dropout, id))) responders
   in
-  let deadline = Clock.now_s () +. st.deadline_s in
+  let deadline = Clock.now_s () +. st.announced.Proto.deadline_s in
   while outstanding () <> [] && Clock.now_s () < deadline do
     pump st ~until_s:deadline
   done;
@@ -406,6 +431,17 @@ let serve ?(log = fun _ -> ()) cfg =
   (* a peer vanishing mid-write must surface as EPIPE, not kill us *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   let n = cfg.setup.Setup.params.Params.n_clients in
+  let announced =
+    {
+      Proto.deadline_s = cfg.stage_deadline_s;
+      rounds = cfg.rounds;
+      degree = (match cfg.topology with Topology.Full -> 0 | Topology.Kregular k -> k);
+      churn = cfg.churn;
+    }
+  in
+  (* the clients could not decode an announcement the server could not
+     make: refuse it before listening *)
+  Option.iter (fun e -> invalid_arg ("Server.serve: " ^ e)) (Proto.session_error announced);
   let session = Driver.create_session cfg.setup ~seed:cfg.seed in
   (* the log is the driver's to resume; the transport keeps only what it
      owns: logged frames are re-acked instead of reprocessed *)
@@ -422,14 +458,13 @@ let serve ?(log = fun _ -> ()) cfg =
       loop;
       n;
       session;
-      deadline_s = cfg.stage_deadline_s;
+      announced;
       log;
       acked = Hashtbl.create 64;
-      bcast_log = [];
+      bcast_log = Queue.create ();
       inbox = Hashtbl.create 8;
       reveal_box = Hashtbl.create 4;
       recover_box = Hashtbl.create 4;
-      topo_mode = cfg.topology;
       cohort_for =
         Option.map
           (fun spec -> Driver.churn_cohort_for session ~spec ~rounds:cfg.rounds)

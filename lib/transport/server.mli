@@ -1,8 +1,10 @@
 (** The deployment server: runs {!Risefl_core.Driver.run_session} over
     real sockets via the driver's [?remote] seam, with the write-ahead log
     as the source of truth. This module holds transport state only — the
-    ack table, the inbox and the broadcast log; the rounds, their bans
-    and their resumption are the driver's.
+    ack table, the inbox and the broadcast log, each pruned to the round
+    in flight and the one before it (all a reconnecting client can still
+    need); the rounds, their bans and their resumption are the
+    driver's.
 
     One {!serve} call runs the configured rounds against whatever clients
     connect. Per stage the server collects frames under a wall-clock
@@ -29,7 +31,12 @@ type config = {
   setup : Risefl_core.Setup.t;
   seed : string;  (** the session seed — clients must use the same *)
   rounds : int;
-  stage_deadline_s : float;  (** per-stage collection deadline *)
+  stage_deadline_s : float;
+      (** per-stage collection deadline D; a client gives up on a
+          broadcast after 2·D without an envelope from the server, which
+          broadcasts [Alive] before each reveal or recovery sub-exchange
+          (announced in [Hello_ok], like [rounds], [topology] and
+          [churn]: the clients take these four from the server) *)
   wal_path : string option;
   crash : (int * Netsim.stage * Driver.crash_point) option;
       (** die (SIGKILL) at this point; requires [wal_path] *)
@@ -67,4 +74,8 @@ type report = {
 
 val serve : ?log:(string -> unit) -> config -> report
 (** Runs to completion (never returns on a planned crash — the process is
-    killed). [log] receives progress lines (default: dropped). *)
+    killed). [log] receives progress lines (default: dropped), among
+    them one per accepted [Hello] naming the client, the round in
+    flight and the round it resumes from.
+    @raise Invalid_argument before listening if the session record is
+    one the clients could not decode ({!Proto.session_error}). *)

@@ -302,6 +302,72 @@ let test_session_carries_cstar () =
         fail "round 2 aggregate must exclude the banned client"
   | _ -> fail "expected two round outcomes")
 
+(* a mid-stage crash under retransmission: the frames the server took
+   but had not logged before dying must be taken afresh when recovery
+   runs the stage again over the same reliable layer, not suppressed as
+   duplicates of the crashed exchange *)
+let test_mid_stage_crash_over_arq () =
+  let behaviours = Driver.honest_all n in
+  let twin = Driver.create_session setup ~seed:"arq-crash" in
+  let want = Driver.run_session twin ~serialize:true ~updates_for ~behaviours ~rounds:2 in
+  let wal_path = fresh_wal () in
+  let wal = Round_log.create ~fsync:false wal_path in
+  let net = Netsim.create ~plan:Netsim.ideal ~deadline:4 ~seed:"arq-crash" () in
+  let reliable = Risefl_core.Reliable.create_ep (Netsim.endpoint net) in
+  let report =
+    Driver.run_session (Driver.create_session setup ~seed:"arq-crash") ~reliable ~wal
+      ~crash:(1, Netsim.Proof, Driver.Stage_frame 2) ~updates_for ~behaviours ~rounds:2
+  in
+  Round_log.close wal;
+  Sys.remove wal_path;
+  if report.Driver.crashes_recovered <> 1 then fail "the mid-proof crash must be recovered";
+  List.iter2
+    (fun (r, a) (_, b) ->
+      match (a, b) with
+      | Driver.Completed _, Driver.Completed _ when agg_and_cstar a = agg_and_cstar b -> ()
+      | _ -> fail "round %d over ARQ differs from the uncrashed session" r)
+    want.Driver.round_outcomes report.Driver.round_outcomes;
+  let c = Risefl_core.Reliable.counters reliable in
+  if c.Risefl_core.Reliable.lost <> 0 then
+    fail "%d frame(s) lost for good across the recovered stage" c.Risefl_core.Reliable.lost
+
+(* Bounded memory over a long session: the session state that survives
+   a round under a WAL and retransmission must not grow with the round
+   count. Live words after 40 tiny rounds stay within 8 K words (64 KB)
+   of those after 10; a session that kept every round's cached frames
+   grew by ~1.2 K words per round here. *)
+let test_bounded_session_memory () =
+  let n = 3 and d = 4 in
+  let params = Params.make ~n_clients:n ~max_malicious:1 ~d ~k:2 ~m_factor:128.0 ~bound_b:900.0 () in
+  let setup = Setup.create ~label:"test/recovery-long" params in
+  let updates_for r =
+    let drbg = Prng.Drbg.create_string (Printf.sprintf "long/r%d" r) in
+    Array.init n (fun _ -> Array.init d (fun _ -> Prng.Drbg.uniform_int drbg 40 - 20))
+  in
+  let live_after rounds =
+    let wal_path = fresh_wal () in
+    let wal = Round_log.create ~fsync:false wal_path in
+    let session = Driver.create_session setup ~seed:"long-session" in
+    let net = Netsim.create ~plan:Netsim.ideal ~deadline:4 ~seed:"long-session" () in
+    let reliable = Risefl_core.Reliable.create_ep (Netsim.endpoint net) in
+    let report =
+      Driver.run_session session ~reliable ~wal ~updates_for ~behaviours:(Driver.honest_all n)
+        ~rounds
+    in
+    if report.Driver.rounds_completed <> rounds then fail "a long-session round failed";
+    Gc.full_major ();
+    let live = (Gc.stat ()).Gc.live_words in
+    ignore (Sys.opaque_identity (session, reliable, wal));
+    Round_log.close wal;
+    Sys.remove wal_path;
+    live
+  in
+  let short = live_after 10 in
+  let long = live_after 40 in
+  Printf.printf "live words: %d after 10 rounds, %d after 40\n" short long;
+  if long - short > 8_192 then
+    fail "live words grew by %d over 30 rounds (%d after 10, %d after 40)" (long - short) short long
+
 let test_session_recovers_mid_run () =
   (* same two-round session, server killed inside round 2: the loop must
      replay the WAL, finish the round and match the uncrashed twin *)
@@ -509,6 +575,9 @@ let () =
         [
           Alcotest.test_case "C* carries across rounds" `Quick test_session_carries_cstar;
           Alcotest.test_case "mid-session recovery" `Quick test_session_recovers_mid_run;
+          Alcotest.test_case "mid-stage crash over ARQ" `Quick test_mid_stage_crash_over_arq;
+          Alcotest.test_case "bounded memory over a long session" `Slow
+            test_bounded_session_memory;
           Alcotest.test_case "torn snapshot" `Quick test_torn_snapshot;
           Alcotest.test_case "boundary restart" `Quick test_boundary_restart;
           Alcotest.test_case "fresh-session resume guard" `Quick test_resume_guard;
