@@ -228,9 +228,12 @@ topology-smoke:
 # across jobs {1,2,4} and under a k-regular topology (with the shrunken
 # rounds' degree clamp), a crash at an epoch boundary must resume from
 # the WAL onto the identical transcript, and a serve/client deployment —
-# one client enrolling late, every client told only its security
+# client 2's first process exiting before round 2's commit and a fresh
+# one joining in flight once the server's log shows round 2 open (the
+# poll gives up after 30 s), every client told only its security
 # parameters (the rounds and the churn spec are the server's
-# announcement) — must match the in-process session line for line.
+# announcement) — must match the in-process session line for line, the
+# late process's rounds 2-3 included.
 # Finishes with the churn bench smoke (per-epoch enrollment/rotation
 # costs into the JSON).
 churn-smoke:
@@ -266,22 +269,28 @@ churn-smoke:
 	SARGS="--clients 5 --dimension 16 --samples 4 --seed churn-serve"; \
 	SESSION="--rounds 3 --churn leave=0.4,rejoin=0.6,rotate=0.3,min=3"; \
 	$$BIN round $$SARGS $$SESSION | grep -E "flagged|aggregate|cohorts" > $$DIR/sref.txt; \
-	for i in 1 2 3 5; do \
+	for i in 1 3 4 5; do \
 	  $$BIN client $$SARGS --id $$i --connect unix:$$DIR/sock \
 	    > $$DIR/client$$i.txt 2>&1 & \
 	done; \
-	( sleep 1; $$BIN client $$SARGS --id 4 --connect unix:$$DIR/sock \
-	    > $$DIR/client4.txt 2>&1 ) & \
+	( $$BIN client $$SARGS --id 2 --die-at 2:commit --connect unix:$$DIR/sock \
+	    > $$DIR/client2-first.txt 2>&1; \
+	  for t in $$(seq 300); do \
+	    if grep -q "round [2-9]: waiting" $$DIR/serve.txt; then \
+	      exec $$BIN client $$SARGS --id 2 --connect unix:$$DIR/sock > $$DIR/client2.txt 2>&1; fi; \
+	    sleep 0.1; \
+	  done ) & \
 	$$BIN serve $$SARGS $$SESSION --verbose --listen unix:$$DIR/sock > $$DIR/serve.txt 2>&1; \
 	wait; \
-	grep -q "client 4 enrolled at round" $$DIR/serve.txt \
-	  || { echo "churn-smoke: the late client never enrolled" >&2; exit 1; }; \
+	grep -q "client 2 enrolled at round [2-9]" $$DIR/serve.txt \
+	  || { echo "churn-smoke: the late client never joined in flight" >&2; exit 1; }; \
 	grep -E "flagged|aggregate|cohorts" $$DIR/serve.txt > $$DIR/srv-key.txt; \
 	diff $$DIR/sref.txt $$DIR/srv-key.txt \
 	  || { echo "churn-smoke: elastic deployment diverged from the in-process session" >&2; exit 1; }; \
-	grep -E "flagged|aggregate" $$DIR/client4.txt > $$DIR/c4-key.txt; \
-	test -s $$DIR/c4-key.txt \
-	  || { echo "churn-smoke: the late client reported no results" >&2; exit 1; }; \
+	grep aggregate $$DIR/sref.txt | tail -n 2 > $$DIR/late-want.txt; \
+	grep aggregate $$DIR/client2.txt > $$DIR/late-got.txt || true; \
+	diff $$DIR/late-want.txt $$DIR/late-got.txt \
+	  || { echo "churn-smoke: the late client's rounds 2-3 differ from the session's" >&2; exit 1; }; \
 	echo "churn-smoke: elastic session jobs/topology/crash/deployment bit-identical"
 	dune exec bench/main.exe -- churn --smoke --json /tmp/churn-smoke.json
 	@grep -q '"name": "epoch-advance-s"' /tmp/churn-smoke.json \

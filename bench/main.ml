@@ -775,7 +775,8 @@ let run_prover_kernels () =
     Float.min (t ()) (Float.min (t ()) (t ()))
   in
   let sizes =
-    if config.smoke then [ 3; 65; 129; 257 ] else [ 3; 9; 17; 33; 65; 129; 193; 257; 385; 513 ]
+    if config.smoke then [ 3; 65; 129; 257 ]
+    else [ 3; 9; 16; 24; 32; 40; 48; 65; 80; 100; 129; 150; 200; 257; 385; 513 ]
   in
   let drbg = Prng.Drbg.create_string (ns_seed "bench-group/msm") in
   let maxn = List.fold_left max 0 sizes in
@@ -800,6 +801,23 @@ let run_prover_kernels () =
       record ~target:"group" ~name:"msm-crossover-pippenger" ~jobs:1 ~n pp;
       record ~target:"group" ~name:"msm-crossover-fixed" ~jobs:1 ~n fx)
     sizes;
+  (* the VerCrt shape: one full-width scalar per setup base w_l, d = 1024
+     terms, on Pippenger against a fixed-base table over the same bases
+     (built outside the timing, as a setup would once) *)
+  let d = 1024 in
+  let ws = Curve25519.Gens.derive_many "bench/group/vercrt-w" d in
+  let cs = Array.init d (fun _ -> Scalar.random drbg) in
+  let pairs = Array.mapi (fun l c -> (c, ws.(l))) cs and terms = Array.mapi (fun l c -> (c, l)) cs in
+  let wfixed, build_s = Telemetry.Clock.time (fun () -> Msm.Fixed.make ws) in
+  if not (Point.equal (Msm.msm ~jobs:1 pairs) (Msm.Fixed.msm wfixed terms)) then
+    failwith "group bench: pippenger and the fixed tables disagree on the VerCrt shape";
+  let pp = best3 (fun () -> ignore (Msm.msm ~jobs:1 pairs)) in
+  let fx = best3 (fun () -> ignore (Msm.Fixed.msm wfixed terms)) in
+  pf "ver_crt shape (d=%d, jobs=1): pippenger %.4fs, fixed %.4fs (%.2fx), table build %.3fs\n" d pp fx (pp /. fx)
+    build_s;
+  record ~target:"group" ~name:"msm-vercrt-pippenger" ~jobs:1 ~d pp;
+  record ~target:"group" ~name:"msm-vercrt-fixed" ~jobs:1 ~d fx;
+  record ~target:"group" ~name:"msm-vercrt-fixed-build" ~d build_s;
   (* one table over the largest generator count serves every size: the
      table prover reads the first n g's and h's of it *)
   let ipa_sizes = if config.smoke then [ 64; 128 ] else [ 64; 128; 256; 512; 1024; 2048; 4096 ] in

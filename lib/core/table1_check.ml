@@ -45,10 +45,11 @@ let bands =
        margin only for the wNAF digit-count jitter of the random
        calibration scalars *)
     (* the commit's d blind exponentiations w_l^r run on the setup's
-       comb tables (63 doublings + 64 madds each, against ~299 ops for a
-       variable-base mul): measured 0.45, tables built before the count;
-       the upper bound fails a return to per-base Point.mul (~1.0) *)
-    ("client-commit", (0.35, 0.6));
+       4-block comb tables (15 doublings + 64 madds each, against ~299
+       ops for a variable-base mul): measured 0.30, tables built before
+       the count; 0.46 with the 1-block comb (63 doublings each), which
+       the upper bound fails *)
+    ("client-commit", (0.24, 0.4));
     (* absolute proof-gen cost at CI scale is dominated by the range
        proofs' O(k*b_ip + b_max) committed bits, which the asymptotic
        d/log d row drops; the marginal stage below carries the tight check
@@ -59,14 +60,21 @@ let bands =
        variable-base mul per folded generator), which the upper bound
        fails *)
     ("client-proofgen", (12.0, 22.0));
-    ("proofgen-marginal", (0.8, 3.5));
+    (* the d-dependent part of a proof is d-term MSMs over w, on the
+       signed-digit Pippenger (2^(c-1) buckets, c from the cost model):
+       measured 1.33; 2.66 with unsigned digits and c = lg n - 1, which
+       the upper bound fails *)
+    ("proofgen-marginal", (0.9, 2.0));
+    (* h_0 and the h_t as signed-digit Pippenger MSMs over w: measured
+       10.8 (11.3 with unsigned digits, inside the same band) *)
     ("server-prep", (8.0, 25.0));
     (* each batch runs its clients' summed Bulletproofs generator
        coefficients as one table MSM (Msm.Fixed, tables built before the
-       count) and only the remaining terms on Pippenger: measured 2.34;
-       4.55 with every block's generator terms on Pippenger, which the
+       count) and only the remaining terms on the signed-digit
+       Pippenger (every MSM above 64 terms): measured 1.76;
+       2.34 with unsigned digits and Straus up to 256 terms, which the
        upper bound fails *)
-    ("server-verify", (1.6, 3.2));
+    ("server-verify", (1.3, 2.2));
     ("comm", (1.0, 2.2));
   ]
 

@@ -151,9 +151,15 @@ type buf = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 let limbs = 10
 
-let load (b : buf) o =
-  let g i = Int32.to_int (Bigarray.Array1.unsafe_get b (o + i)) in
-  [| g 0; g 1; g 2; g 3; g 4; g 5; g 6; g 7; g 8; g 9 |]
+(* a fresh element for [load_into] to refill: the table loops read
+   their entries through one such scratch per loop, not one allocation
+   per read *)
+let scratch () = Array.make limbs 0
+
+let load_into (b : buf) o (f : t) =
+  for i = 0 to limbs - 1 do
+    Array.unsafe_set f i (Int32.to_int (Bigarray.Array1.unsafe_get b (o + i)))
+  done
 
 let store (b : buf) o f =
   for i = 0 to limbs - 1 do

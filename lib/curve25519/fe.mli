@@ -46,11 +46,17 @@ type buf = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
 (** Ints per stored element (10). *)
 val limbs : int
 
-(** [load b o] reads the element stored at offset [o] (unchecked: the
-    caller keeps [o + limbs <= dim b]). *)
-val load : buf -> int -> t
+(** [scratch ()] is a fresh element that only {!load_into} changes. It
+    breaks the immutability convention, so it must not escape into a
+    value that outlives its next refill. *)
+val scratch : unit -> t
 
-(** [store b o x] writes [x] at offset [o] (unchecked, as {!load}).
+(** [load_into b o x] overwrites the scratch element [x] with the
+    element stored at offset [o], allocating nothing (unchecked: the
+    caller keeps [o + limbs <= dim b]). *)
+val load_into : buf -> int -> t -> unit
+
+(** [store b o x] writes [x] at offset [o] (unchecked, as {!load_into}).
     @raise Invalid_argument if a limb of [x] does not fit in 32 bits. *)
 val store : buf -> int -> t -> unit
 

@@ -1,65 +1,88 @@
 (* Multi-scalar multiplication: interleaved-wNAF Straus up to
    [straus_cutoff] terms, Pippenger's bucket method above it.
 
-   Two optimizations of Pippenger over the textbook loop:
+   Pippenger runs on signed digits: each scalar is recoded once into
+   signed c-bit digits ([Point.Niels_store.signed_digits]), so a window
+   keeps 2^(c−1) buckets and a negative digit adds the negated base with
+   [Point.msub].  That halves the suffix sum of every window against
+   unsigned digits at the same c.  The point set is split into
+   per-domain chunks, each running the full windowed bucket accumulation
+   independently; the partial sums combine in fixed chunk order, so the
+   result is the same group element for every job count. *)
 
-   - each scalar's little-endian c-bit digit array is extracted once up
-     front with [Bigint.to_digits] (one limb pass per scalar) instead of
-     re-probing [Bigint.testbit] c times per point per window — a pure
-     win even sequentially;
+(* Σ_b b·bucket_b by suffix sums, top down over the buckets marked
+   [used]: the buckets above the highest used one cost nothing *)
+let bucket_sum buckets used =
+  let running = ref None and total = ref None in
+  for b = Array.length buckets - 1 downto 1 do
+    (match (!running, used.(b)) with
+    | None, true -> running := Some buckets.(b)
+    | Some r, true -> running := Some (Point.add r buckets.(b))
+    | _, false -> ());
+    Option.iter (fun r -> total := Some (match !total with None -> r | Some t -> Point.add t r)) !running
+  done;
+  Option.value ~default:Point.identity !total
 
-   - the point set is split into per-domain chunks, each chunk runs the
-     full windowed bucket accumulation independently, and the partial
-     sums are merged with log(chunks) point additions. Partials combine
-     in fixed chunk order, so the result is the same group element for
-     every job count. *)
+(* Window size by cost model.  A b-bit scalar takes ceil((b+1)/c) signed
+   c-bit digits (the top digit keeps the recoding's carry), and each
+   window of n points costs n madds into the buckets, the 2·2^(c−1)
+   additions of the suffix sum and c doublings of the accumulator.  The
+   unit costs are the fe-kernel rows of [bench group] on a quiet x86-64
+   core: point.madd ~630 ns, point.add ~875 ns and point.double ~770 ns;
+   only their ratio matters.  At n = 1024 and b = 253 the model
+   picks c = 8 (128 buckets, 32 windows), where the old c = lg n − 1
+   unsigned rule took c = 9 (511 buckets, 29 windows) and paid as many
+   suffix-sum additions as bucket madds. *)
+let madd_ns = 630
+let add_ns = 875
+let double_ns = 770
+let max_window = 16
 
-let window_bits n =
-  if n <= 1 then 1
-  else begin
-    (* c ~ log2 n - 2, clamped; standard heuristic minimizing
-       (b/c) * (n + 2^c) additions *)
-    let rec lg acc v = if v <= 1 then acc else lg (acc + 1) (v lsr 1) in
-    Stdlib.max 1 (Stdlib.min 16 (lg 0 n - 1))
-  end
+let digit_count ~bits c = (bits + c) / c
+
+let window_cost ~bits n c =
+  digit_count ~bits c * ((n * madd_ns) + (2 * (1 lsl (c - 1)) * add_ns) + (c * double_ns))
+
+let window_bits ~bits n =
+  let best = ref 1 in
+  for c = 2 to max_window do
+    if window_cost ~bits n c < window_cost ~bits n !best then best := c
+  done;
+  !best
 
 (* Bucket accumulation over the point range [lo, hi): [digits.(i).(w)] is
-   the w-th c-bit digit of exponent i; [nls.(i)] the (sign-adjusted) base
-   in mixed-affine Niels form, so every bucket addition is a 7-mul madd
-   instead of a 9-mul extended addition.  The conversion happens once per
-   MSM evaluation (one Montgomery inversion over all input points) before
-   the chunks fan out — see [run]. *)
+   the w-th signed c-bit digit of exponent i; [nls.(i)] the base in
+   mixed-affine Niels form, so every bucket addition is a 7-mul madd (or
+   msub) instead of a 9-mul extended addition.  The conversion happens
+   once per MSM evaluation (one Montgomery inversion over all input
+   points) before the chunks fan out — see [run]. *)
 let run_range ~c ~nwindows ~lo ~hi ~digits ~nls =
-  let nbuckets = (1 lsl c) - 1 in
+  let nbuckets = 1 lsl (c - 1) in
   let buckets = Array.make (nbuckets + 1) Point.identity in
+  let used = Array.make (nbuckets + 1) false in
   let acc = ref Point.identity in
   for w = nwindows - 1 downto 0 do
     if w < nwindows - 1 then for _ = 1 to c do acc := Point.double !acc done;
     Array.fill buckets 0 (nbuckets + 1) Point.identity;
-    let used = ref false in
+    Array.fill used 0 (nbuckets + 1) false;
     for i = lo to hi - 1 do
       let d = digits.(i).(w) in
-      if d <> 0 then begin
+      if d > 0 then begin
         buckets.(d) <- Point.madd buckets.(d) nls.(i);
-        used := true
+        used.(d) <- true
+      end
+      else if d < 0 then begin
+        buckets.(-d) <- Point.msub buckets.(-d) nls.(i);
+        used.(-d) <- true
       end
     done;
-    if !used then begin
-      (* sum_{d} d * bucket_d via suffix sums *)
-      let running = ref Point.identity in
-      let total = ref Point.identity in
-      for d = nbuckets downto 1 do
-        running := Point.add !running buckets.(d);
-        total := Point.add !total !running
-      done;
-      acc := Point.add !acc !total
-    end
+    acc := Point.add !acc (bucket_sum buckets used)
   done;
   !acc
 
 (* Sequential cutoff: each chunk pays fixed costs that are independent of
    its point count — a full doubling chain across every window plus a
-   suffix-sum pass over all 2^c buckets per window. Below ~1k points per
+   suffix-sum pass over all 2^(c−1) buckets per window. Below ~1k points per
    chunk those fixed costs dominate the per-point bucket additions, so
    fanning out across domains is a net loss (BENCH_RISEFL.json showed
    msm-full at n=256 5x slower at jobs=2 than jobs=1). Capping the chunk
@@ -70,9 +93,9 @@ let seq_cutoff = 1024
 (* The window size is chosen from the per-chunk point count, not the
    total: each chunk runs its own bucket accumulation, so oversizing c
    from the global n would blow up the per-chunk suffix-sum cost. *)
-let chunk_window ?jobs n =
+let chunk_window ?jobs ~bits n =
   let nchunks = Parallel.chunk_count ?jobs ~min_chunk:seq_cutoff n in
-  window_bits ((n + nchunks - 1) / nchunks)
+  window_bits ~bits ((n + nchunks - 1) / nchunks)
 
 let c_evals = Telemetry.Counter.make "msm.evals"
 let c_points = Telemetry.Counter.make "msm.points"
@@ -94,14 +117,20 @@ let run ?jobs ~c ~nwindows ~npoints ~digits ~points () =
   if Array.length partials = 0 then Point.identity
   else Parallel.tree_combine Point.add partials
 
+(* canonical scalars are below ℓ < 2^253 *)
+let scalar_bits = 253
+
 let pippenger ?jobs pairs =
   let n = Array.length pairs in
   if n = 0 then Point.identity
   else begin
-    let c = chunk_window ?jobs n in
-    let nwindows = (256 + c - 1) / c in
+    let c = chunk_window ?jobs ~bits:scalar_bits n in
+    let nwindows = digit_count ~bits:scalar_bits c in
     let digits =
-      Array.map (fun (s, _) -> Bigint.to_digits ~bits:c ~count:nwindows (Scalar.to_bigint s)) pairs
+      Array.map
+        (fun (s, _) ->
+          Point.Niels_store.signed_digits ~bits:c (Bigint.to_digits ~bits:c ~count:nwindows (Scalar.to_bigint s)))
+        pairs
     in
     run ?jobs ~c ~nwindows ~npoints:n ~digits ~points:(Array.map snd pairs) ()
   end
@@ -148,19 +177,15 @@ let straus pairs =
 
 (* Straus/Pippenger crossover, like [seq_cutoff] a property of the group
    layer rather than of any caller.  Sweeping both strategies at jobs=1
-   (the msm-crossover rows of [bench group], one core of an x86-64 Xeon)
-   gave Pippenger/Straus time ratios of ~3.3 at 3 points, ~1.5 at 65,
-   1.2-1.9 at 129, 1.0-1.1 at 193, 1.1-1.2 at 257 and 0.8-0.9 from 385
-   on: the crossover sits around 300 points.  256 keeps every size that
-   runs Straus at or above parity.  Its small-MSM callers are now the
-   Σ-protocol and Vsss checks, the naive range-proof and IPA verifiers,
-   the fold prover's later rounds above [Ipa.table_cutoff] and the
-   server's block sums over few clients, whose terms are now only the
-   wire points and the bases outside the generator tables (~100 per
-   client at k = 2).  The range prover's S commitment and IPA cross
-   terms up to that cutoff, and the block sums' summed generator
-   coefficients, run on [Fixed] tables instead. *)
-let straus_cutoff = 256
+   against the signed-digit Pippenger (the msm-crossover rows of [bench
+   group], best of 3, one x86-64 core) gave Pippenger/Straus time ratios
+   of 2.5 at 3 points, 1.6 at 16, 1.2 at 32, 1.1 at 48, 0.98 at 65, 0.85
+   at 100, 0.58 at 200 and 0.5-0.6 from 385 on: parity sits between 48
+   and 65 points.  Its small-MSM callers are the Σ-protocol and Vsss
+   checks and the naive range-proof and IPA verifiers; the server's
+   block sums (~100 wire and non-generator terms per client at k = 2)
+   run on Pippenger. *)
+let straus_cutoff = 64
 
 let msm ?jobs pairs =
   if Array.length pairs <= straus_cutoff then straus pairs else pippenger ?jobs pairs
@@ -169,19 +194,24 @@ let msm_small ?jobs pairs =
   let n = Array.length pairs in
   if n = 0 then Point.identity
   else begin
-    let c = chunk_window ?jobs n in
-    (* sign-fold: negative exponents negate the base *)
-    let exps = Array.map (fun (e, _) -> abs e) pairs in
-    let pts = Array.map (fun (e, p) -> if e < 0 then Point.neg p else p) pairs in
-    let maxe = Array.fold_left Stdlib.max 0 exps in
+    if Array.exists (fun (e, _) -> e = min_int) pairs then invalid_arg "Msm.msm_small: exponent out of range";
+    let maxe = Array.fold_left (fun m (e, _) -> Stdlib.max m (abs e)) 0 pairs in
     let rec lg acc v = if v = 0 then acc else lg (acc + 1) (v lsr 1) in
     let bits = Stdlib.max 1 (lg 0 maxe) in
-    let nwindows = (bits + c - 1) / c in
+    let c = chunk_window ?jobs ~bits n in
+    let nwindows = digit_count ~bits c in
     let mask = (1 lsl c) - 1 in
+    (* |e| is recoded and a negative exponent negates its digits *)
     let digits =
-      Array.map (fun e -> Array.init nwindows (fun w -> (e lsr (w * c)) land mask)) exps
+      Array.map
+        (fun (e, _) ->
+          let ds =
+            Point.Niels_store.signed_digits ~bits:c (Array.init nwindows (fun w -> (abs e lsr (w * c)) land mask))
+          in
+          if e < 0 then Array.map Int.neg ds else ds)
+        pairs
     in
-    run ?jobs ~c ~nwindows ~npoints:n ~digits ~points:pts ()
+    run ?jobs ~c ~nwindows ~npoints:n ~digits ~points:(Array.map snd pairs) ()
   end
 
 (* Fixed-base tables for many bases whose MSMs run again and again (the
@@ -230,6 +260,7 @@ module Fixed = struct
     Telemetry.Counter.add c_points (Array.length terms);
     let bucket = Array.make (buckets + 1) Point.identity in
     let used = Array.make (buckets + 1) false in
+    let nl = Store.scratch () in
     Array.iter
       (fun (s, l) ->
         if l < 0 || l >= length t then invalid_arg "Msm.Fixed.msm: base index out of range";
@@ -237,22 +268,14 @@ module Fixed = struct
         for w = 0 to windows - 1 do
           let d = ds.(w) in
           if d <> 0 then begin
-            let nl = Store.entry t l w in
+            Store.load t l w nl;
             let b = abs d in
             bucket.(b) <- (if d > 0 then Point.madd bucket.(b) nl else Point.msub bucket.(b) nl);
             used.(b) <- true
           end
         done)
       terms;
-    let running = ref None and total = ref Point.identity in
-    for b = buckets downto 1 do
-      (match (!running, used.(b)) with
-      | None, true -> running := Some bucket.(b)
-      | Some r, true -> running := Some (Point.add r bucket.(b))
-      | _, false -> ());
-      Option.iter (fun r -> total := Point.add !total r) !running
-    done;
-    !total
+    bucket_sum bucket used
 end
 
 (* Growable (scalar, point) term accumulator for random-linear-combination

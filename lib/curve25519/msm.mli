@@ -1,5 +1,5 @@
 (** Multi-scalar multiplication (Straus for small inputs, Pippenger's
-    bucket method above {!straus_cutoff}).
+    signed-digit bucket method above {!straus_cutoff}).
 
     Computes Σᵢ eᵢ·Pᵢ in O(n·b / log n) point additions instead of the
     naive O(n·b). This is the "mult-exponentiation" the paper leans on for
@@ -31,12 +31,10 @@ val pippenger : ?jobs:int -> (Scalar.t * Point.t) array -> Point.t
 
 (** [msm_small ?jobs pairs] for native-int exponents of either sign (e.g.
     the discretized Gaussian coefficients a_tl, |a| < 2^30); faster than
-    {!msm} because the exponent bit-length is short. *)
+    {!msm} because the exponent bit-length is short. Always Pippenger,
+    with the window sized for the largest exponent's bit length.
+    @raise Invalid_argument on a [min_int] exponent. *)
 val msm_small : ?jobs:int -> (int * Point.t) array -> Point.t
-
-(** [window_bits n] — the window size heuristic used internally (exposed
-    for the cost model and tests). *)
-val window_bits : int -> int
 
 (** Points-per-chunk sequential cutoff: inputs that would leave a chunk
     with fewer points run sequentially regardless of [?jobs], because the

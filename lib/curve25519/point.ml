@@ -263,11 +263,23 @@ module Niels_store = struct
 
   let offset t l e = ((l * t.entries) + e) * entry_limbs
 
-  (* checked, so no index reaches the unchecked [Fe.load] out of range *)
-  let entry t l e =
+  (* the multiplication loops read every entry into one scratch Niels
+     per loop (or per parallel task), refilled in place: a madd reads
+     its operand and keeps none of it *)
+  let scratch () = { yplusx = Fe.scratch (); yminusx = Fe.scratch (); td2 = Fe.scratch () }
+
+  (* checked, so no index reaches the unchecked [Fe.load_into] out of range *)
+  let load t l e n =
     if l < 0 || l >= t.count || e < 0 || e >= t.entries then invalid_arg "Point.Niels_store.entry";
     let o = offset t l e in
-    { yplusx = Fe.load t.buf o; yminusx = Fe.load t.buf (o + Fe.limbs); td2 = Fe.load t.buf (o + (2 * Fe.limbs)) }
+    Fe.load_into t.buf o n.yplusx;
+    Fe.load_into t.buf (o + Fe.limbs) n.yminusx;
+    Fe.load_into t.buf (o + (2 * Fe.limbs)) n.td2
+
+  let entry t l e =
+    let n = scratch () in
+    load t l e n;
+    n
 
   let set t l e n =
     let o = offset t l e in
@@ -296,13 +308,17 @@ module Niels_store = struct
 
   (* in place: unsigned [bits]-bit digits (little-endian) become signed
      ones in [-2^(bits-1), 2^(bits-1)) of the same value, by carrying into
-     the next digit; the top digit must leave no carry *)
+     the next digit.  The top digit keeps its carry and may reach
+     2^(bits-1), which every loop has an entry or bucket for, so a value
+     of b bits needs only ceil((b+1)/bits) digits; past 2^(bits-1) it
+     would carry out *)
   let signed_digits ~bits ds =
+    let half = 1 lsl (bits - 1) and top = Array.length ds - 1 in
     let carry = ref 0 in
     Array.iteri
       (fun w d ->
         let d = d + !carry in
-        carry := if d >= 1 lsl (bits - 1) then 1 else 0;
+        carry := if d > half || (d = half && w < top) then 1 else 0;
         ds.(w) <- d - (!carry lsl bits))
       ds;
     if !carry <> 0 then invalid_arg "Point.Niels_store.signed_digits: carry out of the top digit";
@@ -397,11 +413,13 @@ module Table = struct
 
   (* signed digit d of window w selects ±entry 8w + |d| − 1 *)
   let add_digits tbl ds =
-    let acc = ref identity in
+    let acc = ref identity and n = Niels_store.scratch () in
     Array.iteri
       (fun w d ->
-        if d > 0 then acc := madd !acc (Niels_store.entry tbl 0 ((w * per_window) + d - 1))
-        else if d < 0 then acc := msub !acc (Niels_store.entry tbl 0 ((w * per_window) - d - 1)))
+        if d <> 0 then begin
+          Niels_store.load tbl 0 ((w * per_window) + abs d - 1) n;
+          acc := if d > 0 then madd !acc n else msub !acc n
+        end)
       ds;
     !acc
 
@@ -427,24 +445,26 @@ end
 
 (* --- fixed-base comb tables for many bases ---
 
-   A Lim–Lee comb with 4 teeth spaced 64 bits apart and signed digits.
-   Comb entry b (0 <= b < 8) of base P is
-
-     T[b] = (1 + Σ_{j=1..3} ±2^{64j})·P,  sign of tooth j = + iff bit j−1 of b
-
-   and sits at entry 1 + b, after P itself.  An odd scalar k < 2^256 is
-   recoded as k' = (k + 2^256 − 1)/2 < 2^256, so that
+   A Lim–Lee comb with 4 teeth spaced 64 bits apart, signed digits and
+   4 blocks.  With T[b] = (1 + Σ_{j=1..3} ±2^{64j})·P for b < 8, the
+   sign of tooth j being + iff bit j−1 of b, entry 1 + 8j + b of base P
+   is 2^{16j}·T[b], after P itself at entry 0.  An odd scalar k < 2^256
+   is recoded as k' = (k + 2^256 − 1)/2 < 2^256, so that
    k = Σ_m (2·bit_m(k') − 1)·2^m: every bit position carries ±1.  Column
    i gathers positions i, i+64, i+128, i+192; factoring out the sign of
    the first tooth leaves ±T[b_i], with b_i the other three bits (flipped
-   when the first one is 0).  One multiplication is then 63 doublings
-   and 64 madds, every column nonzero, and the recoding is done once per
-   scalar however many bases share it.  An even k runs as (k + 1)·P − P,
-   one more msub, so the result is exact for every base, torsion
-   component or not. *)
+   when the first one is 0).  Column 16j + i is then ±2^i times an entry
+   of block j, so one multiplication walks 16 rows of 4 madds each: 15
+   doublings and 64 madds, every column nonzero, and the recoding is done
+   once per scalar however many bases share it.  An even k runs as
+   (k + 1)·P − P, one more msub, so the result is exact for every base,
+   torsion component or not. *)
 
 module Comb = struct
   let spacing = 64
+  let blocks = 4
+  let rows = spacing / blocks
+  let entries = 1 + (8 * blocks)
 
   type t = Niels_store.t
 
@@ -461,36 +481,50 @@ module Comb = struct
         let b = bits.(i + 64) lor (bits.(i + 128) lsl 1) lor (bits.(i + 192) lsl 2) in
         if bits.(i) = 1 then b + 1 else -((b lxor 7) + 1))
 
-  (* P and its 8 comb entries, in extended coordinates *)
+  (* P and its 32 comb entries, in extended coordinates, off one doubling
+     chain: chain.(m) = 2^{16m}·P and twice.(m) = 2^{16m+1}·P for m < 16.
+     Block j's base is chain.(j), its teeth chain.(j + 4t) for t = 1..3,
+     and flipping tooth t adds twice.(j + 4t): 241 doublings and 40
+     additions per base *)
   let entries_of p =
-    let q = Array.make 3 p in
+    let n = 4 * blocks (* teeth × blocks *) in
+    let chain = Array.make n p and twice = Array.make n p in
     let acc = ref p in
-    for j = 0 to 2 do
-      for _ = 1 to spacing do
-        acc := double !acc
-      done;
-      q.(j) <- !acc
+    for m = 0 to n - 1 do
+      if m > 0 then
+        for _ = 2 to rows do
+          acc := double !acc
+        done;
+      chain.(m) <- !acc;
+      acc := double !acc;
+      twice.(m) <- !acc
     done;
-    let tbl = Array.make 9 p in
-    tbl.(1) <- sub (sub (sub p q.(0)) q.(1)) q.(2);
-    for j = 0 to 2 do
-      let step = double q.(j) and bit = 1 lsl j in
-      for b = bit to (2 * bit) - 1 do
-        tbl.(1 + b) <- add tbl.(1 + b - bit) step
+    let tbl = Array.make entries p in
+    for j = 0 to blocks - 1 do
+      let e = 1 + (8 * j) and tooth t = j + (4 * t) in
+      tbl.(e) <- sub (sub (sub chain.(j) chain.(tooth 1)) chain.(tooth 2)) chain.(tooth 3);
+      for t = 1 to 3 do
+        let bit = 1 lsl (t - 1) in
+        for b = bit to (2 * bit) - 1 do
+          tbl.(e + b) <- add tbl.(e + b - bit) twice.(tooth t)
+        done
       done
     done;
     tbl
 
-  let make ps = Niels_store.build ~span:"point.comb.build" ~entries:9 entries_of ps
+  let make ps = Niels_store.build ~span:"point.comb.build" ~entries entries_of ps
 
-  (* digit d selects ±T[|d| − 1], which is entry |d| *)
-  let mul_digits t l digits =
+  (* digit d of column 16j + i selects ±2^{16j}·T[|d| − 1], which is
+     entry 8j + |d|; [n] is the caller's scratch *)
+  let mul_digits t l n digits =
     let acc = ref identity in
-    for i = spacing - 1 downto 0 do
-      if i < spacing - 1 then acc := double !acc;
-      let d = digits.(i) in
-      let n = Niels_store.entry t l (abs d) in
-      acc := if d > 0 then madd !acc n else msub !acc n
+    for i = rows - 1 downto 0 do
+      if i < rows - 1 then acc := double !acc;
+      for j = 0 to blocks - 1 do
+        let d = digits.((rows * j) + i) in
+        Niels_store.load t l ((8 * j) + abs d) n;
+        acc := if d > 0 then madd !acc n else msub !acc n
+      done
     done;
     !acc
 
@@ -500,8 +534,14 @@ module Comb = struct
     let even = not (Bigint.testbit k 0) in
     let digits = recode (if even then Bigint.add k Bigint.one else k) in
     Parallel.parallel_init (length t) (fun l ->
-        let p = mul_digits t l digits in
-        f l (if even then msub p (Niels_store.entry t l 0) else p))
+        let n = Niels_store.scratch () in
+        let p = mul_digits t l n digits in
+        f l
+          (if even then begin
+             Niels_store.load t l 0 n;
+             msub p n
+           end
+           else p))
 end
 
 (* --- base point --- *)

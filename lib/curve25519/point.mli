@@ -98,14 +98,26 @@ module Niels_store : sig
   (** Number of bases. *)
   val count : t -> int
 
-  (** [entry t l e] is entry [e] of base [l].
+  (** [entry t l e] is entry [e] of base [l], freshly allocated.
       @raise Invalid_argument if either index is out of range. *)
   val entry : t -> int -> int -> niels
+
+  (** [scratch ()] is a fresh Niels value for {!load} to refill. A
+      multiplication loop keeps one per loop or parallel task, so its
+      reads allocate nothing; {!madd} and {!msub} keep no part of it. *)
+  val scratch : unit -> niels
+
+  (** [load t l e n] overwrites the scratch [n] with entry [e] of base
+      [l].
+      @raise Invalid_argument if either index is out of range. *)
+  val load : t -> int -> int -> niels -> unit
 
   (** [signed_digits ~bits ds] recodes the little-endian unsigned
       [bits]-bit digits [ds], in place, into signed digits in
       [[−2^(bits−1), 2^(bits−1))] of the same value, and returns [ds].
-      @raise Invalid_argument if the top digit carries out. *)
+      The top digit keeps its carry and lies in [[0, 2^(bits−1)]], so
+      ⌈(b+1)/bits⌉ digits hold any b-bit value.
+      @raise Invalid_argument if the top digit would exceed 2^(bits−1). *)
   val signed_digits : bits:int -> int array -> int array
 end
 
@@ -144,16 +156,18 @@ end
 
 (** Many bases that share each scalar (the setup bases w_1 … w_d,
     multiplied by one blind per round): a Lim–Lee comb with 4 teeth
-    spaced 64 bits apart and signed digits. Each base keeps itself and 8
-    comb entries (1080 bytes per base). A multiplication is 63 doublings
-    and 64 {!madd}s, plus one {!msub} of the base for an even scalar,
-    against ~252 doublings and ~42 additions for {!mul}. *)
+    spaced 64 bits apart, signed digits and 4 blocks of 16 columns. Each
+    base keeps itself and 32 comb entries (3960 bytes per base). A
+    multiplication is 15 doublings and 64 {!madd}s, plus one {!msub} of
+    the base for an even scalar, against ~252 doublings and ~42
+    additions for {!mul}. *)
 module Comb : sig
   type point := t
   type t
 
-  (** [make ps] builds the tables for every point of [ps] (about one
-      {!mul} of work per base, spread over the {!Parallel} pool). *)
+  (** [make ps] builds the tables for every point of [ps] (one doubling
+      chain of 241 doublings plus 40 additions per base, spread over the
+      {!Parallel} pool). *)
   val make : point array -> t
 
   (** Number of bases. *)

@@ -158,7 +158,19 @@ let test_comb_matches () =
     let s = rand_scalar () in
     if B.testbit (Scalar.to_bigint s) 0 = want_odd then s else draw want_odd
   in
-  let scalars = edge @ List.init 6 (fun i -> draw (i mod 2 = 0)) in
+  (* bits set only at block and tooth boundaries (columns 15, 16, 63 and
+     positions 64, 128, 192) and a run of ones across every block *)
+  let blocky =
+    List.map Scalar.of_bigint
+      [
+        B.shift_left B.one 15;
+        B.shift_left B.one 16;
+        B.shift_left B.one 63;
+        B.add (B.add (B.shift_left B.one 64) (B.shift_left B.one 128)) (B.shift_left B.one 192);
+        B.sub (B.shift_left B.one 240) B.one;
+      ]
+  in
+  let scalars = edge @ blocky @ List.init 6 (fun i -> draw (i mod 2 = 0)) in
   let derived = Array.init 4 (fun i -> Curve25519.Gens.derive (Printf.sprintf "test-comb/%d" i)) in
   (* a base with a torsion component: k + ℓ would name another multiple *)
   let bases = Array.concat [ [| Point.identity; Point.base; Point.add derived.(0) two_torsion |]; derived ] in
@@ -236,6 +248,76 @@ let test_msm_crossover () =
           Alcotest.(check int) (Printf.sprintf "%s n=%d points" name n) (p0 + n) (Telemetry.Counter.value c_points))
         [ ("msm", fun ps -> Msm.msm ps); ("straus", Msm.straus); ("pippenger", fun ps -> Msm.pippenger ps) ])
     crossover_sizes
+
+(* --- signed-digit Pippenger vs the naive sum ---
+
+   Both Pippenger entry points recode every exponent into signed c-bit
+   digits, c picked by a cost model from the term count.  The sizes sit
+   on either side of [Msm.straus_cutoff] and of every term count where
+   the model switches c (checked through the msm.window_bits counter, so
+   a change to the model shows up here first); the scalars include the
+   ones whose recoding carries into the top digit; the bases repeat and
+   one has a 2-torsion component. *)
+
+let c_window = Telemetry.Counter.make "msm.window_bits"
+
+(* [sweep name switches sizes eval] checks [eval n] = (naive, got) at
+   every size and at both sides of every switch, where the window must
+   grow by one bit *)
+let sweep name switches sizes eval =
+  let windows = Hashtbl.create 16 in
+  List.iter
+    (fun n ->
+      let w0 = Telemetry.Counter.value c_window in
+      let want, got = eval n in
+      Hashtbl.replace windows n (Telemetry.Counter.value c_window - w0);
+      check_point (Printf.sprintf "%s n=%d == naive" name n) want got)
+    (List.sort_uniq compare (sizes @ List.concat_map (fun n -> [ n - 1; n ]) switches));
+  List.iter
+    (fun n ->
+      Alcotest.(check int)
+        (Printf.sprintf "%s window grows at n=%d" name n)
+        (Hashtbl.find windows (n - 1) + 1)
+        (Hashtbl.find windows n))
+    switches
+
+let test_pippenger_differential () =
+  with_telemetry @@ fun () ->
+  let l = Scalar.order in
+  let edge =
+    Array.of_list
+      (List.map Scalar.of_bigint [ B.zero; B.one; B.two; B.sub l B.one; B.sub l B.two; B.shift_left B.one 252 ])
+  in
+  let torsion = Point.add (rand_point ()) two_torsion and rep = rand_point () in
+  let base i = match i mod 5 with 0 -> torsion | 1 | 3 -> rep | _ -> rand_point () in
+  (* the first terms cycle through the edge values *)
+  let terms edge draw n =
+    Array.init n (fun i -> ((if i < 2 * Array.length edge then edge.(i mod Array.length edge) else draw ()), base i))
+  in
+  let c = Msm.straus_cutoff in
+  (* term counts where the model's window grows by one bit, for 253-bit
+     scalars and for the 30-bit exponents below *)
+  sweep "pippenger" [ 6; 23; 65; 195; 460; 960 ] [ 1; 2; 3; c - 1; c; c + 1 ] (fun n ->
+      let pairs = terms edge rand_scalar n in
+      let got = Msm.pippenger ~jobs:1 pairs in
+      if n <= 2 * c then check_point (Printf.sprintf "msm n=%d == pippenger" n) got (Msm.msm pairs);
+      (Array.fold_left (fun acc (s, p) -> Point.add acc (Point.mul s p)) Point.identity pairs, got));
+  Array.iter
+    (fun s ->
+      check_point
+        (Printf.sprintf "pippenger %s on the torsion base" (B.to_hex (Scalar.to_bigint s)))
+        (Point.mul s torsion)
+        (Msm.pippenger [| (s, torsion) |]))
+    edge;
+  let top = (1 lsl 30) - 1 in
+  sweep "msm_small" [ 7; 19; 138; 224; 355; 530 ] [ 1 ] (fun n ->
+      let pairs = terms [| top; -top; 0; 1; -1; 2; -2 |] (fun () -> Prng.Drbg.uniform_int drbg (2 * top) - top) n in
+      (* the largest exponent fixes the bit length at 30 *)
+      pairs.(0) <- (top, snd pairs.(0));
+      ( Array.fold_left (fun acc (e, p) -> Point.add acc (Point.mul_small e p)) Point.identity pairs,
+        Msm.msm_small ~jobs:1 pairs ));
+  Alcotest.check_raises "min_int exponent" (Invalid_argument "Msm.msm_small: exponent out of range") (fun () ->
+      ignore (Msm.msm_small [| (min_int, rep) |]))
 
 (* --- fixed-base tables vs Msm.msm ---
 
@@ -487,6 +569,7 @@ let () =
           Alcotest.test_case "comb tables vs mul" `Quick test_comb_matches;
           Alcotest.test_case "msm differential" `Quick test_msm_matches;
           Alcotest.test_case "msm Straus/Pippenger crossover" `Quick test_msm_crossover;
+          Alcotest.test_case "signed Pippenger vs naive" `Quick test_pippenger_differential;
           Alcotest.test_case "fixed-base tables vs msm" `Quick test_fixed_matches;
         ] );
       ( "dlog",

@@ -184,6 +184,34 @@ let test_msm_matches_naive () =
         jobs_ladder)
     [ 0; 1; 2; 3; 17; 100 ]
 
+(* Just below and above two chunks' worth of points: the chunk count, and
+   with it each chunk's window, then depends on the job count, and the
+   result must not *)
+let test_msm_chunk_boundary () =
+  let c = Msm.seq_cutoff in
+  let c_evals = Telemetry.Counter.make "msm.evals" and c_points = Telemetry.Counter.make "msm.points" in
+  let was = Telemetry.enabled () in
+  Telemetry.enable ();
+  Fun.protect ~finally:(fun () -> if not was then Telemetry.disable ()) @@ fun () ->
+  List.iter
+    (fun n ->
+      let pts = Array.init n (fun i -> if i mod 7 = 3 then Point.base else random_point ()) in
+      let pairs = Array.map (fun p -> (Scalar.random drbg, p)) pts in
+      let small = Array.map (fun p -> (Prng.Drbg.uniform_int drbg (1 lsl 31) - (1 lsl 30), p)) pts in
+      let want = Msm.msm ~jobs:1 pairs and want_small = Msm.msm_small ~jobs:1 small in
+      List.iter
+        (fun jobs ->
+          let e0 = Telemetry.Counter.value c_evals and p0 = Telemetry.Counter.value c_points in
+          Alcotest.(check bool) (Printf.sprintf "msm n=%d jobs=%d" n jobs) true (Point.equal want (Msm.msm ~jobs pairs));
+          Alcotest.(check bool)
+            (Printf.sprintf "msm_small n=%d jobs=%d" n jobs)
+            true
+            (Point.equal want_small (Msm.msm_small ~jobs small));
+          Alcotest.(check int) "evals" (e0 + 2) (Telemetry.Counter.value c_evals);
+          Alcotest.(check int) "points" (p0 + (2 * n)) (Telemetry.Counter.value c_points))
+        jobs_ladder)
+    [ (2 * c) - 1; (2 * c) + 1 ]
+
 let test_msm_edge_cases () =
   List.iter
     (fun jobs ->
@@ -407,6 +435,7 @@ let () =
         [
           Alcotest.test_case "matches naive sum" `Quick test_msm_matches_naive;
           Alcotest.test_case "edge cases" `Quick test_msm_edge_cases;
+          Alcotest.test_case "jobs-invariant at two chunks" `Quick test_msm_chunk_boundary;
           Alcotest.test_case "signed small exponents" `Quick test_msm_small_signed;
           QCheck_alcotest.to_alcotest test_msm_small_qcheck;
           QCheck_alcotest.to_alcotest test_msm_crossover_qcheck;
