@@ -1,10 +1,11 @@
 # Convenience entry points; everything is ordinary dune underneath.
 
-.PHONY: all check test examples bench bench-smoke fuzz-smoke verify-smoke telemetry-smoke recovery-smoke group-smoke serve-smoke stream-smoke topology-smoke churn-smoke clean
+.PHONY: all check test examples bench bench-smoke verify-smoke telemetry-smoke recovery-smoke group-smoke serve-smoke stream-smoke topology-smoke churn-smoke clean
 
 all: check
 
-# Tier-1 gate: full build + every test suite.
+# Tier-1 gate: full build + every test suite, each in full (the smoke
+# targets below add CLI differentials and bench gates, not test reruns).
 check:
 	dune build
 	dune runtest
@@ -32,13 +33,10 @@ bench-smoke:
 	@grep -q '"name": "msm-full"' BENCH_RISEFL.json || { echo "bench-smoke: expected msm-full records" >&2; exit 1; }
 	@echo "bench-smoke: BENCH_RISEFL.json OK ($$(grep -c '"target"' BENCH_RISEFL.json) records)"
 
-# Batched-verifier gate: the differential/soundness corpus (verify_proofs
-# and the naive oracle's verdicts must be bit-identical, every
-# single-field corruption rejected with the same C*) at a reduced stride,
-# plus the verify bench smoke point — the build fails if verify_proofs
-# falls below a 2x jobs=1 speedup over the naive reference.
+# Batched-verifier gate: the verify bench smoke point — the build fails
+# if verify_proofs falls below a 2x jobs=1 speedup over the naive
+# reference.
 verify-smoke:
-	BATCH_STRIDE=4 dune exec test/test_batch_verify.exe
 	dune exec bench/main.exe -- verify --smoke --json /tmp/verify-smoke.json --gate-verify 2.0
 
 # Telemetry gate: a traced round over a faulty transport must emit a
@@ -56,15 +54,13 @@ telemetry-smoke:
 	@echo "telemetry-smoke: trace OK"
 	dune exec bench/main.exe -- table1 --smoke --gate-table1
 
-# Durability gate: the store/WAL unit+property tests, then a real
-# crash/resume cycle through the CLI — kill the server mid-proof with the
-# write-ahead log armed, run `round` again on the same log in a second
-# process (it resumes the interrupted round on entry), and
-# require the recovered aggregate and C* to be byte-identical to an
+# Durability gate: a real crash/resume cycle through the CLI — kill the
+# server mid-proof with the write-ahead log armed, run `round` again on
+# the same log in a second process (it resumes the interrupted round on
+# entry), and require the recovered aggregate and C* to be byte-identical to an
 # uncrashed run of the same seed. Finishes with the recovery bench smoke
 # (WAL bytes/round, fsyncs, wall-clock overhead into the JSON).
 recovery-smoke:
-	dune exec test/test_store.exe
 	rm -f /tmp/risefl-smoke.wal
 	dune exec bin/risefl_cli.exe -- round --seed recovery-smoke \
 	  --wal /tmp/risefl-smoke.wal --crash proof:1 --no-recover | tee /tmp/risefl-crash.txt
@@ -82,16 +78,12 @@ recovery-smoke:
 	@grep -q '"name": "wal-bytes-per-round"' /tmp/recovery-smoke.json \
 	  || { echo "recovery-smoke: WAL overhead records missing from bench JSON" >&2; exit 1; }
 
-# Group-layer gate: the fast-path differential suite (wNAF vs
-# double-and-add, Straus vs Pippenger across the MSM crossover, fixed-base
-# tables vs msm, cached vs rebuilt tables bit-identical, BSGS edge cases),
-# then the group bench smoke — the build fails if the warm-cache
-# precompute speedup falls below 2x over a cold build, or if the
+# Group-layer gate: the group bench smoke — the build fails if the
+# warm-cache precompute speedup falls below 2x over a cold build, or if the
 # range-prove, msm-crossover (Straus, Pippenger, fixed tables),
 # ipa-prove (fold and table prover) or fe-kernel (per-op field/point
 # cost, table and comb multiply and build) records are missing.
 group-smoke:
-	dune exec test/test_group_fast.exe
 	dune exec bench/main.exe -- group --smoke --json /tmp/group-smoke.json --gate-group 2.0
 	@grep -q '"name": "precompute-speedup"' /tmp/group-smoke.json \
 	  || { echo "group-smoke: precompute records missing from bench JSON" >&2; exit 1; }
@@ -112,8 +104,7 @@ group-smoke:
 	  && grep -q '"name": "fe-kernel/point.comb_build-ns"' /tmp/group-smoke.json \
 	  || { echo "group-smoke: fe-kernel records missing from bench JSON" >&2; exit 1; }
 
-# Deployment-transport gate: the transport suite (frame/proto units plus
-# forked serve/client deployments), then a real multi-process CLI
+# Deployment-transport gate: a real multi-process CLI
 # walkthrough on a Unix socket with client 2 mounting the scaling
 # attack — kill -9 the server mid-proof with the WAL armed, restart it
 # on the same log while the clients ride through under backoff, and
@@ -126,7 +117,6 @@ group-smoke:
 # serve bench smoke (socket-loopback latency + transport counters into
 # the JSON).
 serve-smoke:
-	dune exec test/test_transport.exe
 	dune build bin/risefl_cli.exe
 	@set -e; \
 	BIN=_build/default/bin/risefl_cli.exe; \
@@ -159,16 +149,11 @@ serve-smoke:
 	@grep -q '"name": "loopback-round-s"' /tmp/serve-smoke.json \
 	  || { echo "serve-smoke: transport records missing from bench JSON" >&2; exit 1; }
 
-# Streaming-verification gate: the quick differential suite (small
-# sharded batches vs the default one-batch round, bit for bit across the
-# jobs x shards matrix and against the plaintext oracle, batch-boundary
-# edges, a garbled agg frame, stream counters), the default CLI
-# round diffed against --shards 2 --stream-batch 2, then the stream bench
-# smoke — the build fails if the streamed path's peak resident memory
+# Streaming-verification gate: the default CLI round diffed against
+# --shards 2 --stream-batch 2, then the stream bench smoke — the build fails if the streamed path's peak resident memory
 # grows more than 1.25x across the client ladder while the one-batch
 # path's doubles.
 stream-smoke:
-	STREAM_STRIDE=2 dune exec test/test_stream.exe -- -q
 	dune build bin/risefl_cli.exe
 	@set -e; \
 	BIN=_build/default/bin/risefl_cli.exe; \
@@ -186,8 +171,7 @@ stream-smoke:
 	@grep -q '"name": "stream-peak-growth"' /tmp/stream-smoke.json \
 	  || { echo "stream-smoke: peak-memory records missing from bench JSON" >&2; exit 1; }
 
-# Share-topology gate: the quick graph/VSSS/wire-v2 suites (the slow
-# e2e differentials run under `make check`), then CLI differentials —
+# Share-topology gate: CLI differentials —
 # k = n-1 must normalize to the all-to-all path and match its
 # flagged/aggregate lines byte for byte, and a seeded agg-stage
 # dropout ladder at small k must recover every dropout's blind through
@@ -196,7 +180,6 @@ stream-smoke:
 # per-client commit bytes at fixed degree grow more than 1.1x while n
 # doubles.
 topology-smoke:
-	dune exec test/test_topology.exe -- -q
 	dune build bin/risefl_cli.exe
 	@set -e; \
 	BIN=_build/default/bin/risefl_cli.exe; \
@@ -221,11 +204,8 @@ topology-smoke:
 	@grep -q '"name": "kregular-bytes-growth"' /tmp/topology-smoke.json \
 	  || { echo "topology-smoke: commit-bytes records missing from bench JSON" >&2; exit 1; }
 
-# Elastic-membership gate: the quick churn suites (seeded schedules,
-# rotation proofs, the Epoch WAL corruption ladder — the slow
-# elastic-vs-scripted-twin differential runs under `make check`), then
-# CLI differentials: a seeded 5-round churn session must be bit-identical
-# across jobs {1,2,4} and under a k-regular topology (with the shrunken
+# Elastic-membership gate: CLI differentials: a seeded 5-round churn
+# session must be bit-identical across jobs {1,2,4} and under a k-regular topology (with the shrunken
 # rounds' degree clamp), a crash at an epoch boundary must resume from
 # the WAL onto the identical transcript, and a serve/client deployment —
 # client 2's first process exiting before round 2's commit and a fresh
@@ -237,7 +217,6 @@ topology-smoke:
 # Finishes with the churn bench smoke (per-epoch enrollment/rotation
 # costs into the JSON).
 churn-smoke:
-	dune exec test/test_churn.exe -- -q
 	dune build bin/risefl_cli.exe
 	@set -e; \
 	BIN=_build/default/bin/risefl_cli.exe; \
@@ -295,12 +274,6 @@ churn-smoke:
 	dune exec bench/main.exe -- churn --smoke --json /tmp/churn-smoke.json
 	@grep -q '"name": "epoch-advance-s"' /tmp/churn-smoke.json \
 	  || { echo "churn-smoke: per-epoch records missing from bench JSON" >&2; exit 1; }
-
-# Reduced-iteration run of the wire-decoder fuzz suite: every mutated
-# frame must produce a typed verdict (never an exception) and verdicts
-# must not depend on the worker-domain count.
-fuzz-smoke:
-	FUZZ_ITERS=120 dune exec test/test_fuzz_wire.exe
 
 clean:
 	dune clean

@@ -197,34 +197,47 @@ let print_stream_stats = function
 let make_updates = Risefl_transport.Updates.make
 let make_behaviours = Risefl_transport.Updates.behaviours
 
-let print_stats ~d (stats : Driver.stats) =
-  Printf.printf "flagged: [%s]\n" (String.concat ";" (List.map string_of_int stats.Driver.flagged));
-  if stats.Driver.decode_failures <> [] then
-    Printf.printf "undecodable frames from: [%s]\n"
-      (String.concat ";" (List.map string_of_int stats.Driver.decode_failures));
-  (match stats.Driver.aggregate with
-  | Some agg ->
-      Printf.printf "aggregate (first 8 coords): %s\n"
-        (String.concat " " (List.init (min 8 d) (fun l -> string_of_int agg.(l))))
-  | None -> (
-      match stats.Driver.failure with
-      | Some e ->
-          Printf.printf "aggregation failed: %s\n" (Risefl_core.Server.agg_error_to_string e)
-      | None -> print_endline "aggregation failed"));
-  Printf.printf
-    "client: commit %.3fs, share-verify %.3fs, proof %.3fs | server: prep %.3fs, verify %.3fs, agg %.3fs\n"
-    stats.Driver.client_commit_s stats.Driver.client_share_verify_s stats.Driver.client_proof_s
-    stats.Driver.server_prep_s stats.Driver.server_verify_s stats.Driver.server_agg_s;
-  Printf.printf "comm per client: %.1f KB up, %.1f KB down\n"
-    (float_of_int stats.Driver.client_up_bytes /. 1024.0)
-    (float_of_int stats.Driver.client_down_bytes /. 1024.0)
+let ids l = String.concat ";" (List.map string_of_int l)
 
+(* a round's verdict as every process sees it: [round], [serve] and
+   [client] print these lines alike *)
+let print_verdict ~d ~round = function
+  | Risefl_transport.Proto.Rv_completed { cstar; aggregate } -> (
+      Printf.printf "round %d completed\nflagged: [%s]\n" round (ids cstar);
+      match aggregate with
+      | Some agg ->
+          Printf.printf "aggregate (first 8 coords): %s\n"
+            (String.concat " " (List.init (min 8 d) (fun l -> string_of_int agg.(l))))
+      | None -> print_endline "aggregation failed")
+  | Risefl_transport.Proto.Rv_aborted_quorum { stage; survivors; needed } ->
+      Printf.printf "round %d %s\n" round
+        (Driver.outcome_to_string (Driver.Aborted_insufficient_quorum { stage; survivors; needed }))
+  | Risefl_transport.Proto.Rv_aborted_decode offenders ->
+      Printf.printf "round %d %s\n" round (Driver.outcome_to_string (Driver.Aborted_decode offenders))
+
+(* the verdict, then what only the process that ran the round knows *)
 let print_outcome ~d ~round outcome =
+  print_verdict ~d ~round (Tserver.view_of_outcome outcome);
   match outcome with
   | Driver.Completed stats ->
-      Printf.printf "round %d completed\n" round;
-      print_stats ~d stats
-  | outcome -> Printf.printf "round %d aborted: %s\n" round (Driver.outcome_to_string outcome)
+      if stats.Driver.decode_failures <> [] then
+        Printf.printf "undecodable frames from: [%s]\n" (ids stats.Driver.decode_failures);
+      Option.iter
+        (fun e -> Printf.printf "aggregation failure: %s\n" (Risefl_core.Server.agg_error_to_string e))
+        stats.Driver.failure;
+      Printf.printf
+        "client: commit %.3fs, share-verify %.3fs, proof %.3fs | server: prep %.3fs, verify \
+         %.3fs, agg %.3fs\n"
+        stats.Driver.client_commit_s stats.Driver.client_share_verify_s stats.Driver.client_proof_s
+        stats.Driver.server_prep_s stats.Driver.server_verify_s stats.Driver.server_agg_s;
+      Printf.printf "comm per client: %.1f KB up, %.1f KB down\n"
+        (float_of_int stats.Driver.client_up_bytes /. 1024.0)
+        (float_of_int stats.Driver.client_down_bytes /. 1024.0)
+  | _ -> ()
+
+let print_cohorts sizes =
+  Printf.printf "cohorts: %s\n"
+    (String.concat " " (List.map (fun (r, size) -> Printf.sprintf "r%d=%d" r size) sizes))
 
 let print_transport_counters net =
   let c = Netsim.counters net in
@@ -243,6 +256,36 @@ let print_reliable_counters rel =
     c.Reliable.logical c.Reliable.attempts c.Reliable.retransmits c.Reliable.recovered
     c.Reliable.lost c.Reliable.dup_suppressed c.Reliable.rejected
 
+let rounds_arg =
+  Arg.(
+    value & opt int 1
+    & info [ "rounds" ] ~docv:"R" ~doc:"Protocol rounds to run (C* carries across rounds).")
+
+let trace_arg =
+  Arg.(
+    value & opt (some string) None
+    & info [ "trace" ] ~docv:"FILE"
+        ~doc:
+          "Enable telemetry and write the snapshot (operation counters, per-stage spans, wire \
+           bytes, transport counters) to FILE as JSON.")
+
+let start_trace trace =
+  if trace <> None then begin
+    Telemetry.reset ();
+    Telemetry.enable ()
+  end
+
+let write_trace trace =
+  match trace with
+  | None -> ()
+  | Some file ->
+      Telemetry.disable ();
+      let snap = Telemetry.snapshot () in
+      Telemetry.write_json file snap;
+      Printf.printf "trace: %d counters, %d spans -> %s\n"
+        (List.length (List.filter (fun (_, v) -> v <> 0) snap.Telemetry.counters))
+        (List.length snap.Telemetry.spans) file
+
 (* --- round --- *)
 
 let round_cmd =
@@ -259,17 +302,6 @@ let round_cmd =
       value & opt int 4
       & info [ "deadline" ] ~docv:"TICKS"
           ~doc:"Per-stage delivery deadline in simulated ticks; later frames count as dropouts.")
-  in
-  let trace_arg =
-    Arg.(
-      value & opt (some string) None
-      & info [ "trace" ] ~docv:"FILE"
-          ~doc:
-            "Enable telemetry for the round and write the snapshot (operation counters, \
-             per-stage spans, wire bytes, transport fault stats) to FILE as JSON.")
-  in
-  let rounds_arg =
-    Arg.(value & opt int 1 & info [ "rounds" ] ~docv:"R" ~doc:"Protocol rounds to run (C* carries across rounds).")
   in
   let crash_arg =
     Arg.(
@@ -325,10 +357,7 @@ let round_cmd =
       Printf.eprintf "--churn is a session feature; it does not combine with --no-recover\n";
       exit 2
     end;
-    if trace <> None then begin
-      Telemetry.reset ();
-      Telemetry.enable ()
-    end;
+    start_trace trace;
     let params = Params.make ~n_clients:n ~max_malicious:m ~d ~k ~m_factor:128.0 ~bound_b:bound () in
     let setup = Setup.create ~label:("cli/" ^ seed) params in
     let updates_for round = make_updates ~n ~d ~bound ~seed ~attackers ~round in
@@ -396,11 +425,7 @@ let round_cmd =
          (fun (r, outcome) -> print_outcome ~d ~round:r outcome)
          report.Driver.round_outcomes;
        if churn <> None then begin
-         Printf.printf "cohorts: %s\n"
-           (String.concat " "
-              (List.map
-                 (fun (r, size) -> Printf.sprintf "r%d=%d" r size)
-                 report.Driver.cohort_sizes));
+         print_cohorts report.Driver.cohort_sizes;
          let c = report.Driver.churn in
          Printf.printf "churn: %d joined, %d left, %d rejoined, %d rotated\n" c.Driver.joined
            c.Driver.left c.Driver.rejoined c.Driver.rotated
@@ -409,21 +434,13 @@ let round_cmd =
          Printf.printf "session: %d/%d rounds completed, %d crash(es) recovered, banned [%s]\n"
            report.Driver.rounds_completed report.Driver.rounds_attempted
            report.Driver.crashes_recovered
-           (String.concat ";" (List.map string_of_int report.Driver.final_banned))
+           (ids report.Driver.final_banned)
      end);
     print_stream_stats (Risefl_core.Server.stream_stats (Driver.session_server session));
     Option.iter print_reliable_counters reliable;
     Option.iter print_transport_counters net;
     Option.iter Round_log.close wal;
-    match trace with
-    | None -> ()
-    | Some file ->
-        Telemetry.disable ();
-        let snap = Telemetry.snapshot () in
-        Telemetry.write_json file snap;
-        Printf.printf "trace: %d counters, %d spans -> %s\n"
-          (List.length (List.filter (fun (_, v) -> v <> 0) snap.Telemetry.counters))
-          (List.length snap.Telemetry.spans) file
+    write_trace trace
   in
   Cmd.v
     (Cmd.info "round" ~doc:"Run secure-and-verifiable aggregation rounds.")
@@ -458,26 +475,6 @@ let deadline_s_arg =
           "Wall-clock deadline per protocol stage; clients silent past it count as dropouts \
            and the quorum lifecycle decides the round.")
 
-let rounds_arg =
-  Arg.(value & opt int 1 & info [ "rounds" ] ~docv:"R" ~doc:"Protocol rounds to run.")
-
-let trace_arg =
-  Arg.(
-    value & opt (some string) None
-    & info [ "trace" ] ~docv:"FILE"
-        ~doc:"Write the telemetry snapshot (including transport.* counters) to FILE as JSON.")
-
-let write_trace trace =
-  match trace with
-  | None -> ()
-  | Some file ->
-      Telemetry.disable ();
-      let snap = Telemetry.snapshot () in
-      Telemetry.write_json file snap;
-      Printf.printf "trace: %d counters, %d spans -> %s\n"
-        (List.length (List.filter (fun (_, v) -> v <> 0) snap.Telemetry.counters))
-        (List.length snap.Telemetry.spans) file
-
 let serve_cmd =
   let crash_arg =
     Arg.(
@@ -494,10 +491,7 @@ let serve_cmd =
     let stream = make_stream_cfg ~shards ~batch:stream_batch in
     let topology = make_topology ~n ~m ~topology:topology_mode ~degree in
     let churn = make_churn churn_spec in
-    if trace <> None then begin
-      Telemetry.reset ();
-      Telemetry.enable ()
-    end;
+    start_trace trace;
     let crash = parse_crash ~wal_file crash in
     let params = Params.make ~n_clients:n ~max_malicious:m ~d ~k ~m_factor:128.0 ~bound_b:bound () in
     let setup = Setup.create ~label:("cli/" ^ seed) params in
@@ -525,15 +519,8 @@ let serve_cmd =
     in
     print_resumed report.Tserver.resumed_round;
     List.iter (fun (r, outcome) -> print_outcome ~d ~round:r outcome) report.Tserver.outcomes;
-    if report.Tserver.cohort_sizes <> [] then
-      Printf.printf "cohorts: %s\n"
-        (String.concat " "
-           (List.map
-              (fun (r, size) -> Printf.sprintf "r%d=%d" r size)
-              report.Tserver.cohort_sizes));
-    if report.Tserver.banned <> [] then
-      Printf.printf "banned: [%s]\n"
-        (String.concat ";" (List.map string_of_int report.Tserver.banned));
+    if report.Tserver.cohort_sizes <> [] then print_cohorts report.Tserver.cohort_sizes;
+    if report.Tserver.banned <> [] then Printf.printf "banned: [%s]\n" (ids report.Tserver.banned);
     print_stream_stats report.Tserver.stream_stats;
     write_trace trace
   in
@@ -573,32 +560,17 @@ let client_cmd =
       trace verbose =
     if jobs > 0 then Parallel.set_default_jobs jobs;
     configure_group_cache cache_dir dlog_mem;
-    if trace <> None then begin
-      Telemetry.reset ();
-      Telemetry.enable ()
-    end;
+    start_trace trace;
     let die_at =
-      match die_at with
-      | None -> None
-      | Some spec -> (
+      Option.map
+        (fun spec ->
           match String.split_on_char ':' spec with
-          | [ r; st ] -> (
-              let stage =
-                match st with
-                | "commit" -> Some Netsim.Commit
-                | "flag" -> Some Netsim.Flag
-                | "proof" -> Some Netsim.Proof
-                | "agg" -> Some Netsim.Agg
-                | _ -> None
-              in
-              match (int_of_string_opt r, stage) with
-              | Some r, Some stage -> Some (r, stage)
-              | _ ->
-                  Printf.eprintf "bad --die-at spec (want ROUND:STAGE)\n";
-                  exit 2)
+          | [ r; st ] when int_of_string_opt r <> None && Netsim.stage_of_string st <> None ->
+              (int_of_string r, Option.get (Netsim.stage_of_string st))
           | _ ->
               Printf.eprintf "bad --die-at spec (want ROUND:STAGE)\n";
               exit 2)
+        die_at
     in
     let params = Params.make ~n_clients:n ~max_malicious:m ~d ~k ~m_factor:128.0 ~bound_b:bound () in
     let setup = Setup.create ~label:("cli/" ^ seed) params in
@@ -616,24 +588,7 @@ let client_cmd =
           max_connect_attempts = retries;
         }
     in
-    List.iter
-      (fun (round, view) ->
-        match view with
-        | Risefl_transport.Proto.Rv_completed { cstar; aggregate } -> (
-            Printf.printf "round %d completed\n" round;
-            Printf.printf "flagged: [%s]\n" (String.concat ";" (List.map string_of_int cstar));
-            match aggregate with
-            | Some agg ->
-                Printf.printf "aggregate (first 8 coords): %s\n"
-                  (String.concat " " (List.init (min 8 d) (fun l -> string_of_int agg.(l))))
-            | None -> print_endline "aggregation failed")
-        | Risefl_transport.Proto.Rv_aborted_quorum { stage; survivors; needed } ->
-            Printf.printf "round %d aborted: insufficient quorum at %s (%d survivors, needed %d)\n"
-              round stage survivors needed
-        | Risefl_transport.Proto.Rv_aborted_decode ids ->
-            Printf.printf "round %d aborted: undecodable frames from [%s]\n" round
-              (String.concat ";" (List.map string_of_int ids)))
-      results;
+    List.iter (fun (round, view) -> print_verdict ~d ~round view) results;
     write_trace trace
   in
   Cmd.v
@@ -714,7 +669,7 @@ let train_cmd =
       (fun (l : Flsim.Federated.round_log) ->
         Printf.printf "round %2d  accuracy %.3f  rejected [%s]\n" l.Flsim.Federated.round
           l.Flsim.Federated.accuracy
-          (String.concat ";" (List.map string_of_int l.Flsim.Federated.rejected)))
+          (ids l.Flsim.Federated.rejected))
       result.Flsim.Federated.logs;
     Printf.printf "final accuracy: %.3f\n" result.Flsim.Federated.final_accuracy
   in

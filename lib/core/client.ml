@@ -80,6 +80,10 @@ let rotate_to t ~gen =
 
 let share_nonce ~round ~sender ~receiver = Printf.sprintf "share/r%d/%d->%d" round sender receiver
 
+(* the round's cohort: the whole universe when none is given *)
+let cohort_of t cohort =
+  Option.value cohort ~default:(Array.init t.setup.Setup.params.Params.n_clients (fun i -> i + 1))
+
 let commit_round_unchecked ?topo ?cohort t ~round ~update =
   let p = t.setup.Setup.params in
   if Array.length update <> p.Params.d then invalid_arg "Client.commit_round: dimension mismatch";
@@ -89,23 +93,9 @@ let commit_round_unchecked ?topo ?cohort t ~round ~update =
     Pedersen.commit_vec ~g_table:t.setup.Setup.g_table ~w_comb:(Setup.w_comb t.setup)
       ~values:update ~blind:t.r
   in
-  (* all-to-all: shares at every cohort member's own evaluation point
-     (the full universe 1..n when no cohort is given — bit-identical to
-     the fixed-set path), threshold shamir_t. k-regular: shares only at
-     this client's sorted neighbor ids, threshold a neighborhood
-     majority. Either way recovery interpolates the same polynomial. *)
+  let l = Wire.share_layout p ~topo ~cohort:(cohort_of t cohort) ~dealer:t.id in
   let shares, check =
-    match (topo, cohort) with
-    | Some topo, _ ->
-        Vsss.share_at t.drbg ~secret:t.r
-          ~xs:(Risefl_topology.Topology.neighbors topo t.id)
-          ~t:(Risefl_topology.Topology.threshold topo)
-          ~g:t.setup.Setup.g
-    | None, Some xs ->
-        Vsss.share_at t.drbg ~secret:t.r ~xs ~t:(Params.shamir_t p) ~g:t.setup.Setup.g
-    | None, None ->
-        Vsss.share t.drbg ~secret:t.r ~n:p.Params.n_clients ~t:(Params.shamir_t p)
-          ~g:t.setup.Setup.g
+    Vsss.share_at t.drbg ~secret:t.r ~xs:l.Wire.recipients ~t:l.Wire.threshold ~g:t.setup.Setup.g
   in
   t.out_shares <- shares;
   t.my_check <- check;
@@ -119,80 +109,36 @@ let commit_round_unchecked ?topo ?cohort t ~round ~update =
           (Scalar.to_bytes s.Vsss.value))
       shares
   in
-  let topo_digest = Option.map Risefl_topology.Topology.digest topo in
-  { Wire.sender = t.id; y; check; enc_shares; topo_digest }
+  { Wire.sender = t.id; y; check; enc_shares; topo_digest = l.Wire.digest }
 
 let commit_round ?topo ?cohort t ~round ~update =
   if not (Params.check_update_norm t.setup.Setup.params update) then
     invalid_arg "Client.commit_round: update exceeds the L2 bound";
   commit_round_unchecked ?topo ?cohort t ~round ~update
 
-(* rank of this client inside a dealer's sorted neighbor list, i.e. the
-   position of our sealed share inside its v2 commit *)
-let share_rank topo t ~dealer =
-  let ns = Risefl_topology.Topology.neighbors topo dealer in
-  let rank = ref (-1) in
-  Array.iteri (fun i x -> if x = t.id then rank := i) ns;
-  (!rank, Array.length ns)
-
 let receive_shares ?topo ?cohort t ~round ~msgs =
   let g = t.setup.Setup.g in
-  let my_digest = Option.map Risefl_topology.Topology.digest topo in
-  (* under a partial cohort the all-to-all commit carries one sealed
-     share per cohort member, positioned by rank in the sorted cohort *)
-  let my_cohort_rank =
-    match cohort with
-    | None -> t.id - 1
-    | Some xs ->
-        let rank = ref (-1) in
-        Array.iteri (fun i x -> if x = t.id then rank := i) xs;
-        !rank
-  in
-  let cohort_size = match cohort with None -> Array.length t.directory | Some xs -> Array.length xs in
+  let cohort = cohort_of t cohort in
   (* decrypt + VSSS-verify each dealer's share independently (one MSM
-     per dealer), in parallel; mutate round state sequentially after *)
+     per dealer), in parallel; mutate round state sequentially after. A
+     dealer whose layout holds no share for us (a non-neighbor, or our
+     own k-regular commit) is skipped: we could not tell a good share
+     from a bad one anyway. *)
   let opened =
     Parallel.parallel_map
       (fun (m : Wire.commit_msg) ->
         let j = m.Wire.sender in
-        match topo with
-        | None -> (
-            if my_cohort_rank < 0 || Array.length m.Wire.enc_shares <> cohort_size then (j, `Bad)
-            else
-            let sealed = m.Wire.enc_shares.(my_cohort_rank) in
-            match Channel.open_ ~key:(key_for t j) sealed with
-            | None -> (j, `Bad)
-            | Some plain -> (
-                match Scalar.of_bytes_opt plain with
-                | None -> (j, `Bad)
-                | Some value ->
-                    let share = { Vsss.idx = t.id; value } in
-                    if Vsss.verify ~g ~check:m.Wire.check share then (j, `Ok value) else (j, `Bad)))
-        | Some topo -> (
-            (* a dealer we are not a neighbor of holds no share for us:
-               nothing to verify, nothing to flag (we could not tell a
-               good share from a bad one anyway). Our own commit carries
-               no share to self — r_i enters the aggregate directly. *)
-            let rank, deg = share_rank topo t ~dealer:j in
-            if j = t.id || rank < 0 then (j, `Skip)
-            else if
-              Array.length m.Wire.enc_shares <> deg
-              || not
-                   (match m.Wire.topo_digest with
-                   | Some d -> ( match my_digest with Some d' -> Bytes.equal d d' | None -> false)
-                   | None -> false)
-            then (j, `Bad)
-            else
-              let sealed = m.Wire.enc_shares.(rank) in
-              match Channel.open_ ~key:(key_for t j) sealed with
-              | None -> (j, `Bad)
-              | Some plain -> (
-                  match Scalar.of_bytes_opt plain with
-                  | None -> (j, `Bad)
-                  | Some value ->
-                      let share = { Vsss.idx = t.id; value } in
-                      if Vsss.verify ~g ~check:m.Wire.check share then (j, `Ok value)
-                      else (j, `Bad))))
+        let l = Wire.share_layout t.setup.Setup.params ~topo ~cohort ~dealer:j in
+        match Wire.share_slot l t.id with
+        | None -> (j, `Skip)
+        | Some _ when not (Wire.fits_layout l m) -> (j, `Bad)
+        | Some slot -> (
+            match
+              Option.bind (Channel.open_ ~key:(key_for t j) m.Wire.enc_shares.(slot)) Scalar.of_bytes_opt
+            with
+            | Some value when Vsss.verify ~g ~check:m.Wire.check { Vsss.idx = t.id; value } ->
+                (j, `Ok value)
+            | _ -> (j, `Bad)))
       msgs
   in
   let suspects = ref [] in
@@ -239,12 +185,7 @@ let try_proof_round ?(predicate = Predicate.L2) ?hs_tables ?cohort t ~round ~s ~
   (* the shared seed binds exactly the round's active cohort: H(s,
      pk_{i1}..pk_{ic}) over the sorted cohort ids (the full directory
      when no cohort is given — the fixed-set bytes, unchanged) *)
-  let seed_pks =
-    match cohort with
-    | None -> t.directory
-    | Some xs -> Array.map (fun j -> t.directory.(j - 1)) xs
-  in
-  let seed = Sampling.seed ~s ~pks:seed_pks in
+  let seed = Sampling.seed ~s ~pks:(Array.map (fun j -> t.directory.(j - 1)) (cohort_of t cohort)) in
   let matrix = Sampling.sample_matrix ~seed ~d ~k:p.Params.k ~m_factor:p.Params.m_factor in
   (* Algorithm 3: never trust h from the server *)
   if not (Sampling.ver_crt t.drbg ~bases:setup.Setup.w ~targets:hs ~matrix) then

@@ -48,13 +48,9 @@ val rotation_proof : t -> Membership.rotation
 val rotate_to : t -> gen:int -> unit
 
 (** [commit_round ?topo ?cohort t ~round ~update] — the encoded update
-    must satisfy the L2 bound; returns the round-1 message. Without
-    [topo] the blind is VSSS-shared to every member of the round's
-    cohort at its own evaluation point (wire v1; [cohort] defaults to
-    all n clients, bit-identical to the fixed-set path). With [topo] it
-    is shared only to this client's k graph neighbors, at their own
-    evaluation points with a neighborhood-majority threshold, and the
-    commit carries the topology digest (wire v2).
+    must satisfy the L2 bound; returns the round-1 message. The blind is
+    VSSS-shared and sealed as this client's {!Wire.share_layout} under
+    [topo] and [cohort] (default all n clients) says.
     @raise Invalid_argument if ‖update‖₂ > B or dimension mismatch. *)
 val commit_round :
   ?topo:Risefl_topology.Topology.t ->
@@ -77,13 +73,14 @@ val commit_round_unchecked :
 
 (** [receive_shares ?topo ?cohort t ~round ~msgs] — decrypt and verify
     the share addressed to this client inside each peer's commit
-    message; returns the flag list (step 1 of §4.4.1). Stores valid
-    shares for aggregation. Under a partial [cohort] (all-to-all wire
-    v1) the share sits at this client's rank in the sorted cohort.
-    Under [topo], commits from non-neighbor dealers hold no share for
-    this client and are skipped (neither stored nor flagged — this
-    client could not verify them anyway), and a dealer whose commit
-    pins a different topology digest is flagged. *)
+    message, at the position the dealer's {!Wire.share_layout} under
+    [topo] and [cohort] (default all n clients) gives it; returns the
+    flag list (step 1 of §4.4.1). Stores valid shares for aggregation.
+    A dealer whose layout holds no share for this client (a non-neighbor
+    under [topo]) is skipped — neither stored nor flagged, since this
+    client could not verify it anyway. A dealer is flagged when its
+    commit does not fit its layout (e.g. it pins a different topology
+    digest) or the share fails to open or verify. *)
 val receive_shares :
   ?topo:Risefl_topology.Topology.t ->
   ?cohort:int array ->

@@ -102,15 +102,7 @@ let crash_of_string spec =
   | Some c -> (
       let sname = String.sub spec 0 c in
       let pname = String.sub spec (c + 1) (String.length spec - c - 1) in
-      let stage =
-        match String.lowercase_ascii sname with
-        | "commit" -> Some Netsim.Commit
-        | "flag" -> Some Netsim.Flag
-        | "proof" -> Some Netsim.Proof
-        | "agg" -> Some Netsim.Agg
-        | _ -> None
-      in
-      match stage with
+      match Netsim.stage_of_string (String.lowercase_ascii sname) with
       | None -> Error ("unknown stage: " ^ sname)
       | Some stage -> (
           match String.lowercase_ascii pname with
@@ -272,14 +264,15 @@ let effective_topology setup ~cohort mode =
 
 type round_view = {
   round : int;
-  cohort : int array option;
+  cohort : int array;
   in_cohort : bool array;
   topo : Topology.t option;
+  layout : int -> Wire.share_layout;
 }
 
 (* an epoch freezes the cohort and the post-rotation directory before any
-   frame moves; a full cohort selects every legacy branch ([cohort =
-   None]), bit-identical to the fixed set. The graph is a pure function of
+   frame moves; without one the cohort is the whole universe 1..n,
+   bit-identical to the fixed set. The graph is a pure function of
    (seed, round, cohort), never logged: recovery and a remote client
    re-derive it, and [plan] normalizes the all-to-all cases to None. *)
 let round_view ?epoch ?(topology = Topology.Full) session ~round =
@@ -291,12 +284,9 @@ let round_view ?epoch ?(topology = Topology.Full) session ~round =
   let in_cohort = Array.make n false in
   Array.iter (fun id -> if id >= 1 && id <= n then in_cohort.(id - 1) <- true) cohort;
   let mode = effective_topology session.setup ~cohort topology in
-  {
-    round;
-    cohort = (if Array.length cohort = n then None else Some cohort);
-    in_cohort;
-    topo = Topology.plan ~mode ~seed:session.seed ~round ~cohort;
-  }
+  let topo = Topology.plan ~mode ~seed:session.seed ~round ~cohort in
+  let layout dealer = Wire.share_layout session.setup.Setup.params ~topo ~cohort ~dealer in
+  { round; cohort; in_cohort; topo; layout }
 
 let active v b c = v.in_cohort.(Client.id c - 1) && b <> Drop_out
 
@@ -311,20 +301,14 @@ let commit_step v b c ~update =
   let commit =
     match b with Oversized _ -> Client.commit_round_unchecked | _ -> Client.commit_round
   in
-  let msg = commit ?topo:v.topo ?cohort:v.cohort c ~round:v.round ~update in
+  let msg = commit ?topo:v.topo ~cohort:v.cohort c ~round:v.round ~update in
   match b with
   | Bad_share_to targets ->
-      (* positions are recipient ids only on the all-to-all path; under a
-         topology they are ranks in the sorted neighbor list (a
-         non-neighbor target is a no-op) *)
-      let recips =
-        match v.topo with
-        | None -> Array.init (Array.length v.in_cohort) (fun j -> j + 1)
-        | Some tp -> Topology.neighbors tp (Client.id c)
-      in
+      (* a target outside the dealer's recipients is a no-op *)
+      let l = v.layout (Client.id c) in
       let enc_shares =
         Array.mapi
-          (fun j s -> if List.mem recips.(j) targets then corrupt_sealed s else s)
+          (fun r s -> if List.mem l.Wire.recipients.(r) targets then corrupt_sealed s else s)
           msg.Wire.enc_shares
       in
       Some { msg with Wire.enc_shares }
@@ -332,7 +316,7 @@ let commit_step v b c ~update =
 
 let flag_step v b c ~commits =
   guarded v b c @@ fun () ->
-  let base = Client.receive_shares ?topo:v.topo ?cohort:v.cohort c ~round:v.round ~msgs:commits in
+  let base = Client.receive_shares ?topo:v.topo ~cohort:v.cohort c ~round:v.round ~msgs:commits in
   match b with
   | False_flags extra ->
       Some { base with Wire.suspects = List.sort_uniq compare (extra @ base.Wire.suspects) }
@@ -340,7 +324,7 @@ let flag_step v b c ~commits =
 
 let proof_step ?predicate ?hs_tables v b c ~s ~hs =
   guarded v b c @@ fun () ->
-  Client.try_proof_round ?predicate ?hs_tables ?cohort:v.cohort c ~round:v.round ~s ~hs
+  Client.try_proof_round ?predicate ?hs_tables ~cohort:v.cohort c ~round:v.round ~s ~hs
 
 let agg_step v b c ~honest ~malicious =
   guarded v b c @@ fun () ->
@@ -610,7 +594,7 @@ let commit_stage rd =
         timed rd t (fun i -> commit_step ~update:rd.updates.(i)))
   in
   span rd "commit" "server" (fun () ->
-      Server.begin_round ?topo ?cohort rd.s.server ~round ~commits);
+      Server.begin_round ?topo ~cohort rd.s.server ~round ~commits);
   (* begin_round reset C*, so decode offenders are marked after it *)
   note_offenders rd offenders;
   (* epoch-level convictions: a rejected rotation proof is an
@@ -626,24 +610,17 @@ let commit_stage rd =
      once, so [commits] is dead beyond this point and the streaming
      pipeline's evictions actually free the round's O(n²) share
      ciphertexts and O(n·d) commitment points. Downloads: one sealed
-     share from every dealer whose recipient list holds this client (all
-     of the cohort, or the k-regular graph neighbors), plus every
-     dealer's check string. *)
+     share from every dealer whose share layout holds this client, plus
+     every dealer's check string. *)
   let a = rd.acct in
   if a >= 0 then begin
     Option.iter (fun c -> rd.up <- Wire.commit_msg_size c) commits.(a);
     Array.iter
       (Option.iter (fun (cm : Wire.commit_msg) ->
            if cm.Wire.sender <> a + 1 then begin
-             let recips =
-               match (topo, cohort) with
-               | Some tp, _ -> Topology.neighbors tp cm.Wire.sender
-               | None, Some xs -> xs
-               | None, None -> Array.init rd.n (fun j -> j + 1)
-             in
-             let rank = ref (-1) in
-             Array.iteri (fun j x -> if x = a + 1 then rank := j) recips;
-             if !rank >= 0 then rd.down <- rd.down + Channel.sealed_size cm.Wire.enc_shares.(!rank);
+             Option.iter
+               (fun r -> rd.down <- rd.down + Channel.sealed_size cm.Wire.enc_shares.(r))
+               (Wire.share_slot (rd.v.layout cm.Wire.sender) (a + 1));
              rd.down <- rd.down + (Wire.point_size * Array.length cm.Wire.check)
            end))
       commits
@@ -894,7 +871,7 @@ let restore_at ?epoch session records ~round =
   (match epoch with
   | Some ep ->
       apply_epoch session ep;
-      Server.set_active server (Some ep.Membership.ep_cohort)
+      Server.set_active server ep.Membership.ep_cohort
   | None -> Server.install_directory server (Array.map Client.public_key session.clients));
   (* a snapshot belongs to the round whose Round_start precedes it *)
   let _, snap =

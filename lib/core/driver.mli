@@ -125,8 +125,8 @@ val seeded_crashes :
     shared seed bind exactly the active cohort, absent clients owe
     nothing and convict nothing, and — under a WAL — the epoch record is
     logged {e before} [Round_start] so recovery re-enters the round under
-    the identical cohort. A full-cohort epoch takes the legacy code paths
-    bit for bit. *)
+    the identical cohort. A full-cohort epoch produces the fixed-set
+    bytes bit for bit. *)
 
 exception Epoch_mismatch of string
 (** A decoded-valid epoch that contradicts the session: wrong universe
@@ -158,14 +158,15 @@ val effective_topology :
     before aggregation, an update that cannot pass the check) or when
     the client refuses with {!Client.Server_misbehaving}. *)
 
-(** A round's cohort ([None] = the whole universe, the legacy bytes),
-    membership by index (i−1 for client i) and share graph ([None] =
-    all-to-all). *)
+(** A round's cohort (sorted ids; 1..n without an epoch), membership by
+    index (i−1 for client i), share graph ([None] = all-to-all) and the
+    {!Wire.share_layout} of each dealer's commit under them. *)
 type round_view = {
   round : int;
-  cohort : int array option;
+  cohort : int array;
   in_cohort : bool array;
   topo : Risefl_topology.Topology.t option;
+  layout : int -> Wire.share_layout;  (** [layout dealer] *)
 }
 
 val round_view :
@@ -177,8 +178,9 @@ val round_view :
 
 val commit_step :
   round_view -> behaviour -> Client.t -> update:int array -> Wire.commit_msg option
-(** [Oversized] skips the norm check; [Bad_share_to ids] corrupts those
-    recipients' sealed shares (matched by rank under a topology). *)
+(** [Oversized] skips the norm check; [Bad_share_to ids] corrupts the
+    sealed shares of those recipients that the dealer's
+    {!round_view.layout} lists (any other id is a no-op). *)
 
 val flag_step :
   round_view -> behaviour -> Client.t -> commits:Wire.commit_msg array -> Wire.flag_msg option

@@ -105,13 +105,11 @@ let mark_decode_failure t i =
 let convict t i ~reason = if i >= 1 && i <= n_of t then mark t i reason
 
 (* [set_active t cohort] — install the round's cohort before [restore]
-   or [begin_round]-equivalent replay paths need it; [None] = everyone.
-   [begin_round ?cohort] calls this itself on the normal path. *)
+   or [begin_round]-equivalent replay paths need it. [begin_round
+   ?cohort] calls this itself on the normal path. *)
 let set_active t cohort =
-  let act = Array.make (n_of t) (cohort = None) in
-  (match cohort with
-  | None -> ()
-  | Some c -> Array.iter (fun i -> if i >= 1 && i <= n_of t then act.(i - 1) <- true) c);
+  let act = Array.make (n_of t) false in
+  Array.iter (fun i -> if i >= 1 && i <= n_of t then act.(i - 1) <- true) cohort;
   t.active <- act
 
 let is_active t i = i >= 1 && i <= n_of t && t.active.(i - 1)
@@ -119,14 +117,7 @@ let is_active t i = i >= 1 && i <= n_of t && t.active.(i - 1)
 (* the directory restricted to the active cohort, in id order: the pk
    list the shared seed H(s, pk..) binds this round *)
 let active_pks t =
-  if Array.for_all Fun.id t.active then t.directory
-  else begin
-    let out = ref [] in
-    for i = n_of t downto 1 do
-      if t.active.(i - 1) then out := t.directory.(i - 1) :: !out
-    done;
-    Array.of_list !out
-  end
+  Array.of_list (List.filteri (fun i _ -> t.active.(i)) (Array.to_list t.directory))
 
 (* the server's validated view of this round's commits (structurally
    invalid ones have been nulled out) — what it forwards to clients *)
@@ -143,6 +134,8 @@ let banned t =
 
 let begin_round ?topo ?cohort t ~round ~commits =
   if Array.length commits <> n_of t then invalid_arg "Server.begin_round: wrong size";
+  let p = t.setup.Setup.params in
+  let cohort = Option.value cohort ~default:(Array.init (n_of t) (fun i -> i + 1)) in
   t.round <- round;
   t.bad <- Array.copy t.banned;
   t.stream_agg <- None;
@@ -150,43 +143,21 @@ let begin_round ?topo ?cohort t ~round ~commits =
   set_active t cohort;
   t.commits <- Array.copy commits;
   (* absence is only an offence for cohort members; a commit from outside
-     the cohort (a stale-epoch straggler) is dropped, not convicted *)
-  Array.iteri
-    (fun i c ->
-      if t.active.(i) then begin
-        if c = None then mark t (i + 1) "no commit"
-      end
-      else t.commits.(i) <- None)
-    commits;
-  (* structural validation of each commit message. The two topologies
-     accept disjoint shapes: all-to-all wants n shares at threshold
-     shamir_t and no digest (v1); k-regular wants exactly the sender's
-     neighbor count at the neighborhood threshold, pinned to this
-     round's topology digest (v2). A client on the wrong branch is
-     malformed, not ambiguous. *)
-  let p = t.setup.Setup.params in
-  let cohort_size = match cohort with None -> p.Params.n_clients | Some c -> Array.length c in
+     the cohort (a stale-epoch straggler) is dropped, not convicted. A
+     cohort member's commit must have the shape of its dealer's share
+     layout (Wire.share_layout): the two topologies accept disjoint
+     shapes, so a client on the wrong branch is malformed, not
+     ambiguous. *)
   Array.iteri
     (fun i c ->
       match c with
-      | _ when not t.active.(i) -> ()
-      | None -> ()
+      | _ when not t.active.(i) -> t.commits.(i) <- None
+      | None -> mark t (i + 1) "no commit"
       | Some (m : Wire.commit_msg) ->
-          let shape_ok =
-            match topo with
-            | None ->
-                Array.length m.Wire.check = Params.shamir_t p
-                && Array.length m.Wire.enc_shares = cohort_size
-                && m.Wire.topo_digest = None
-            | Some tp ->
-                Array.length m.Wire.check = Risefl_topology.Topology.threshold tp
-                && Array.length m.Wire.enc_shares
-                   = Array.length (Risefl_topology.Topology.neighbors tp (i + 1))
-                && (match m.Wire.topo_digest with
-                   | Some d -> Bytes.equal d (Risefl_topology.Topology.digest tp)
-                   | None -> false)
-          in
-          if m.Wire.sender <> i + 1 || Array.length m.Wire.y <> p.Params.d || not shape_ok
+          if
+            m.Wire.sender <> i + 1
+            || Array.length m.Wire.y <> p.Params.d
+            || not (Wire.fits_layout (Wire.share_layout p ~topo ~cohort ~dealer:(i + 1)) m)
           then begin
             mark t (i + 1) "malformed commit";
             t.commits.(i) <- None

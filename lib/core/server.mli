@@ -37,10 +37,10 @@ val convict : t -> int -> reason:string -> unit
     the active directory entries. The fixed-set path keeps everyone
     active. *)
 
-(** [set_active t cohort] — install the round's cohort ([None] = all).
+(** [set_active t cohort] — install the round's cohort.
     {!begin_round} does this itself; call it directly only on replay
     paths that need the cohort installed {e before} [restore]. *)
-val set_active : t -> int array option -> unit
+val set_active : t -> int array -> unit
 
 val is_active : t -> int -> bool
 
@@ -50,14 +50,13 @@ val is_active : t -> int -> bool
 val round_commits : t -> Wire.commit_msg option array
 
 (** [begin_round ?topo ?cohort t ~round ~commits] — store the round's
-    commit messages. Cohort members that sent nothing (None) are marked
-    malicious immediately; commits from outside the cohort are dropped
-    without conviction. [topo] selects the round's share topology and
-    changes the accepted commit shape: without it a commit must carry
-    one sealed share per cohort member (all n when no cohort) at
-    threshold shamir_t and no digest; with it exactly the sender's
-    neighbor count at the neighborhood threshold, pinned to the round's
-    topology digest. *)
+    commit messages. [cohort] defaults to all n clients. Cohort members
+    that sent nothing (None) are marked malicious immediately; commits
+    from outside the cohort are dropped without conviction. A commit
+    whose shape does not fit its sender's {!Wire.share_layout} under
+    [topo] (one sealed share per recipient, a check string of the
+    layout's threshold, the layout's digest) is marked malformed and
+    dropped. *)
 val begin_round :
   ?topo:Risefl_topology.Topology.t ->
   ?cohort:int array ->

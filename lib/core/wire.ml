@@ -9,6 +9,28 @@ type commit_msg = {
   topo_digest : Bytes.t option;
 }
 
+type share_layout = { recipients : int array; threshold : int; digest : Bytes.t option }
+
+let share_layout p ~topo ~cohort ~dealer =
+  match topo with
+  | None -> { recipients = cohort; threshold = Params.shamir_t p; digest = None }
+  | Some tp ->
+      let module T = Risefl_topology.Topology in
+      { recipients = T.neighbors tp dealer; threshold = T.threshold tp; digest = Some (T.digest tp) }
+
+let share_slot l id =
+  let rec find r =
+    if r = Array.length l.recipients then None
+    else if l.recipients.(r) = id then Some r
+    else find (r + 1)
+  in
+  find 0
+
+let fits_layout l (m : commit_msg) =
+  Array.length m.check = l.threshold
+  && Array.length m.enc_shares = Array.length l.recipients
+  && Option.equal Bytes.equal m.topo_digest l.digest
+
 type flag_msg = { sender : int; suspects : int list }
 
 type cosine_part = {

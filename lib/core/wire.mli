@@ -6,25 +6,64 @@ module Scalar = Curve25519.Scalar
 module Point = Curve25519.Point
 
 (** Round 1 (Figure 2b): commitment y_i, VSSS check string Ψ_i, and the
-    encrypted shares Enc(r_ij) — one per recipient.
-
-    Two share topologies exist on the wire. Under the all-to-all path
-    ([topo_digest = None], wire v1) [enc_shares] holds n sealed shares,
-    position j−1 sealed to client j. Under a k-regular topology
-    ([topo_digest = Some _], wire v2) it holds exactly k shares, one per
-    graph neighbor of [sender] in {e ascending neighbor-id order}, each
-    share evaluated at the recipient's own id; the digest pins the graph
-    the sender computed. Positions are no longer ids — recipients locate
-    their share by rank in the sorted neighbor list. *)
+    encrypted shares Enc(r_ij) — one per recipient, laid out as
+    {!share_layout} says. The layout has two shapes: all-to-all
+    ([topo_digest = None], wire v1) and k-regular ([topo_digest = Some _],
+    wire v2). *)
 type commit_msg = {
   sender : int;  (** 1-based client index *)
   y : Point.t array;  (** d coordinate commitments *)
   check : Vsss.check;  (** element 0 is z_i = g^{r_i}; length = the sharing threshold *)
-  enc_shares : Channel.sealed array;  (** sealed shares; layout depends on [topo_digest] *)
+  enc_shares : Channel.sealed array;  (** sealed shares, in {!share_layout} order *)
   topo_digest : Bytes.t option;
       (** [None] = all-to-all (v1 bytes); [Some d] = 32-byte topology
           digest of the k-regular graph this round's shares follow. *)
 }
+
+(** {1 Share layout}
+
+    Who receives a dealer's sealed shares, in what order and at what
+    threshold. Every party derives it from the round's share topology
+    and cohort alone — the dealer when it seals, a recipient when it
+    opens its share, the server when it checks a commit's shape, and the
+    driver's accounting and fault injection — so nothing about it is
+    sent.
+
+    {ul
+    {- {b All-to-all} (no topology; wire v1): the recipients are the
+       round's whole cohort, ascending, the dealer included; the
+       threshold is [Params.shamir_t] and the commit carries no digest.
+       With the full cohort 1..n, position j−1 is client j's share.}
+    {- {b k-regular} (wire v2): the recipients are the dealer's graph
+       neighbors, ascending (never the dealer itself); the threshold is
+       [Topology.threshold] (a neighborhood majority) and the commit
+       carries the graph's digest.}}
+
+    Either way the share sealed at position r is evaluated at
+    [recipients.(r)], the recipient's own id, so recovery interpolates
+    the same polynomial whatever the layout. *)
+
+type share_layout = {
+  recipients : int array;  (** [enc_shares.(r)] is sealed to client [recipients.(r)] *)
+  threshold : int;  (** the sharing threshold, i.e. the length of [check] *)
+  digest : Bytes.t option;  (** the [topo_digest] the commit must carry *)
+}
+
+(** [share_layout p ~topo ~cohort ~dealer] — the layout of [dealer]'s
+    commit in a round over [cohort] (sorted ids; 1..n for a fixed-set
+    round) under the share graph [topo] ([None] = all-to-all).
+    @raise Invalid_argument if [topo] is given and [dealer] is not in
+    its cohort. *)
+val share_layout :
+  Params.t -> topo:Risefl_topology.Topology.t option -> cohort:int array -> dealer:int -> share_layout
+
+(** [share_slot l id] — the position of client [id]'s sealed share, or
+    [None] when [id] receives no share under [l]. *)
+val share_slot : share_layout -> int -> int option
+
+(** [fits_layout l m] — [m] carries one sealed share per recipient, a
+    check string of the layout's threshold and the layout's digest. *)
+val fits_layout : share_layout -> commit_msg -> bool
 
 (** Round 2 step 1: the candidate-malicious list from share verification. *)
 type flag_msg = { sender : int; suspects : int list }

@@ -6,6 +6,13 @@ let stage_to_string = function
   | Proof -> "proof"
   | Agg -> "agg"
 
+let stage_of_string = function
+  | "commit" -> Some Commit
+  | "flag" -> Some Flag
+  | "proof" -> Some Proof
+  | "agg" -> Some Agg
+  | _ -> None
+
 let stage_index = function Commit -> 0 | Flag -> 1 | Proof -> 2 | Agg -> 3
 
 let stage_of_index = function

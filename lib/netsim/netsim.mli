@@ -18,6 +18,9 @@ type stage = Commit | Flag | Proof | Agg
 
 val stage_to_string : stage -> string
 
+(** The inverse of {!stage_to_string}; [None] on any other string. *)
+val stage_of_string : string -> stage option
+
 val stage_index : stage -> int
 (** Stable wire/WAL encoding of a stage: commit 0, flag 1, proof 2, agg 3. *)
 

@@ -72,6 +72,10 @@ type report = {
           under (empty when churn is off) *)
 }
 
+(** The verdict a round's outcome broadcasts to the clients in its
+    [Result] frame. *)
+val view_of_outcome : Driver.round_outcome -> Proto.result_view
+
 val serve : ?log:(string -> unit) -> config -> report
 (** Runs to completion (never returns on a planned crash — the process is
     killed). [log] receives progress lines (default: dropped), among

@@ -8,8 +8,8 @@
    aggregate is byte-for-byte unaffected, and one whose agg frame is
    mutated stays in the sum.
 
-   FUZZ_ITERS (default 500) bounds the per-message-type mutation count so
-   `make fuzz-smoke` can run a quick bounded pass in CI. *)
+   FUZZ_ITERS (default 500) bounds the per-message-type mutation count
+   for quicker local iterations. *)
 
 module Params = Risefl_core.Params
 module Setup = Risefl_core.Setup

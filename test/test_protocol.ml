@@ -180,23 +180,60 @@ let test_step_oversized () =
     (Option.is_some (Driver.commit_step v (Driver.Oversized 50.0) c ~update))
 
 let test_step_bad_share_to () =
-  let _, _, honest = committed "step-badshare" in
-  let session = Driver.create_session setup ~seed:"step-badshare" in
-  let v = Driver.round_view session ~round:1 in
-  let update = (mk_updates 5 16).(0) in
-  let bad =
-    Option.get
-      (Driver.commit_step v (Driver.Bad_share_to [ 2; 4 ]) (Driver.session_clients session).(0)
-         ~update)
-  in
-  Array.iteri
-    (fun j (s : Channel.sealed) ->
-      let same = Bytes.equal s.Channel.body honest.(0).Wire.enc_shares.(j).Channel.body in
-      let targeted = List.mem (j + 1) [ 2; 4 ] in
-      Alcotest.(check bool) (Printf.sprintf "share to %d intact" (j + 1)) (not targeted) same)
-    bad.Wire.enc_shares;
-  Alcotest.(check bool) "commitments untouched" true
-    (Array.for_all2 Point.equal honest.(0).Wire.y bad.Wire.y)
+  (* dealer 1 corrupts the shares sealed to [targets]: over the full
+     universe, and in an epoch where client 3 has left, where the shares
+     sit at cohort rank rather than at position id-1 *)
+  List.iter
+    (fun (seed, left, targets) ->
+      let round_view session =
+        let epoch =
+          if left = [] then None
+          else
+            let pks = Array.map Risefl_core.Client.public_key (Driver.session_clients session) in
+            Some
+              (Risefl_core.Membership.advance (Risefl_core.Membership.create pks) ~round:1
+                 ~events:(List.map (fun i -> Risefl_core.Membership.Leave i) left)
+                 ~rotation_for:(fun ~id:_ ~gen:_ -> None))
+        in
+        Driver.round_view ?epoch session ~round:1
+      in
+      (* every cohort member commits; dealer 1 behaves as [b1] *)
+      let run b1 =
+        let session = Driver.create_session setup ~seed in
+        let v = round_view session in
+        let clients = Driver.session_clients session in
+        let updates = mk_updates 5 16 in
+        let commits =
+          Array.to_list clients
+          |> List.mapi (fun i c ->
+                 Driver.commit_step v (if i = 0 then b1 else Driver.Honest) c ~update:updates.(i))
+          |> List.filter_map Fun.id |> Array.of_list
+        in
+        (v, clients, commits)
+      in
+      let _, _, honest = run Driver.Honest in
+      let v, clients, commits = run (Driver.Bad_share_to targets) in
+      let bad = commits.(0) in
+      Array.iteri
+        (fun r (s : Channel.sealed) ->
+          let id = v.Driver.cohort.(r) in
+          let same = Bytes.equal s.Channel.body honest.(0).Wire.enc_shares.(r).Channel.body in
+          Alcotest.(check bool) (Printf.sprintf "%s: share to %d intact" seed id)
+            (not (List.mem id targets)) same)
+        bad.Wire.enc_shares;
+      Alcotest.(check bool) (seed ^ ": commitments untouched") true
+        (Array.for_all2 Point.equal honest.(0).Wire.y bad.Wire.y);
+      Array.iter
+        (fun c ->
+          Option.iter
+            (fun (f : Wire.flag_msg) ->
+              let id = Risefl_core.Client.id c in
+              Alcotest.(check (list int)) (Printf.sprintf "%s: client %d suspects" seed id)
+                (if List.mem id targets then [ 1 ] else [])
+                f.Wire.suspects)
+            (Driver.flag_step v Driver.Honest c ~commits))
+        clients)
+    [ ("step-badshare", [], [ 2; 4 ]); ("step-badshare-cohort", [ 3 ], [ 4 ]) ]
 
 let test_step_false_flags () =
   let v, clients, commits = committed "step-falseflag" in
