@@ -747,7 +747,7 @@ let run_verify () =
 
 (* ------------------------------------------------------------------ *)
 (* Group-layer fast paths: persistent table cache (cold build vs warm
-   load), the --dlog-mem time/memory knob, and cached-vs-rebuilt
+   load), the BSGS m_scale time/memory ladder, and cached-vs-rebuilt
    bit-identity.  The gate covers the precompute phase — the part the
    cache eliminates — and the end-to-end cold/warm rounds cross-check
    that caching never changes the aggregate. *)
@@ -1018,8 +1018,8 @@ let run_group () =
   record ~target:"group" ~name:"server-agg-cold" ~d ~k ~n cold.Driver.server_agg_s;
   record ~target:"group" ~name:"server-agg-warm" ~d ~k ~n warm.Driver.server_agg_s;
   record ~target:"group" ~name:"client-proofgen" ~d ~k ~n warm.Driver.client_proof_s;
-  (* --- the --dlog-mem knob: solve wall vs table size (all warm) --- *)
-  pf "--dlog-mem ladder (BSGS solve of %d aggregation targets, max_abs=%d):\n" d max_abs;
+  (* --- the m_scale ladder: solve wall vs table size (all warm) --- *)
+  pf "m_scale ladder (BSGS solve of %d aggregation targets, max_abs=%d):\n" d max_abs;
   let targets =
     (* realistic decode workload: the cold round's actual aggregate exponents *)
     match cold.Driver.aggregate with

@@ -48,17 +48,8 @@ let cache_dir_arg =
            tables) under DIR. Warm starts load them instead of rebuilding; corrupt or mismatched \
            entries are rebuilt automatically. Results are bit-identical with or without a cache.")
 
-let dlog_mem_arg =
-  Arg.(
-    value & opt (some float) None
-    & info [ "dlog-mem" ] ~docv:"F"
-        ~doc:
-          "Scale the BSGS baby-table size by F (default 1.0): the discrete-log time/memory knob. \
-           F=4 stores a 4x larger table and takes ~4x fewer giant steps per decode.")
-
-let configure_group_cache cache_dir dlog_mem =
-  if cache_dir <> None || dlog_mem <> None then
-    Risefl_core.Group_cache.configure ?cache_dir ?dlog_m_scale:dlog_mem ()
+let configure_group_cache cache_dir =
+  Option.iter (fun cache_dir -> Risefl_core.Group_cache.configure ~cache_dir ()) cache_dir
 
 let attackers_arg =
   Arg.(
@@ -156,10 +147,6 @@ let parse_crash ~wal_file = function
           Printf.eprintf "bad --crash spec: %s\n" e;
           exit 2)
 
-let print_resumed = function
-  | Some r -> Printf.printf "recovered round %d from the write-ahead log\n" r
-  | None -> ()
-
 let shards_arg =
   Arg.(
     value & opt int 1
@@ -235,9 +222,32 @@ let print_outcome ~d ~round outcome =
         (float_of_int stats.Driver.client_down_bytes /. 1024.0)
   | _ -> ()
 
-let print_cohorts sizes =
-  Printf.printf "cohorts: %s\n"
-    (String.concat " " (List.map (fun (r, size) -> Printf.sprintf "r%d=%d" r size) sizes))
+(* a session as [round] and [serve] report it: where the log resumed,
+   each round's verdict, the membership movement under churn, the
+   session totals and the last proof stream's counters *)
+let print_session ~d ~churn (report : Driver.session_report) stream_stats =
+  Option.iter
+    (Printf.printf "recovered round %d from the write-ahead log\n")
+    report.Driver.resumed_round;
+  List.iter (fun (r, outcome) -> print_outcome ~d ~round:r outcome) report.Driver.round_outcomes;
+  if churn then begin
+    Printf.printf "cohorts: %s\n"
+      (String.concat " "
+         (List.map (fun (r, size) -> Printf.sprintf "r%d=%d" r size) report.Driver.cohort_sizes));
+    let c = report.Driver.churn in
+    Printf.printf "churn: %d joined, %d left, %d rejoined, %d rotated\n" c.Driver.joined
+      c.Driver.left c.Driver.rejoined c.Driver.rotated
+  end;
+  if
+    report.Driver.rounds_attempted > 1
+    || report.Driver.crashes_recovered > 0
+    || report.Driver.final_banned <> []
+  then
+    Printf.printf "session: %d/%d rounds completed, %d crash(es) recovered, banned [%s]\n"
+      report.Driver.rounds_completed report.Driver.rounds_attempted
+      report.Driver.crashes_recovered
+      (ids report.Driver.final_banned);
+  print_stream_stats stream_stats
 
 let print_transport_counters net =
   let c = Netsim.counters net in
@@ -345,11 +355,11 @@ let round_cmd =
              silent at aggregation — the dropout class the kregular topology recovers from the \
              dropout's neighborhood.")
   in
-  let run n m d k bound seed attackers dropouts agg_dropouts jobs cache_dir dlog_mem faults
-      deadline trace rounds crash wal_file retransmit no_recover shards stream_batch
-      topology_mode degree churn_spec =
+  let run n m d k bound seed attackers dropouts agg_dropouts jobs cache_dir faults deadline trace
+      rounds crash wal_file retransmit no_recover shards stream_batch topology_mode degree
+      churn_spec =
     if jobs > 0 then Parallel.set_default_jobs jobs;
-    configure_group_cache cache_dir dlog_mem;
+    configure_group_cache cache_dir;
     let stream = make_stream_cfg ~shards ~batch:stream_batch in
     let topology = make_topology ~n ~m ~topology:topology_mode ~degree in
     let churn = make_churn churn_spec in
@@ -391,21 +401,23 @@ let round_cmd =
     let crash = parse_crash ~wal_file crash in
     let wal = Option.map (fun f -> Round_log.create f) wal_file in
     let session = Driver.create_session setup ~seed in
+    let stream_stats () = Risefl_core.Server.stream_stats (Driver.session_server session) in
     (if no_recover then begin
        if rounds <> 1 then begin
          Printf.eprintf "--no-recover requires --rounds 1\n";
          exit 2
        end;
        let crash = Option.map (fun (_, stage, at) -> (stage, at)) crash in
-       match
-         Driver.run_round_outcome ?endpoint ?reliable ?wal ?crash ?stream ~topology session
-           ~updates:(updates_for 1) ~behaviours ~round:1
-       with
+       (match
+          Driver.run_round_outcome ?endpoint ?reliable ?wal ?crash ?stream ~topology session
+            ~updates:(updates_for 1) ~behaviours ~round:1
+        with
        | outcome -> print_outcome ~d ~round:1 outcome
        | exception Driver.Server_crashed { stage; at } ->
            Printf.printf "server crashed at %s (wal synced); finish the round with: round --wal %s\n"
              (Driver.crash_to_string (stage, at))
-             (Option.value ~default:"<file>" wal_file)
+             (Option.value ~default:"<file>" wal_file));
+       print_stream_stats (stream_stats ())
      end
      else begin
        let cohort_for =
@@ -420,23 +432,8 @@ let round_cmd =
            Printf.eprintf "%s\n" e;
            exit 2
        in
-       print_resumed report.Driver.resumed_round;
-       List.iter
-         (fun (r, outcome) -> print_outcome ~d ~round:r outcome)
-         report.Driver.round_outcomes;
-       if churn <> None then begin
-         print_cohorts report.Driver.cohort_sizes;
-         let c = report.Driver.churn in
-         Printf.printf "churn: %d joined, %d left, %d rejoined, %d rotated\n" c.Driver.joined
-           c.Driver.left c.Driver.rejoined c.Driver.rotated
-       end;
-       if rounds > 1 || report.Driver.crashes_recovered > 0 then
-         Printf.printf "session: %d/%d rounds completed, %d crash(es) recovered, banned [%s]\n"
-           report.Driver.rounds_completed report.Driver.rounds_attempted
-           report.Driver.crashes_recovered
-           (ids report.Driver.final_banned)
+       print_session ~d ~churn:(churn <> None) report (stream_stats ())
      end);
-    print_stream_stats (Risefl_core.Server.stream_stats (Driver.session_server session));
     Option.iter print_reliable_counters reliable;
     Option.iter print_transport_counters net;
     Option.iter Round_log.close wal;
@@ -446,7 +443,7 @@ let round_cmd =
     (Cmd.info "round" ~doc:"Run secure-and-verifiable aggregation rounds.")
     Term.(
       const run $ n_arg $ m_arg $ d_arg $ k_arg $ bound_arg $ seed_arg $ attackers_arg
-      $ dropouts_arg $ agg_dropouts_arg $ jobs_arg $ cache_dir_arg $ dlog_mem_arg $ faults_arg
+      $ dropouts_arg $ agg_dropouts_arg $ jobs_arg $ cache_dir_arg $ faults_arg
       $ deadline_arg $ trace_arg $ rounds_arg $ crash_arg $ wal_arg $ retransmit_arg
       $ no_recover_arg $ shards_arg $ stream_batch_arg $ topology_arg $ degree_arg
       $ churn_arg)
@@ -484,10 +481,10 @@ let serve_cmd =
             "Kill the server process (SIGKILL, after fsyncing the log) at the given point; \
              restart serve with the same $(b,--wal) to finish the round (requires $(b,--wal)).")
   in
-  let run n m d k bound seed jobs cache_dir dlog_mem listen rounds stage_deadline wal_file crash
-      trace verbose shards stream_batch topology_mode degree churn_spec =
+  let run n m d k bound seed jobs cache_dir listen rounds stage_deadline wal_file crash trace
+      verbose shards stream_batch topology_mode degree churn_spec =
     if jobs > 0 then Parallel.set_default_jobs jobs;
-    configure_group_cache cache_dir dlog_mem;
+    configure_group_cache cache_dir;
     let stream = make_stream_cfg ~shards ~batch:stream_batch in
     let topology = make_topology ~n ~m ~topology:topology_mode ~degree in
     let churn = make_churn churn_spec in
@@ -498,7 +495,7 @@ let serve_cmd =
     let log s = if verbose then Printf.eprintf "[serve] %s\n%!" s in
     Printf.printf "serving %d client(s) on %s\n%!" n (Evloop.addr_to_string listen);
     print_topology ~seed ~n topology;
-    let report =
+    let report, stream_stats =
       try
         Tserver.serve ~log
           {
@@ -517,11 +514,7 @@ let serve_cmd =
         Printf.eprintf "serve: %s\n" e;
         exit 2
     in
-    print_resumed report.Tserver.resumed_round;
-    List.iter (fun (r, outcome) -> print_outcome ~d ~round:r outcome) report.Tserver.outcomes;
-    if report.Tserver.cohort_sizes <> [] then print_cohorts report.Tserver.cohort_sizes;
-    if report.Tserver.banned <> [] then Printf.printf "banned: [%s]\n" (ids report.Tserver.banned);
-    print_stream_stats report.Tserver.stream_stats;
+    print_session ~d ~churn:(churn <> None) report stream_stats;
     write_trace trace
   in
   Cmd.v
@@ -529,7 +522,7 @@ let serve_cmd =
        ~doc:"Run the aggregation server on a real socket (TCP or Unix-domain).")
     Term.(
       const run $ n_arg $ m_arg $ d_arg $ k_arg $ bound_arg $ seed_arg $ jobs_arg $ cache_dir_arg
-      $ dlog_mem_arg $ addr_conv "listen" $ rounds_arg $ deadline_s_arg $ wal_arg $ crash_arg
+      $ addr_conv "listen" $ rounds_arg $ deadline_s_arg $ wal_arg $ crash_arg
       $ trace_arg
       $ Arg.(value & flag & info [ "verbose" ] ~doc:"Log transport events to stderr.")
       $ shards_arg $ stream_batch_arg $ topology_arg $ degree_arg $ churn_arg)
@@ -556,10 +549,10 @@ let client_cmd =
       value & opt int 60
       & info [ "max-retries" ] ~docv:"N" ~doc:"Connection attempts before giving up.")
   in
-  let run n m d k bound seed attackers jobs cache_dir dlog_mem connect id die_at loris retries
-      trace verbose =
+  let run n m d k bound seed attackers jobs cache_dir connect id die_at loris retries trace
+      verbose =
     if jobs > 0 then Parallel.set_default_jobs jobs;
-    configure_group_cache cache_dir dlog_mem;
+    configure_group_cache cache_dir;
     start_trace trace;
     let die_at =
       Option.map
@@ -600,7 +593,7 @@ let client_cmd =
           client's own and must equal the server's.")
     Term.(
       const run $ n_arg $ m_arg $ d_arg $ k_arg $ bound_arg $ seed_arg $ attackers_arg $ jobs_arg
-      $ cache_dir_arg $ dlog_mem_arg $ addr_conv "connect" $ id_arg $ die_at_arg $ loris_arg
+      $ cache_dir_arg $ addr_conv "connect" $ id_arg $ die_at_arg $ loris_arg
       $ retries_arg $ trace_arg
       $ Arg.(value & flag & info [ "verbose" ] ~doc:"Log transport events to stderr."))
 

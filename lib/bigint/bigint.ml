@@ -24,7 +24,6 @@ let normalize neg mag =
   else { neg; mag = Array.sub mag 0 !n }
 
 let of_limbs ~neg limbs = normalize neg (Array.copy limbs)
-let to_limbs x = Array.copy x.mag
 let is_zero x = Array.length x.mag = 0
 let sign x = if is_zero x then 0 else if x.neg then -1 else 1
 

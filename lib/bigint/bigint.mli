@@ -131,9 +131,6 @@ val pp : Format.formatter -> t -> unit
 
 (** {1 Internal access (used by fixed-width field code and tests)} *)
 
-(** [to_limbs x] exposes the little-endian 26-bit magnitude limbs. *)
-val to_limbs : t -> int array
-
 (** [of_limbs ~neg limbs] builds a value from 26-bit limbs (copied,
     normalized). *)
 val of_limbs : neg:bool -> int array -> t

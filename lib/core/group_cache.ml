@@ -16,22 +16,14 @@ module Point = Curve25519.Point
 module Dlog = Curve25519.Dlog
 
 let global_cache : Store.Cache.t option ref = ref None
-let global_m_scale = ref 1.0
 
-let configure ?cache_dir ?dlog_m_scale () =
-  (match cache_dir with
+let configure ?cache_dir () =
+  match cache_dir with
   | Some dir -> global_cache := Some (Store.Cache.open_ ~dir)
-  | None -> ());
-  match dlog_m_scale with
-  | Some s -> global_m_scale := if s > 0.0 then s else 1.0
   | None -> ()
 
-let reset () =
-  global_cache := None;
-  global_m_scale := 1.0
-
+let reset () = global_cache := None
 let cache () = !global_cache
-let dlog_m_scale () = !global_m_scale
 
 let hex b =
   let buf = Buffer.create (2 * Bytes.length b) in
@@ -44,7 +36,7 @@ let hex b =
 
 let dlog ?cache ?m_scale ~base ~max_abs () =
   let cache = match cache with Some _ as c -> c | None -> !global_cache in
-  let m_scale = match m_scale with Some s -> s | None -> !global_m_scale in
+  let m_scale = Option.value m_scale ~default:1.0 in
   let build () = Dlog.create ~m_scale ~base ~max_abs () in
   match cache with
   | None -> build ()

@@ -10,24 +10,23 @@
     corruption silently rebuilds — the cache can never change results,
     only construction time.
 
-    The default cache and dlog memory scale are process-global,
-    configured once from the CLI ({!configure}); the [?cache]/[?m_scale]
-    arguments override per call (used by tests and benches). *)
+    The default cache is process-global, configured once from the CLI
+    ({!configure}); the [?cache] arguments override it per call (used by
+    tests and benches). *)
 
-(** [configure ?cache_dir ?dlog_m_scale ()] sets the process defaults.
-    Omitted arguments are left unchanged. [cache_dir] is created if
-    missing. [dlog_m_scale] scales the BSGS baby-table size (the
-    time/memory knob: bigger tables, fewer giant steps); non-positive
-    values reset it to 1.0. *)
-val configure : ?cache_dir:string -> ?dlog_m_scale:float -> unit -> unit
+(** [configure ?cache_dir ()] sets the process default cache; an
+    omitted [cache_dir] leaves it unchanged. [cache_dir] is created if
+    missing. *)
+val configure : ?cache_dir:string -> unit -> unit
 
-(** Back to no cache, m_scale 1.0 (tests). *)
+(** Back to no cache (tests). *)
 val reset : unit -> unit
 
 val cache : unit -> Store.Cache.t option
-val dlog_m_scale : unit -> float
 
-(** [dlog ~base ~max_abs ()] — a BSGS solver, from cache when possible. *)
+(** [dlog ~base ~max_abs ()] — a BSGS solver, from cache when possible.
+    [m_scale] (default 1.0) scales the baby-table size: the time/memory
+    trade of {!Curve25519.Dlog.create}. *)
 val dlog :
   ?cache:Store.Cache.t ->
   ?m_scale:float ->

@@ -50,13 +50,6 @@ type delta =
   | D_rotated of int
   | D_rotation_rejected of int
 
-let delta_to_string = function
-  | D_joined i -> Printf.sprintf "+%d" i
-  | D_left i -> Printf.sprintf "-%d" i
-  | D_rejoined i -> Printf.sprintf "~%d" i
-  | D_rotated i -> Printf.sprintf "@%d" i
-  | D_rotation_rejected i -> Printf.sprintf "!%d" i
-
 type epoch = {
   ep_round : int;
   ep_cohort : int array;  (** sorted 1-based ids of this round's active clients *)
@@ -68,19 +61,7 @@ type epoch = {
 
 let epoch_cohort_size ep = Array.length ep.ep_cohort
 
-let epoch_to_string ep =
-  Printf.sprintf "epoch r%d cohort=%d [%s]%s" ep.ep_round (Array.length ep.ep_cohort)
-    (String.concat ";" (List.map delta_to_string ep.ep_deltas))
-    (match ep.ep_convicts with
-    | [] -> ""
-    | cs -> " convicts=" ^ String.concat "," (List.map string_of_int cs))
-
 type event = Leave of int | Join of int | Rotate of int
-
-let event_to_string = function
-  | Leave i -> Printf.sprintf "leave %d" i
-  | Join i -> Printf.sprintf "join %d" i
-  | Rotate i -> Printf.sprintf "rotate %d" i
 
 type t = {
   n : int;
@@ -88,7 +69,7 @@ type t = {
   gens : int array;
   present : bool array;
   ever_present : bool array;  (** distinguishes first join from rejoin *)
-  banned_mirror : bool array;  (** informational standing only *)
+  banned_mirror : bool array;  (** rejected rotations: informational standing only *)
 }
 
 let create pks =
@@ -112,25 +93,12 @@ let standing t i =
   else if t.gens.(i - 1) > 0 then Rotated
   else Enrolled
 
-let note_banned t ids =
-  List.iter (fun i -> if i >= 1 && i <= t.n then t.banned_mirror.(i - 1) <- true) ids
-
 let cohort t =
   let out = ref [] in
   for i = t.n downto 1 do
     if t.present.(i - 1) then out := i :: !out
   done;
   Array.of_list !out
-
-let current_epoch t ~round =
-  {
-    ep_round = round;
-    ep_cohort = cohort t;
-    ep_pks = Array.copy t.pks;
-    ep_gens = Array.copy t.gens;
-    ep_deltas = [];
-    ep_convicts = [];
-  }
 
 (* Apply one round's membership events and freeze the resulting epoch.
    Events are processed in list order; [rotation_for] materializes the

@@ -17,8 +17,9 @@
 module Scalar = Curve25519.Scalar
 module Point = Curve25519.Point
 
-(** A client's standing inside the session. [Banned] (C* membership)
-    dominates; [Rotated] means present under a rotated key. *)
+(** A client's standing inside the session. [Banned] (a rejected
+    rotation proof) dominates; [Rotated] means present under a rotated
+    key. *)
 type standing = Enrolled | Dropped | Banned | Rotated
 
 val standing_to_string : standing -> string
@@ -51,8 +52,6 @@ type delta =
   | D_rotated of int
   | D_rotation_rejected of int
 
-val delta_to_string : delta -> string
-
 (** One round's frozen membership: the WAL-logged unit of recovery. *)
 type epoch = {
   ep_round : int;
@@ -64,11 +63,8 @@ type epoch = {
 }
 
 val epoch_cohort_size : epoch -> int
-val epoch_to_string : epoch -> string
 
 type event = Leave of int | Join of int | Rotate of int
-
-val event_to_string : event -> string
 
 (** Mutable membership state across a session. *)
 type t
@@ -80,16 +76,8 @@ val create : Point.t array -> t
 val n : t -> int
 val standing : t -> int -> standing
 
-(** [note_banned t ids] — mirror the server's C* into standing (purely
-    informational: banned clients still follow the churn schedule, the
-    server convicts them each round they attend). *)
-val note_banned : t -> int list -> unit
-
 (** The currently-present ids, sorted. *)
 val cohort : t -> int array
-
-(** Freeze the current state as round [round]'s epoch (no events). *)
-val current_epoch : t -> round:int -> epoch
 
 (** [advance t ~round ~events ~rotation_for] — apply one round's
     membership events in order and freeze the epoch. [rotation_for ~id

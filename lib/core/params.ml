@@ -82,11 +82,3 @@ let norm_encoded u = Encoding.Fixed_point.l2_norm_encoded u
 
 let check_update_norm t u = norm_encoded u <= t.bound_b
 
-let clip_update t uf =
-  let enc = Encoding.Fixed_point.encode_vec t.fp uf in
-  let norm = norm_encoded enc in
-  if norm <= t.bound_b then uf
-  else begin
-    let scale = t.bound_b /. norm *. 0.999 in
-    Array.map (fun x -> x *. scale) uf
-  end

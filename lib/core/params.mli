@@ -63,6 +63,3 @@ val agg_max_abs : t -> int
     bound B (what an honest client must ensure before committing). *)
 val check_update_norm : t -> int array -> bool
 
-(** [clip_update t u] scales a float update down to norm <= B if needed
-    (in encoded units), returning the (possibly scaled) float vector. *)
-val clip_update : t -> float array -> float array

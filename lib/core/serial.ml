@@ -3,7 +3,6 @@ module Point = Curve25519.Point
 
 type error = { offset : int; reason : string }
 
-let pp_error fmt e = Format.fprintf fmt "malformed frame at byte %d: %s" e.offset e.reason
 let error_to_string e = Printf.sprintf "malformed frame at byte %d: %s" e.offset e.reason
 
 (* internal: carries the reader offset of the defect; never escapes this

@@ -24,7 +24,6 @@
     the reader had reached when it rejected the frame. *)
 type error = { offset : int; reason : string }
 
-val pp_error : Format.formatter -> error -> unit
 val error_to_string : error -> string
 
 (** Low-level writer/reader, exposed for sibling record codecs (the

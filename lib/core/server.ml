@@ -793,8 +793,6 @@ let agg_error_to_string = function
   | Coordinate_out_of_range l -> Printf.sprintf "coordinate %d out of BSGS decoding range" l
   | Aggregate_mismatch -> "recovered blind fails the combined commitment check (g^R <> prod z_i)"
 
-let pp_agg_error fmt e = Format.pp_print_string fmt (agg_error_to_string e)
-
 (* take exactly [n] elements for interpolation *)
 let rec take n = function [] -> [] | x :: tl -> if n = 0 then [] else x :: take (n - 1) tl
 

@@ -254,7 +254,6 @@ type agg_error =
           with (not per-client attributable, unlike VSSS share sums) *)
 
 val agg_error_to_string : agg_error -> string
-val pp_agg_error : Format.formatter -> agg_error -> unit
 
 (** [aggregate t ~agg_msgs] — verify each aggregated share against the
     summed check strings, recover r = Σ r_i, and solve each coordinate

@@ -2,7 +2,7 @@
 
    We shift: y = p + max_abs*base has exponent x' = x + max_abs in
    [0, 2*max_abs].  Write x' = i*m + j with m ~ sqrt(range) (scalable via
-   ?m_scale, the --dlog-mem time/memory knob); the baby table maps
+   ?m_scale, the time/memory knob); the baby table maps
    compress(j*base) -> j and giant steps walk the i axis.
 
    Two speed structures matter here:

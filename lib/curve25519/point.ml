@@ -120,10 +120,6 @@ let compress_batch ps =
       b)
     ps
 
-let to_affine p =
-  let zinv = Fe.invert p.z in
-  (Fe.mul p.x zinv, Fe.mul p.y zinv)
-
 (* Recover x from y: x^2 = (y^2 - 1) / (d y^2 + 1).  RFC 8032 §5.1.3. *)
 let recover_x y sign =
   let y2 = Fe.square y in

@@ -202,7 +202,4 @@ val decompress : Bytes.t -> t option
     such as locally generated tables. Still checks on-curve + canonical. *)
 val decompress_unchecked : Bytes.t -> t option
 
-(** Affine coordinates (x, y) — mostly for tests. *)
-val to_affine : t -> Fe.t * Fe.t
-
 val pp : Format.formatter -> t -> unit

@@ -9,7 +9,6 @@ let default = make ~bits:16 ~frac:8
 let max_int_value cfg = (1 lsl (cfg.bits - 1)) - 1
 let min_int_value cfg = -(1 lsl (cfg.bits - 1))
 let scale cfg = float_of_int (1 lsl cfg.frac)
-let max_float_value cfg = float_of_int (max_int_value cfg) /. scale cfg
 
 let encode cfg x =
   if Float.is_nan x then 0

@@ -16,9 +16,6 @@ val default : cfg
 
 val make : bits:int -> frac:int -> cfg
 
-(** Largest representable magnitude as a float. *)
-val max_float_value : cfg -> float
-
 (** [encode cfg x] — clamping round-to-nearest encoding. *)
 val encode : cfg -> float -> int
 

@@ -48,16 +48,14 @@ type st = {
   cfg : config;
   client : Client_sm.t;
   session : Driver.session;
-  (* the server's announcement (Hello_ok or Reject_stale): None until
-     the handshake; only the stage deadline may differ in a later one *)
+  (* the server's announcement (Hello_ok): None until the handshake;
+     only the stage deadline may differ in a later one *)
   mutable announced : Proto.session option;
   mutable heard_at : float;  (* when the last envelope from the server arrived *)
   (* the memoized elastic-cohort hook, derived from the announcement
      (None = static membership): every epoch is derived locally *)
   mutable cohort_for : (int -> Membership.epoch option) option;
-  mutable epoch_applied : int;  (* last epoch applied to the session *)
-  mutable resync : int option;  (* set by Reject_stale: fast-forward here *)
-  mutable server_round : int option;  (* from the last Hello_ok *)
+  mutable applied : int;  (* the last round whose view this process applied *)
   n : int;
   log : string -> unit;
   backoff : Prng.Drbg.t;
@@ -96,17 +94,18 @@ let send_msg st msg =
       try write_all st fd (Frame.encode (Proto.encode msg))
       with Unix.Unix_error _ -> disconnect st)
 
-(* Apply the membership epochs up to [upto] to the local session: the
-   hook materializes them in round order, [Driver.apply_epoch] rotates
-   the keys and installs each directory. Idempotent per epoch. *)
+(* Apply the rounds up to [upto] to the local session: under churn the
+   hook materializes their membership epochs in round order, and
+   [Driver.apply_epoch] rotates the keys and installs each directory.
+   Idempotent per round. *)
 let fast_forward st ~upto =
-  match st.cohort_for with
-  | None -> ()
-  | Some f ->
-      for r = st.epoch_applied + 1 to upto do
-        match f r with Some ep -> Driver.apply_epoch st.session ep | None -> ()
-      done;
-      if upto > st.epoch_applied then st.epoch_applied <- upto
+  Option.iter
+    (fun f ->
+      for r = st.applied + 1 to upto do
+        Option.iter (Driver.apply_epoch st.session) (f r)
+      done)
+    st.cohort_for;
+  st.applied <- max st.applied upto
 
 (* the announcement every wait and derivation reads; the handshake in
    [run] establishes it before any round work *)
@@ -156,7 +155,7 @@ let record st round =
         Some r
 
 (* [round] opens here: earlier rounds' records are dropped, and a round
-   behind [cur_round] (joined in flight, resync) never opens at all *)
+   behind [cur_round] (caught up past it) never opens at all *)
 let open_round st round =
   st.cur_round <- max st.cur_round round;
   Hashtbl.filter_map_inplace (fun r v -> if r < st.cur_round then None else Some v) st.rounds
@@ -164,11 +163,8 @@ let open_round st round =
 (* the round's view: its epoch (and every earlier one) applied to the
    session, then the cohort and share graph the server derives too *)
 let view_for st r ~round =
-  let epoch =
-    Option.bind st.cohort_for (fun f ->
-        fast_forward st ~upto:round;
-        f round)
-  in
+  fast_forward st ~upto:round;
+  let epoch = Option.bind st.cohort_for (fun f -> f round) in
   let topology =
     match (announced st).Proto.degree with 0 -> Topology.Full | k -> Topology.Kregular k
   in
@@ -176,18 +172,19 @@ let view_for st r ~round =
   r.view <- Some v;
   v
 
+(* The one catch-up rule, on every announcement: a session more than
+   one round past the last round this process applied has resolved the
+   rounds between without it (the server keeps no broadcasts that old).
+   Their membership is locally derivable, so apply it and join at the
+   announced round. *)
+let catch_up st ~round =
+  if round > st.applied + 1 then begin
+    st.log (Printf.sprintf "catching up: the session is at round %d" round);
+    fast_forward st ~upto:(round - 1);
+    open_round st round
+  end
+
 let rec connect st ~attempt =
-  (* a stale-epoch rejection: fast-forward the locally derivable epochs
-     to where the server says the session is, then re-enroll — under a
-     jittered pause so a herd of stale clients doesn't stampede *)
-  (match st.resync with
-  | Some r ->
-      st.resync <- None;
-      let jitter = 0.02 +. (float_of_int (Prng.Drbg.uniform_int st.backoff 200) /. 2000.0) in
-      Unix.sleepf jitter;
-      fast_forward st ~upto:(r - 1);
-      open_round st r
-  | None -> ());
   if attempt > st.cfg.max_connect_attempts then
     failwith
       (Printf.sprintf "client %d: server unreachable after %d attempts" st.cfg.id
@@ -211,12 +208,7 @@ let rec connect st ~attempt =
       st.reasm <- Frame.Reassembler.create ();
       send_msg st
         (Proto.Hello
-           {
-             client_id = st.cfg.id;
-             resume_round = st.cur_round;
-             version = Proto.proto_version;
-             epoch = st.epoch_applied;
-           });
+           { client_id = st.cfg.id; resume_round = st.cur_round; version = Proto.proto_version });
       (* the write-ahead ack may have been lost with the old connection:
          retransmit the in-flight frame, the server re-acks or collects *)
       (match st.pending with
@@ -250,9 +242,13 @@ let answer st r tbl key ~round ~what f =
 let dispatch st msg =
   let on_round round f = Option.iter f (record st round) in
   match msg with
-  | Proto.Hello_ok { round; session; _ } ->
+  | Proto.Hello_ok { round; version; session } ->
+      if version <> Proto.proto_version then
+        failwith
+          (Printf.sprintf "client %d: the server speaks protocol version %d, this client %d"
+             st.cfg.id version Proto.proto_version);
       adopt st session;
-      st.server_round <- Some round
+      catch_up st ~round
   | Proto.Ack { round; stage; sender; seq = _ } ->
       if sender = st.cfg.id then begin
         on_round round (fun r -> r.acked.(Netsim.stage_index stage) <- true);
@@ -294,11 +290,6 @@ let dispatch st msg =
           with
           | Some (share, mask) -> send_msg st (Proto.Recover_resp { round; dropout; share; mask })
           | None -> ())
-  | Proto.Reject_stale { current_round; session; reason } ->
-      st.log (Printf.sprintf "stale membership epoch: %s" reason);
-      adopt st session;
-      st.resync <- Some current_round;
-      disconnect st
   | Proto.Reject { reason } -> failwith (Printf.sprintf "client %d rejected: %s" st.cfg.id reason)
   | Proto.Alive -> () (* [pump] restarted the wait clock *)
   | Proto.Hello _ | Proto.Submit _ | Proto.Reveal_resp _ | Proto.Recover_resp _ | Proto.Bye ->
@@ -336,7 +327,7 @@ let pump st ~until_s =
                       | Ok msg ->
                           st.heard_at <- Clock.now_s ();
                           dispatch st msg
-                      | Error e when st.server_round = None ->
+                      | Error e when st.announced = None ->
                           (* the first envelope on a connection is the
                              announcement: one this build cannot decode
                              is a session it cannot follow *)
@@ -359,13 +350,14 @@ let pump st ~until_s =
 let wait_deadline st ~start =
   Float.max start st.heard_at +. (2.0 *. (announced st).Proto.deadline_s)
 
-(* wait until [pred] holds; a Result for the round (the server resolved
-   it without us) or the deadline degrade to the quorum path *)
-let wait st r pred =
+(* wait until [pred] holds; a Result for the round or a catch-up past
+   it (the server resolved it without us) or the deadline degrade to the
+   quorum path *)
+let wait st r ~round pred =
   let start = Clock.now_s () in
   let rec go () =
     if pred r then `Got
-    else if r.result <> None then `Resolved
+    else if r.result <> None || round < st.cur_round then `Resolved
     else
       let deadline = wait_deadline st ~start in
       if Clock.now_s () >= deadline then begin
@@ -433,8 +425,8 @@ let run_round st ~round =
   open_round st round;
   match record st round with
   | None ->
-      (* a round this process missed (joined in flight, or resync): the
-         session already resolved it, nothing to do *)
+      (* a round this process caught up past: the session already
+         resolved it, nothing to do *)
       None
   | Some r ->
   (* freeze the round's membership first: the epoch rotates keys and
@@ -460,13 +452,13 @@ let run_round st ~round =
   in
   send Netsim.Commit Serial.encode_commit_msg (Driver.commit_step v b c ~update);
   (* --- flags (needs the server's validated commit set) --- *)
-  (match wait st r (fun r -> r.commits <> None) with
+  (match wait st r ~round (fun r -> r.commits <> None) with
   | `Got ->
       let commits = decode_commits (Option.get r.commits) in
       send Netsim.Flag Serial.encode_flag_msg (Driver.flag_step v b c ~commits)
   | `Resolved | `Timeout -> ());
   (* --- probabilistic check + proof --- *)
-  (match wait st r (fun r -> r.check <> None) with
+  (match wait st r ~round (fun r -> r.check <> None) with
   | `Got -> (
       let s, hs =
         match Serial.decode_broadcast_r (Option.get r.check) with
@@ -484,13 +476,13 @@ let run_round st ~round =
           st.log (Printf.sprintf "round %d: staying silent at proof stage" round))
   | `Resolved | `Timeout -> ());
   (* --- aggregation --- *)
-  (match wait st r (fun r -> r.honest <> None) with
+  (match wait st r ~round (fun r -> r.honest <> None) with
   | `Got ->
       let honest, malicious = Option.get r.honest in
       send Netsim.Agg Serial.encode_agg_msg (Driver.agg_step v b c ~honest ~malicious)
   | `Resolved | `Timeout -> ());
   (* --- result --- *)
-  match wait st r (fun r -> r.result <> None) with
+  match wait st r ~round (fun r -> r.result <> None) with
   | `Got | `Resolved -> r.result
   | `Timeout ->
       st.log (Printf.sprintf "round %d: no result before deadline" round);
@@ -519,9 +511,7 @@ let run ?(log = fun _ -> ()) cfg =
       announced = None;
       heard_at = 0.0;
       cohort_for = None;
-      epoch_applied = 0;
-      resync = None;
-      server_round = None;
+      applied = 0;
       n;
       log;
       backoff = Prng.Drbg.create_string (Printf.sprintf "%s/backoff/%d" cfg.seed cfg.id);
@@ -532,29 +522,20 @@ let run ?(log = fun _ -> ()) cfg =
       rounds = Hashtbl.create 4;
     }
   in
-  (* the one handshake: learn the session and where it stands before any
-     round work. Either Hello_ok answers directly, or a stale-epoch
-     rejection routes through the resync path (reconnect fast-forwards
-     and re-enrolls) until one Hello is accepted. A lost connection
-     reconnects under the bounded backoff. *)
+  (* the one handshake: learn the session and where it stands (the
+     Hello_ok catches a late process up) before any round work. A lost
+     connection reconnects under the bounded backoff. *)
   connect st ~attempt:0;
   let give_up = Clock.now_s () +. handshake_timeout_s in
-  while st.server_round = None do
+  while st.announced = None do
     if Clock.now_s () >= give_up then
       failwith
         (Printf.sprintf "client %d: no session announcement within %.0f s of connecting" cfg.id
            handshake_timeout_s);
     pump st ~until_s:give_up
   done;
-  let a = announced st in
-  (match st.server_round with
-  | Some r when r > 1 ->
-      log (Printf.sprintf "joined in flight: session is at round %d" r);
-      fast_forward st ~upto:(r - 1);
-      open_round st r
-  | _ -> ());
   let results = ref [] in
-  for round = 1 to a.Proto.rounds do
+  for round = 1 to (announced st).Proto.rounds do
     match run_round st ~round with
     | Some view -> results := (round, view) :: !results
     | None -> ()

@@ -11,15 +11,17 @@
     The session is the server's: the process waits for the [Hello_ok]
     announcement ({!Proto.session}) before it builds round 1's view, and
     takes the round count, the share topology, the churn schedule and
-    its waits from it. A client that joins a session in flight (the
-    announced round is past 1) fast-forwards the locally derivable
-    membership epochs and participates from that round on (its
-    standing carries over: the server's view of the id never left the
-    session); a stale epoch gets [Reject_stale], which carries the same
-    record, and re-enrolls. Under a k-regular round the client commits wire-v2
-    (neighbor shares + digest), masks its agg sum pairwise, and answers
-    [Recover_req] from that round's view; rounds whose elastic cohort
-    excludes this client are sat out.
+    its waits from it. The announced round is also the one catch-up
+    rule, applied on every [Hello_ok]: when it is more than one past
+    the last round whose view this process applied, the process applies
+    the rounds between (their membership epochs are locally derivable),
+    ends any wait on them and joins at the announced round. That covers
+    a fresh process joining a session in flight and a reconnect that
+    fell behind alike (its standing carries over: the server's view of
+    the id never left the session). Under a k-regular round the client
+    commits wire-v2 (neighbor shares + digest), masks its agg sum
+    pairwise, and answers [Recover_req] from that round's view; rounds
+    whose elastic cohort excludes this client are sat out.
 
     Robustness: connect (and reconnect after any socket error) retries
     under jittered exponential backoff; every stage submit retransmits
@@ -65,4 +67,4 @@ val run : ?log:(string -> unit) -> config -> (int * Proto.result_view) list
     was sat out or missed).
     @raise Failure if the server rejects us, stays unreachable past
     [max_connect_attempts], or announces no session this client can
-    follow. *)
+    follow (an undecodable record or another protocol revision). *)

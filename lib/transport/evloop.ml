@@ -62,7 +62,6 @@ type conn = {
 let conn_id c = c.id
 let set_conn_id c i = c.id <- Some i
 let conn_peer c = c.peer
-let conn_alive c = c.alive
 
 type event =
   | Accepted of conn

@@ -31,8 +31,6 @@ val set_conn_id : conn -> int -> unit
 val conn_peer : conn -> string
 (** Human-readable peer address (diagnostics). *)
 
-val conn_alive : conn -> bool
-
 type event =
   | Accepted of conn
   | Msg of conn * Proto.msg

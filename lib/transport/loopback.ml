@@ -13,7 +13,6 @@ type t = {
   reasm : Frame.Reassembler.t;
   chunks : Prng.Drbg.t;  (* seeded chunk sizing: deterministic fragmentation *)
   mutable completed : (int * Bytes.t) list;  (* reassembled, oldest first *)
-  mutable n_frames : int;
 }
 
 let create ?plan ?link_plans ?script ?deadline ~seed () =
@@ -29,7 +28,6 @@ let create ?plan ?link_plans ?script ?deadline ~seed () =
       reasm = Frame.Reassembler.create ();
       chunks = Prng.Drbg.create_string ("loopback/" ^ seed);
       completed = [];
-      n_frames = 0;
     }
   in
   (* the interface has no close (Netsim needs none); reclaim the pair's
@@ -74,7 +72,6 @@ let drain t =
             List.iter
               (fun body ->
                 Telemetry.Counter.incr c_frames_in;
-                t.n_frames <- t.n_frames + 1;
                 t.completed <- t.completed @ [ parse_envelope body ])
               bodies)
     | exception Unix.Unix_error ((Unix.EWOULDBLOCK | Unix.EAGAIN | Unix.EINTR), _, _) ->
@@ -120,7 +117,6 @@ let deliver ?deadline t =
   | None -> Netsim.deliver t.inner
 
 let counters t = Netsim.counters t.inner
-let socket_frames t = t.n_frames
 
 let endpoint (t : t) : TI.endpoint =
   {

@@ -15,7 +15,3 @@
     degradation/dropout suites run unchanged over either backend. *)
 
 include Netsim.Transport_intf.S
-
-val socket_frames : t -> int
-(** Frames that completed reassembly off the socketpair (diagnostics:
-    equals the inner transport's [sent] counter). *)

@@ -3,12 +3,11 @@ module Scalar = Curve25519.Scalar
 module W = Serial.W
 module R = Serial.R
 
-(* The transport protocol revision this build speaks: v4, whose
-   Hello_ok and Reject_stale carry the announced session record, whose
-   Hello has no rejoin flag, and which adds Alive. Bumped
-   with any change a peer of another revision cannot follow; a server
-   talks to its own revision only. *)
-let proto_version = 4
+(* The transport protocol revision this build speaks: v5, whose Hello_ok
+   (the round in flight and the session record) is all a client catches
+   up from. Bumped with any change a peer of another revision cannot
+   follow; a server talks to its own revision only. *)
+let proto_version = 5
 
 module Membership = Risefl_core.Membership
 
@@ -25,11 +24,11 @@ type result_view =
   | Rv_aborted_decode of int list
 
 type msg =
-  | Hello of { client_id : int; resume_round : int; version : int; epoch : int }
+  | Hello of { client_id : int; resume_round : int; version : int }
   | Submit of Bytes.t
   | Reveal_resp of { dealer : int; shares : (int * Scalar.t) list option }
   | Bye
-  | Hello_ok of { n : int; round : int; version : int; epoch : int; session : session }
+  | Hello_ok of { round : int; version : int; session : session }
   | Ack of { round : int; stage : Netsim.stage; sender : int; seq : int }
   | Commits of { round : int; commits : Bytes.t array }
   | Cleared of { round : int; shares : (int * int * Scalar.t) list }
@@ -40,9 +39,6 @@ type msg =
   | Reject of { reason : string }
   | Recover_req of { round : int; dropout : int }
   | Recover_resp of { round : int; dropout : int; share : Scalar.t option; mask : Scalar.t }
-  | Reject_stale of { current_round : int; session : session; reason : string }
-      (* typed: the client's membership epoch is behind the session —
-         fast-forward the locally derivable epochs and re-enroll *)
   | Alive  (* the server starts a sub-exchange wait: clients restart theirs *)
 
 let tag_name = function
@@ -61,7 +57,6 @@ let tag_name = function
   | Reject _ -> "reject"
   | Recover_req _ -> "recover-req"
   | Recover_resp _ -> "recover-resp"
-  | Reject_stale _ -> "reject-stale"
   | Alive -> "alive"
 
 (* counts inside an envelope are bounded before any per-element work: a
@@ -152,13 +147,11 @@ let r_session r =
 let encode msg =
   let b = W.create () in
   (match msg with
-  | Hello { client_id; resume_round; version; epoch } ->
+  | Hello { client_id; resume_round; version } ->
       W.u8 b 1;
       W.u32 b client_id;
       W.u32 b resume_round;
-      W.u32 b version;
-      (* the last membership epoch the client has applied *)
-      W.u32 b epoch
+      W.u32 b version
   | Submit framed ->
       W.u8 b 2;
       W.bytes b framed
@@ -176,13 +169,10 @@ let encode msg =
               w_scalar b s)
             shares)
   | Bye -> W.u8 b 4
-  | Hello_ok { n; round; version; epoch; session } ->
+  | Hello_ok { round; version; session } ->
       W.u8 b 5;
-      W.u32 b n;
       W.u32 b round;
       W.u32 b version;
-      (* the server's current membership epoch (0 = static) *)
-      W.u32 b epoch;
       w_session b session
   | Ack { round; stage; sender; seq } ->
       W.u8 b 6;
@@ -256,12 +246,7 @@ let encode msg =
           W.u8 b 1;
           w_scalar b s);
       w_scalar b mask
-  | Reject_stale { current_round; session; reason } ->
-      W.u8 b 16;
-      W.u32 b current_round;
-      w_session b session;
-      w_string b reason
-  | Alive -> W.u8 b 17);
+  | Alive -> W.u8 b 16);
   Buffer.to_bytes b
 
 let decode body =
@@ -272,8 +257,7 @@ let decode body =
         let client_id = R.u32 r in
         let resume_round = R.u32 r in
         let version = R.u32 r in
-        let epoch = R.u32 r in
-        Hello { client_id; resume_round; version; epoch }
+        Hello { client_id; resume_round; version }
     | 2 -> Submit (R.bytes r)
     | 3 ->
         let dealer = R.u32 r in
@@ -292,12 +276,10 @@ let decode body =
         Reveal_resp { dealer; shares }
     | 4 -> Bye
     | 5 ->
-        let n = R.u32 r in
         let round = R.u32 r in
         let version = R.u32 r in
-        let epoch = R.u32 r in
         let session = r_session r in
-        Hello_ok { n; round; version; epoch; session }
+        Hello_ok { round; version; session }
     | 6 ->
         let round = R.u32 r in
         let stage =
@@ -374,12 +356,7 @@ let decode body =
         in
         let mask = r_scalar r in
         Recover_resp { round; dropout; share; mask }
-    | 16 ->
-        let current_round = R.u32 r in
-        let session = r_session r in
-        let reason = r_string r in
-        Reject_stale { current_round; session; reason }
-    | 17 -> Alive
+    | 16 -> Alive
     | _ -> failwith "unknown tag"
   in
   R.finish r;

@@ -20,23 +20,24 @@
     connection.
 
     Versioning: there is one protocol revision, {!proto_version}.
-    [Hello] carries the client's revision and its last applied membership
-    epoch; the server [Reject]s any other revision with one check.
+    [Hello] carries the client's revision and the round it resumes
+    from; the server [Reject]s any other revision with one check, and a
+    client fails on an announcement of any other revision.
 
     The session announcement: [Hello_ok] is the only source of the
     settings the server and its clients must agree on — the {!session}
     record (stage deadline, round count, topology degree, churn spec)
-    plus the revision, the round in flight and the server's membership
-    epoch (0 = static membership). A client takes none of these from its
-    own command line: it derives the round's share graph from the
-    degree, the churn schedule from the spec (a pure function of the
-    session seed, so the probabilities travel as IEEE-754 bits and no
-    membership bytes cross the wire), and its waits from the deadline.
-    The security parameters (n, m, d, k, the bound, the seed) stay the
-    client's own: a client must not take its VSSS threshold from the
-    server. A client whose epoch is stale gets the typed [Reject_stale],
-    which carries the same record: it fast-forwards the locally
-    derivable epochs and re-enrolls under backoff.
+    plus the revision and the round in flight. A client takes none of
+    these from its own command line: it derives the round's share graph
+    from the degree, the churn schedule from the spec (a pure function
+    of the session seed, so the probabilities travel as IEEE-754 bits
+    and no membership bytes cross the wire), and its waits from the
+    deadline. The security parameters (n, m, d, k, the bound, the seed)
+    stay the client's own: a client must not take its VSSS threshold
+    from the server. The round in flight is also how a client catches
+    up: one that arrives late or comes back behind the session applies
+    the locally derivable rounds before it and joins at that round
+    ({!Client}).
 
     The k-regular recovery sub-exchange: when an agg-stage dropout's
     blind must be re-interpolated, the server sends [Recover_req] to each
@@ -66,11 +67,11 @@ type result_view =
   | Rv_aborted_decode of int list
 
 type msg =
-  | Hello of { client_id : int; resume_round : int; version : int; epoch : int }
+  | Hello of { client_id : int; resume_round : int; version : int }
   | Submit of Bytes.t
   | Reveal_resp of { dealer : int; shares : (int * Scalar.t) list option }
   | Bye
-  | Hello_ok of { n : int; round : int; version : int; epoch : int; session : session }
+  | Hello_ok of { round : int; version : int; session : session }
   | Ack of { round : int; stage : Netsim.stage; sender : int; seq : int }
   | Commits of { round : int; commits : Bytes.t array }
   | Cleared of { round : int; shares : (int * int * Scalar.t) list }
@@ -81,8 +82,6 @@ type msg =
   | Reject of { reason : string }
   | Recover_req of { round : int; dropout : int }
   | Recover_resp of { round : int; dropout : int; share : Scalar.t option; mask : Scalar.t }
-  | Reject_stale of { current_round : int; session : session; reason : string }
-      (** typed stale-epoch rejection: fast-forward and re-enroll *)
   | Alive  (** a sub-exchange wait starts server-side: restart the broadcast wait *)
 
 val session_error : session -> string option

@@ -27,14 +27,6 @@ type config = {
          churn schedule (a pure function of the session seed) *)
 }
 
-type report = {
-  outcomes : (int * Driver.round_outcome) list;
-  resumed_round : int option;
-  banned : int list;
-  stream_stats : Risefl_core.Server.stream_stats option;
-  cohort_sizes : (int * int) list;
-}
-
 (* Cleared shares are addressed: only the flagger that requested the
    reveal sees the plaintext share. Everything else is broadcast. *)
 type target = All | One of int
@@ -43,7 +35,7 @@ type st = {
   loop : Evloop.t;
   n : int;
   session : Driver.session;
-  (* the session record every Hello_ok (and Reject_stale) announces *)
+  (* the session record every Hello_ok announces *)
   announced : Proto.session;
   log : string -> unit;
   (* (round, stage index, sender, seq) already in the WAL: a retransmit
@@ -98,8 +90,6 @@ let convict st id =
     st.pending_convict <- st.pending_convict @ [ id ]
   end
 
-let churn_enabled st = Option.is_some st.cohort_for
-
 let inbox_queue st key =
   match Hashtbl.find_opt st.inbox key with
   | Some q -> q
@@ -151,7 +141,7 @@ let handle_event st = function
   | Evloop.Accepted _ -> ()
   | Evloop.Msg (conn, msg) -> (
       match msg with
-      | Proto.Hello { client_id; resume_round; version; epoch } ->
+      | Proto.Hello { client_id; resume_round; version } ->
           if client_id < 1 || client_id > st.n then begin
             Evloop.send st.loop conn (Proto.Reject { reason = "unknown client id" });
             Evloop.close_conn st.loop conn
@@ -169,25 +159,6 @@ let handle_event st = function
                  });
             Evloop.close_conn st.loop conn
           end
-          else if churn_enabled st && epoch < st.round_now - 1 then begin
-            (* the client's membership view lags the session: the epochs
-               are locally derivable (the churn schedule is a pure
-               function of the session seed), so a typed rejection
-               telling it where the session is suffices — no membership
-               bytes cross the wire *)
-            Evloop.send st.loop conn
-              (Proto.Reject_stale
-                 {
-                   current_round = st.round_now;
-                   session = st.announced;
-                   reason =
-                     Printf.sprintf
-                       "membership epoch %d is stale: the session is at round %d — fast-forward \
-                        and re-enroll"
-                       epoch st.round_now;
-                 });
-            Evloop.close_conn st.loop conn
-          end
           else begin
             (match Evloop.conn_of_id st.loop client_id with
             | Some old when old != conn -> Evloop.close_conn st.loop old
@@ -196,15 +167,11 @@ let handle_event st = function
             st.log
               (Printf.sprintf "client %d enrolled at round %d (resuming from round %d)" client_id
                  st.round_now resume_round);
+            (* the round in flight is all a client needs to catch up:
+               it derives every earlier round's membership itself *)
             Evloop.send st.loop conn
               (Proto.Hello_ok
-                 {
-                   n = st.n;
-                   round = st.round_now;
-                   version = Proto.proto_version;
-                   epoch = (if churn_enabled st then st.round_now else 0);
-                   session = st.announced;
-                 });
+                 { round = st.round_now; version = Proto.proto_version; session = st.announced });
             (* replay the broadcasts the client may have missed *)
             Queue.iter
               (fun (round, target, msg) ->
@@ -501,10 +468,4 @@ let serve ?(log = fun _ -> ()) cfg =
   (* let the final Result broadcasts reach the clients before closing *)
   Evloop.drain loop ~deadline_s:(Clock.now_s () +. 1.0);
   close ();
-  {
-    outcomes = report.Driver.round_outcomes;
-    resumed_round = report.Driver.resumed_round;
-    banned = report.Driver.final_banned;
-    stream_stats = Server_sm.stream_stats (Driver.session_server session);
-    cohort_sizes = (if Option.is_some cfg.churn then report.Driver.cohort_sizes else []);
-  }
+  (report, Server_sm.stream_stats (Driver.session_server session))

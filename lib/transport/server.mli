@@ -54,30 +54,23 @@ type config = {
       (** elastic membership: derive each round's cohort from the seeded
           churn schedule ({!Driver.churn_cohort_for} over the session
           seed), collect frames only from the round's cohort, require
-          {!Proto.proto_version} from every client, and answer a
-          stale-epoch [Hello] with the typed [Reject_stale]. [None] runs
-          the static full-universe membership. *)
-}
-
-type report = {
-  outcomes : (int * Driver.round_outcome) list;  (** rounds run by this process *)
-  resumed_round : int option;
-      (** the round this process resumed the WAL at
-          ({!Driver.session_report}[.resumed_round]) *)
-  banned : int list;
-  stream_stats : Risefl_core.Server.stream_stats option;
-      (** fold/evict/flush counters from the last streamed round, if any *)
-  cohort_sizes : (int * int) list;
-      (** per elastic round, the active cohort size this process ran
-          under (empty when churn is off) *)
+          {!Proto.proto_version} from every client, and announce the
+          spec in [Hello_ok]: each client derives every epoch itself,
+          so a late one catches up from the announced round alone.
+          [None] runs the static full-universe membership. *)
 }
 
 (** The verdict a round's outcome broadcasts to the clients in its
     [Result] frame. *)
 val view_of_outcome : Driver.round_outcome -> Proto.result_view
 
-val serve : ?log:(string -> unit) -> config -> report
-(** Runs to completion (never returns on a planned crash — the process is
+val serve :
+  ?log:(string -> unit) ->
+  config ->
+  Driver.session_report * Risefl_core.Server.stream_stats option
+(** Runs to completion and returns the driver's report on the rounds
+    this process ran, beside the fold/evict/flush counters of the last
+    streamed round (never returns on a planned crash — the process is
     killed). [log] receives progress lines (default: dropped), among
     them one per accepted [Hello] naming the client, the round in
     flight and the round it resumes from.

@@ -114,16 +114,14 @@ let session_churn =
 let test_proto_roundtrip () =
   let msgs =
     [
-      Proto.Hello { client_id = 3; resume_round = 7; version = Proto.proto_version; epoch = 4 };
+      Proto.Hello { client_id = 3; resume_round = 7; version = Proto.proto_version };
       Proto.Submit (Bytes.of_string "framed-bytes");
       Proto.Reveal_resp { dealer = 2; shares = None };
       Proto.Reveal_resp
         { dealer = 2; shares = Some [ (1, Scalar.of_int 42); (4, Scalar.of_int 7) ] };
       Proto.Bye;
-      Proto.Hello_ok
-        { n = 5; round = 2; version = Proto.proto_version; epoch = 2; session = session_static };
-      Proto.Hello_ok
-        { n = 5; round = 2; version = Proto.proto_version; epoch = 2; session = session_churn };
+      Proto.Hello_ok { round = 2; version = Proto.proto_version; session = session_static };
+      Proto.Hello_ok { round = 2; version = Proto.proto_version; session = session_churn };
       Proto.Ack { round = 1; stage = Netsim.Proof; sender = 4; seq = 0 };
       Proto.Commits { round = 1; commits = [| Bytes.of_string "c1"; Bytes.of_string "c2" |] };
       Proto.Cleared { round = 2; shares = [ (1, 3, Scalar.of_int 9) ] };
@@ -143,8 +141,6 @@ let test_proto_roundtrip () =
       Proto.Recover_resp { round = 2; dropout = 3; share = None; mask = Scalar.of_int 11 };
       Proto.Recover_resp
         { round = 2; dropout = 3; share = Some (Scalar.of_int 5); mask = Scalar.of_int 11 };
-      Proto.Reject_stale
-        { current_round = 4; session = session_churn; reason = "epoch 1 is stale" };
       Proto.Alive;
     ]
   in
@@ -176,11 +172,9 @@ let test_proto_roundtrip () =
         | Error _ -> ()
       done)
     [
-      (Proto.Hello { client_id = 1; resume_round = 1; version = 3; epoch = 2 }, 17);
-      (Proto.Hello_ok { n = 5; round = 2; version = 4; epoch = 2; session = session_static }, 34);
-      (Proto.Hello_ok { n = 5; round = 2; version = 4; epoch = 2; session = session_churn }, 62);
-      ( Proto.Reject_stale { current_round = 4; session = session_churn; reason = "stale" },
-        59 );
+      (Proto.Hello { client_id = 1; resume_round = 1; version = 3 }, 13);
+      (Proto.Hello_ok { round = 2; version = 4; session = session_static }, 26);
+      (Proto.Hello_ok { round = 2; version = 4; session = session_churn }, 54);
       (Proto.Alive, 1);
     ];
   (* an announcement the client could not follow is undecodable, and
@@ -190,7 +184,7 @@ let test_proto_roundtrip () =
   List.iter
     (fun (what, session) ->
       if Proto.session_error session = None then fail "a session with %s passed the check" what;
-      let msg = Proto.Hello_ok { n = 5; round = 1; version = 4; epoch = 0; session } in
+      let msg = Proto.Hello_ok { round = 1; version = 4; session } in
       match Proto.decode (Proto.encode msg) with
       | Ok _ -> fail "announcement with %s decoded" what
       | Error _ -> ())
@@ -313,8 +307,8 @@ let test_serve_loopback_round () =
   let srv_out = tmp_name ".srv" in
   let srv =
     fork_child srv_out (fun () ->
-        let report = Tserver.serve (server_cfg ~setup:setup5 ~addr ~seed ~rounds:1 ()) in
-        List.map (fun (r, o) -> (r, view_of o)) report.Tserver.outcomes)
+        let report, _ = Tserver.serve (server_cfg ~setup:setup5 ~addr ~seed ~rounds:1 ()) in
+        List.map (fun (r, o) -> (r, view_of o)) report.Driver.round_outcomes)
   in
   Unix.sleepf 0.2;
   let cli_outs = List.init n5 (fun i -> tmp_name (Printf.sprintf ".c%d" (i + 1))) in
@@ -349,8 +343,8 @@ let test_serve_client_death () =
   let srv_out = tmp_name ".srv" in
   let srv =
     fork_child srv_out (fun () ->
-        let report = Tserver.serve (server_cfg ~addr ~seed ~rounds:1 ~deadline:4.0 ()) in
-        List.map (fun (r, o) -> (r, view_of o)) report.Tserver.outcomes)
+        let report, _ = Tserver.serve (server_cfg ~addr ~seed ~rounds:1 ~deadline:4.0 ()) in
+        List.map (fun (r, o) -> (r, view_of o)) report.Driver.round_outcomes)
   in
   Unix.sleepf 0.2;
   let cli_outs = List.init n (fun i -> tmp_name (Printf.sprintf ".d%d" (i + 1))) in
@@ -409,8 +403,8 @@ let test_serve_kill_restart () =
   let srv2_out = tmp_name ".srv2" in
   let second =
     fork_child srv2_out (fun () ->
-        let report = Tserver.serve (server_cfg ~addr ~seed ~rounds:1 ~wal ()) in
-        (report.Tserver.resumed_round, List.map (fun (r, o) -> (r, view_of o)) report.Tserver.outcomes))
+        let report, _ = Tserver.serve (server_cfg ~addr ~seed ~rounds:1 ~wal ()) in
+        (report.Driver.resumed_round, List.map (fun (r, o) -> (r, view_of o)) report.Driver.round_outcomes))
   in
   wait_pid second;
   List.iter wait_pid clis;
@@ -470,8 +464,8 @@ let test_serve_silent_restart () =
   let srv2_out = tmp_name ".srv2" in
   wait_pid
     (fork_child srv2_out (fun () ->
-         let report = Tserver.serve (server_cfg ~addr ~seed ~rounds:1 ~wal ~deadline:2.0 ()) in
-         List.map (fun (r, o) -> (r, view_of o)) report.Tserver.outcomes));
+         let report, _ = Tserver.serve (server_cfg ~addr ~seed ~rounds:1 ~wal ~deadline:2.0 ()) in
+         List.map (fun (r, o) -> (r, view_of o)) report.Driver.round_outcomes));
   List.iter wait_pid clis;
   (try Sys.remove srv_out with Sys_error _ -> ());
   (try Sys.remove wal with Sys_error _ -> ());
@@ -511,10 +505,10 @@ let test_serve_reveal_timeouts () =
   let srv_out = tmp_name ".srv" in
   let srv =
     fork_child srv_out (fun () ->
-        let report =
+        let report, _ =
           Tserver.serve (server_cfg ~setup:setup5 ~addr ~seed ~rounds:1 ~deadline:2.0 ())
         in
-        List.map (fun (r, o) -> (r, view_of o)) report.Tserver.outcomes)
+        List.map (fun (r, o) -> (r, view_of o)) report.Driver.round_outcomes)
   in
   Unix.sleepf 0.2;
   let cli_outs = List.init n5 (fun i -> tmp_name (Printf.sprintf ".v%d" (i + 1))) in
@@ -564,8 +558,9 @@ let test_serve_reveal_timeouts () =
 (* An announcement the client cannot follow ends the client at once:
    the server refuses to make one (a zero deadline fails before it
    listens), and a listener that sends one anyway — here a bare peer
-   announcing a zero deadline — fails the client's handshake instead of
-   leaving it to spin. *)
+   announcing a zero deadline, then one announcing a valid session under
+   the previous protocol revision — fails the client's handshake instead
+   of leaving it to spin. *)
 let test_bad_announcement () =
   let seed = "bad-announcement" in
   let addr = Evloop.Unix_sock (tmp_name ".sock") in
@@ -573,32 +568,32 @@ let test_bad_announcement () =
   | _ -> fail "serve accepted a zero stage deadline"
   | exception Invalid_argument _ -> ());
   let path = match addr with Evloop.Unix_sock p -> p | Evloop.Tcp _ -> assert false in
-  let lsock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.bind lsock (Unix.ADDR_UNIX path);
-  Unix.listen lsock 1;
-  let peer =
-    match Unix.fork () with
-    | 0 ->
-        let fd, _ = Unix.accept lsock in
-        let session = { Proto.deadline_s = 0.0; rounds = 1; degree = 0; churn = None } in
-        let wire =
-          Frame.encode
-            (Proto.encode (Proto.Hello_ok { n; round = 1; version = 4; epoch = 0; session }))
-        in
-        ignore (Unix.write fd wire 0 (Bytes.length wire));
-        Unix.sleepf 10.0;
-        Unix._exit 0
-    | pid -> pid
-  in
-  Unix.close lsock;
-  let t0 = Unix.gettimeofday () in
-  (match Tclient.run (client_cfg ~addr ~seed ~id:1 ()) with
-  | _ -> fail "the client followed an undecodable announcement"
-  | exception Failure _ -> ());
-  Unix.kill peer Sys.sigkill;
-  wait_pid peer;
-  (try Sys.remove path with Sys_error _ -> ());
-  if Unix.gettimeofday () -. t0 > 5.0 then fail "the client took over 5 s to give up"
+  List.iter
+    (fun (what, deadline_s) ->
+      let lsock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Unix.bind lsock (Unix.ADDR_UNIX path);
+      Unix.listen lsock 1;
+      let peer =
+        match Unix.fork () with
+        | 0 ->
+            let fd, _ = Unix.accept lsock in
+            let session = { Proto.deadline_s; rounds = 1; degree = 0; churn = None } in
+            let wire = Frame.encode (Proto.encode (Proto.Hello_ok { round = 1; version = 4; session })) in
+            ignore (Unix.write fd wire 0 (Bytes.length wire));
+            Unix.sleepf 10.0;
+            Unix._exit 0
+        | pid -> pid
+      in
+      Unix.close lsock;
+      let t0 = Unix.gettimeofday () in
+      (match Tclient.run (client_cfg ~addr ~seed ~id:1 ()) with
+      | _ -> fail "the client followed %s" what
+      | exception Failure _ -> ());
+      Unix.kill peer Sys.sigkill;
+      wait_pid peer;
+      (try Sys.remove path with Sys_error _ -> ());
+      if Unix.gettimeofday () -. t0 > 5.0 then fail "the client took over 5 s to refuse %s" what)
+    [ ("an undecodable announcement", 0.0); ("a revision-4 announcement", 15.0) ]
 
 (* a bare protocol peer: connect, say Hello as [id], and collect the
    server's envelopes until [stop] holds or [timeout_s] passes *)
@@ -610,7 +605,7 @@ let raw_hello addr ~id ~resume_round ~stop ~timeout_s =
     ignore (Unix.write fd wire 0 (Bytes.length wire))
   in
   send
-    (Proto.Hello { client_id = id; resume_round; version = Proto.proto_version; epoch = 0 });
+    (Proto.Hello { client_id = id; resume_round; version = Proto.proto_version });
   let reasm = Frame.Reassembler.create () in
   let buf = Bytes.create 65536 in
   let deadline = Unix.gettimeofday () +. timeout_s in
@@ -698,10 +693,10 @@ let test_serve_kregular () =
   let srv_out = tmp_name ".srv" in
   let srv =
     fork_child srv_out (fun () ->
-        let report =
+        let report, _ =
           Tserver.serve (server_cfg ~setup:setup5 ~addr ~seed ~rounds ~topology ~deadline:2.0 ())
         in
-        List.map (fun (r, o) -> (r, view_of o)) report.Tserver.outcomes)
+        List.map (fun (r, o) -> (r, view_of o)) report.Driver.round_outcomes)
   in
   Unix.sleepf 0.2;
   let cli_outs = List.init n5 (fun i -> tmp_name (Printf.sprintf ".g%d" (i + 1))) in
@@ -776,9 +771,9 @@ let test_serve_boundary_restart () =
   let srv2_out = tmp_name ".srv2" in
   let second =
     fork_child srv2_out (fun () ->
-        let report = Tserver.serve (server_cfg ~addr ~seed ~rounds:3 ~wal ()) in
-        ( report.Tserver.resumed_round,
-          List.map (fun (r, o) -> (r, view_of o)) report.Tserver.outcomes ))
+        let report, _ = Tserver.serve (server_cfg ~addr ~seed ~rounds:3 ~wal ()) in
+        ( report.Driver.resumed_round,
+          List.map (fun (r, o) -> (r, view_of o)) report.Driver.round_outcomes ))
   in
   let late_out = tmp_name ".b3" in
   let late = fork_child late_out (fun () -> Tclient.run (client_cfg ~addr ~seed ~id:3 ())) in
@@ -837,8 +832,8 @@ let test_serve_false_flags () =
   let srv_out = tmp_name ".srv" in
   let srv =
     fork_child srv_out (fun () ->
-        let report = Tserver.serve (server_cfg ~addr ~seed ~rounds ()) in
-        List.map (fun (r, o) -> (r, view_of o)) report.Tserver.outcomes)
+        let report, _ = Tserver.serve (server_cfg ~addr ~seed ~rounds ()) in
+        List.map (fun (r, o) -> (r, view_of o)) report.Driver.round_outcomes)
   in
   Unix.sleepf 0.2;
   let cli_outs = List.init n (fun i -> tmp_name (Printf.sprintf ".f%d" (i + 1))) in
@@ -878,39 +873,24 @@ let test_serve_false_flags () =
 (* elastic deployment: server and all five clients derive the seeded
    churn schedule locally (no membership bytes on the wire); out-of-cohort
    clients sit rounds out, and the whole run must match the in-process
-   elastic session *)
+   elastic session. Two inputs: every process runs from the start; and a
+   late joiner, a client in every round's cohort whose first process
+   exits before round 2's commit while a fresh process with the same id
+   starts once the server's log shows round 2 open. The fresh process
+   learns from the announcement that the session is at round 2, catches
+   its membership up locally, and must report the session's rounds 2
+   and 3. *)
 let test_serve_churn () =
   let seed = "serve-churn" in
   let spec =
     { Risefl_core.Membership.p_leave = 0.4; p_rejoin = 0.6; p_rotate = 0.3; min_cohort = 3 }
   in
   let rounds = 3 in
-  let addr = Evloop.Unix_sock (tmp_name ".sock") in
-  let srv_out = tmp_name ".srv" in
-  let srv =
-    fork_child srv_out (fun () ->
-        let report =
-          Tserver.serve (server_cfg ~setup:setup5 ~addr ~seed ~rounds ~churn:spec ())
-        in
-        List.map (fun (r, o) -> (r, view_of o)) report.Tserver.outcomes)
-  in
-  Unix.sleepf 0.2;
-  let cli_outs = List.init n5 (fun i -> tmp_name (Printf.sprintf ".e%d" (i + 1))) in
-  let clis =
-    List.mapi
-      (fun i out ->
-        let id = i + 1 in
-        fork_child out (fun () ->
-            Tclient.run (client_cfg ~setup:setup5 ~addr ~seed ~id ())))
-      cli_outs
-  in
-  wait_pid srv;
-  List.iter wait_pid clis;
-  let want =
+  let cohort_for, want =
     let session = Driver.create_session setup5 ~seed in
+    let cohort_for = Driver.churn_cohort_for session ~spec ~rounds in
     let report =
-      Driver.run_session session
-        ~cohort_for:(Driver.churn_cohort_for session ~spec ~rounds)
+      Driver.run_session session ~cohort_for
         ~updates_for:(fun r -> Updates.make ~n:n5 ~d ~bound ~seed ~attackers:[] ~round:r)
         ~behaviours:(Updates.behaviours ~n:n5 ~attackers:[])
         ~rounds
@@ -918,26 +898,107 @@ let test_serve_churn () =
     (* the schedule must actually churn, or this differential is vacuous *)
     if not (List.exists (fun (_, size) -> size < n5) report.Driver.cohort_sizes) then
       fail "seed %S never shrinks the cohort — pick a churnier seed" seed;
-    List.map (fun (r, o) -> (r, view_of o)) report.Driver.round_outcomes
+    (cohort_for, List.map (fun (r, o) -> (r, view_of o)) report.Driver.round_outcomes)
   in
-  (match (read_child srv_out : ((int * Proto.result_view) list, string) result) with
-  | Ok got when got = want -> ()
-  | Ok _ -> fail "elastic deployment diverged from the in-process elastic session"
-  | Error e -> fail "server process failed: %s" e);
-  (* a client sitting a round out may miss that round's broadcast; every
-     result it does report must agree with the reference *)
-  List.iteri
-    (fun i out ->
-      match (read_child out : ((int * Proto.result_view) list, string) result) with
-      | Ok got ->
-          List.iter
-            (fun (r, v) ->
-              match List.assoc_opt r want with
-              | Some v' when v = v' -> ()
-              | _ -> fail "client %d round %d diverged from the elastic reference" (i + 1) r)
-            got
-      | Error e -> fail "client %d process failed: %s" (i + 1) e)
-    cli_outs
+  (* the memoized hook returns the epochs the reference ran under *)
+  let always_in id =
+    List.for_all
+      (fun r ->
+        match cohort_for r with
+        | Some ep -> Array.mem id ep.Risefl_core.Membership.ep_cohort
+        | None -> true)
+      (List.init rounds succ)
+  in
+  let late =
+    match List.find_opt always_in (List.init n5 succ) with
+    | Some id -> id
+    | None -> fail "seed %S leaves no client in every cohort" seed
+  in
+  let deploy ~late =
+    let addr = Evloop.Unix_sock (tmp_name ".sock") in
+    let srv_out = tmp_name ".srv" in
+    let srv_log = tmp_name ".log" in
+    let srv =
+      fork_child srv_out (fun () ->
+          let oc = open_out srv_log in
+          let log line =
+            output_string oc (line ^ "\n");
+            flush oc
+          in
+          let report, _ =
+            Tserver.serve ~log (server_cfg ~setup:setup5 ~addr ~seed ~rounds ~churn:spec ())
+          in
+          close_out oc;
+          List.map (fun (r, o) -> (r, view_of o)) report.Driver.round_outcomes)
+    in
+    Unix.sleepf 0.2;
+    let cli_outs = List.init n5 (fun i -> tmp_name (Printf.sprintf ".e%d" (i + 1))) in
+    let clis =
+      List.mapi
+        (fun i out ->
+          let id = i + 1 in
+          let die_at = if Some id = late then Some (2, Netsim.Commit) else None in
+          fork_child out (fun () ->
+              Tclient.run (client_cfg ~setup:setup5 ~addr ~seed ~id ?die_at ())))
+        cli_outs
+    in
+    (* a line of the server's log starts with [prefix] *)
+    let logged prefix =
+      match In_channel.with_open_text srv_log In_channel.input_all with
+      | text -> List.exists (String.starts_with ~prefix) (String.split_on_char '\n' text)
+      | exception Sys_error _ -> false
+    in
+    (* the fresh process of the late id starts once round 2 is open *)
+    let fresh =
+      Option.map
+        (fun id ->
+          wait_pid (List.nth clis (id - 1));
+          let give_up = Unix.gettimeofday () +. 30.0 in
+          while (not (logged "round 2: waiting")) && Unix.gettimeofday () < give_up do
+            Unix.sleepf 0.1
+          done;
+          let out = tmp_name ".late" in
+          ( id,
+            out,
+            fork_child out (fun () -> Tclient.run (client_cfg ~setup:setup5 ~addr ~seed ~id ())) ))
+        late
+    in
+    wait_pid srv;
+    List.iteri (fun i pid -> if Some (i + 1) <> late then wait_pid pid) clis;
+    Option.iter (fun (_, _, pid) -> wait_pid pid) fresh;
+    (match (read_child srv_out : ((int * Proto.result_view) list, string) result) with
+    | Ok got when got = want -> ()
+    | Ok _ -> fail "elastic deployment diverged from the in-process elastic session"
+    | Error e -> fail "server process failed: %s" e);
+    (* a client sitting a round out may miss that round's broadcast; every
+       result it does report must agree with the reference *)
+    List.iteri
+      (fun i out ->
+        if Some (i + 1) = late then (try Sys.remove out with Sys_error _ -> ())
+        else
+          match (read_child out : ((int * Proto.result_view) list, string) result) with
+          | Ok got ->
+              List.iter
+                (fun (r, v) ->
+                  match List.assoc_opt r want with
+                  | Some v' when v = v' -> ()
+                  | _ -> fail "client %d round %d diverged from the elastic reference" (i + 1) r)
+                got
+          | Error e -> fail "client %d process failed: %s" (i + 1) e)
+      cli_outs;
+    Option.iter
+      (fun (id, out, _) ->
+        if not (logged (Printf.sprintf "client %d enrolled at round 2" id)) then
+          fail "the late client did not enroll at round 2";
+        match (read_child out : ((int * Proto.result_view) list, string) result) with
+        | Ok got when got = List.filter (fun (r, _) -> r >= 2) want -> ()
+        | Ok _ -> fail "the late client's rounds differ from the session's rounds 2-3"
+        | Error e -> fail "the late client failed: %s" e)
+      fresh;
+    try Sys.remove srv_log with Sys_error _ -> ()
+  in
+  deploy ~late:None;
+  deploy ~late:(Some late)
 
 let () =
   Alcotest.run "transport"
