@@ -96,7 +96,8 @@ group-smoke:
 	@grep -q '"name": "ipa-prove@[0-9]*/fold"' /tmp/group-smoke.json \
 	  && grep -q '"name": "ipa-prove@[0-9]*/table"' /tmp/group-smoke.json \
 	  || { echo "group-smoke: ipa-prove records missing from bench JSON" >&2; exit 1; }
-	@grep -q '"name": "fe-kernel/fe.invert-ns"' /tmp/group-smoke.json \
+	@grep -q '"name": "fe-kernel/fe.mul-ns"' /tmp/group-smoke.json \
+	  && grep -q '"name": "fe-kernel/fe.invert-ns"' /tmp/group-smoke.json \
 	  && grep -q '"name": "fe-kernel/point.mul-ns"' /tmp/group-smoke.json \
 	  && grep -q '"name": "fe-kernel/point.table_mul-ns"' /tmp/group-smoke.json \
 	  && grep -q '"name": "fe-kernel/point.table_build-ns"' /tmp/group-smoke.json \

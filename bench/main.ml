@@ -910,12 +910,14 @@ let run_fe_kernel () =
     [
       ("fe.mul", 40_000, keep (fun () -> Fe.mul a b));
       ("fe.square", 40_000, keep (fun () -> Fe.square a));
+      ("fe.mul_small", 100_000, keep (fun () -> Fe.mul_small a 121666));
       ("fe.add", 200_000, keep (fun () -> Fe.add a b));
       ("fe.invert", 400, keep (fun () -> Fe.invert a));
       ("fe.pow_p58", 400, keep (fun () -> Fe.pow_p58 a));
       ("point.add", 4_000, keep (fun () -> Point.add p q));
       ("point.double", 4_000, keep (fun () -> Point.double p));
       ("point.madd", 4_000, keep (fun () -> Point.madd p qn));
+      ("point.msub", 4_000, keep (fun () -> Point.msub p qn));
       ("point.mul", 20, keep (fun () -> Point.mul s p));
       ("point.table_mul", 100, keep (fun () -> Point.Table.mul table s));
       ("point.table_build", 4, keep (fun () -> Point.Table.make q));

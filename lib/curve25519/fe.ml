@@ -2,15 +2,17 @@
 
    A value is h0 + h1*2^26 + h2*2^51 + h3*2^77 + h4*2^102 + h5*2^128
    + h6*2^153 + h7*2^179 + h8*2^204 + h9*2^230 with even limbs spanning
-   26 bits and odd limbs 25 bits (signed).  The multiplication and carry
-   chains below are direct ports of the public-domain ref10 code; the
-   63-bit native int replaces C's int64, with identical bounds headroom
-   (largest intermediate < 2^62).
+   26 bits and odd limbs 25 bits (signed), stored as native ints.  The
+   multiplication and carry chains below are direct ports of the
+   public-domain ref10 code and, as in C, compute on int64 within
+   ref10's bound (largest intermediate < 2^62).
 
    The hot kernels are written for the non-flambda native compiler:
-   limbs are read with unchecked loads into locals, results are built as
-   10-element array literals (one allocation, no closure), and the carry
-   chain runs on locals before the final array is made. *)
+   [mul], [square] and [mul_small] read each limb once, with an
+   unchecked load, into an unboxed int64 local, run the products and the
+   one carry chain on untagged values, and tag the ten carried limbs
+   once, into the result: a 10-element array literal (one allocation, no
+   closure).  [add]/[sub]/[neg] stay on native ints. *)
 
 type t = int array (* length 10 *)
 
@@ -36,45 +38,65 @@ let sub f g =
 let neg f =
   [| - l f 0; - l f 1; - l f 2; - l f 3; - l f 4; - l f 5; - l f 6; - l f 7; - l f 8; - l f 9 |]
 
+(* 64-bit limb arithmetic on untagged values.  An [int64] let-bound in a
+   function and used only by these primitives stays unboxed in a
+   register (or an unscanned stack slot) under the non-flambda native
+   compiler, so the products and carries below pay no tag shifts. *)
+module I = struct
+  external ( + ) : int64 -> int64 -> int64 = "%int64_add"
+  external ( - ) : int64 -> int64 -> int64 = "%int64_sub"
+  external ( * ) : int64 -> int64 -> int64 = "%int64_mul"
+  external ( asr ) : int64 -> int -> int64 = "%int64_asr"
+  external ( lsl ) : int64 -> int -> int64 = "%int64_lsl"
+  external of_int : int -> int64 = "%int64_of_int"
+  external to_int : int64 -> int = "%int64_to_int"
+end
+
+let[@inline] w (f : t) i = I.of_int (Array.unsafe_get f i)
+
 (* ref10 carry chain: brings limbs back to canonical 26/25-bit magnitude
-   and returns them as a fresh array.  Shifts are arithmetic so the chain
-   works on signed limbs.  Each step's [and] reads the pre-step values. *)
+   and returns them, tagged once, as a fresh array.  Shifts are
+   arithmetic so the chain works on signed limbs.  Each step's [and]
+   reads the pre-step values. *)
 let[@inline] carry h0 h1 h2 h3 h4 h5 h6 h7 h8 h9 : t =
-  let c = (h0 + (1 lsl 25)) asr 26 in
+  let open I in
+  let c = (h0 + (1L lsl 25)) asr 26 in
   let h1 = h1 + c and h0 = h0 - (c lsl 26) in
-  let c = (h4 + (1 lsl 25)) asr 26 in
+  let c = (h4 + (1L lsl 25)) asr 26 in
   let h5 = h5 + c and h4 = h4 - (c lsl 26) in
-  let c = (h1 + (1 lsl 24)) asr 25 in
+  let c = (h1 + (1L lsl 24)) asr 25 in
   let h2 = h2 + c and h1 = h1 - (c lsl 25) in
-  let c = (h5 + (1 lsl 24)) asr 25 in
+  let c = (h5 + (1L lsl 24)) asr 25 in
   let h6 = h6 + c and h5 = h5 - (c lsl 25) in
-  let c = (h2 + (1 lsl 25)) asr 26 in
+  let c = (h2 + (1L lsl 25)) asr 26 in
   let h3 = h3 + c and h2 = h2 - (c lsl 26) in
-  let c = (h6 + (1 lsl 25)) asr 26 in
+  let c = (h6 + (1L lsl 25)) asr 26 in
   let h7 = h7 + c and h6 = h6 - (c lsl 26) in
-  let c = (h3 + (1 lsl 24)) asr 25 in
+  let c = (h3 + (1L lsl 24)) asr 25 in
   let h4 = h4 + c and h3 = h3 - (c lsl 25) in
-  let c = (h7 + (1 lsl 24)) asr 25 in
+  let c = (h7 + (1L lsl 24)) asr 25 in
   let h8 = h8 + c and h7 = h7 - (c lsl 25) in
-  let c = (h4 + (1 lsl 25)) asr 26 in
+  let c = (h4 + (1L lsl 25)) asr 26 in
   let h5 = h5 + c and h4 = h4 - (c lsl 26) in
-  let c = (h8 + (1 lsl 25)) asr 26 in
+  let c = (h8 + (1L lsl 25)) asr 26 in
   let h9 = h9 + c and h8 = h8 - (c lsl 26) in
-  let c = (h9 + (1 lsl 24)) asr 25 in
-  let h0 = h0 + (c * 19) and h9 = h9 - (c lsl 25) in
-  let c = (h0 + (1 lsl 25)) asr 26 in
+  let c = (h9 + (1L lsl 24)) asr 25 in
+  let h0 = h0 + (c * 19L) and h9 = h9 - (c lsl 25) in
+  let c = (h0 + (1L lsl 25)) asr 26 in
   let h1 = h1 + c and h0 = h0 - (c lsl 26) in
-  [| h0; h1; h2; h3; h4; h5; h6; h7; h8; h9 |]
+  [| to_int h0; to_int h1; to_int h2; to_int h3; to_int h4;
+     to_int h5; to_int h6; to_int h7; to_int h8; to_int h9 |]
 
 let mul f g =
-  let f0 = l f 0 and f1 = l f 1 and f2 = l f 2 and f3 = l f 3 and f4 = l f 4 in
-  let f5 = l f 5 and f6 = l f 6 and f7 = l f 7 and f8 = l f 8 and f9 = l f 9 in
-  let g0 = l g 0 and g1 = l g 1 and g2 = l g 2 and g3 = l g 3 and g4 = l g 4 in
-  let g5 = l g 5 and g6 = l g 6 and g7 = l g 7 and g8 = l g 8 and g9 = l g 9 in
-  let g1_19 = 19 * g1 and g2_19 = 19 * g2 and g3_19 = 19 * g3 and g4_19 = 19 * g4 in
-  let g5_19 = 19 * g5 and g6_19 = 19 * g6 and g7_19 = 19 * g7 and g8_19 = 19 * g8 in
-  let g9_19 = 19 * g9 in
-  let f1_2 = 2 * f1 and f3_2 = 2 * f3 and f5_2 = 2 * f5 and f7_2 = 2 * f7 and f9_2 = 2 * f9 in
+  let f0 = w f 0 and f1 = w f 1 and f2 = w f 2 and f3 = w f 3 and f4 = w f 4 in
+  let f5 = w f 5 and f6 = w f 6 and f7 = w f 7 and f8 = w f 8 and f9 = w f 9 in
+  let g0 = w g 0 and g1 = w g 1 and g2 = w g 2 and g3 = w g 3 and g4 = w g 4 in
+  let g5 = w g 5 and g6 = w g 6 and g7 = w g 7 and g8 = w g 8 and g9 = w g 9 in
+  let open I in
+  let g1_19 = 19L * g1 and g2_19 = 19L * g2 and g3_19 = 19L * g3 and g4_19 = 19L * g4 in
+  let g5_19 = 19L * g5 and g6_19 = 19L * g6 and g7_19 = 19L * g7 and g8_19 = 19L * g8 in
+  let g9_19 = 19L * g9 in
+  let f1_2 = 2L * f1 and f3_2 = 2L * f3 and f5_2 = 2L * f5 and f7_2 = 2L * f7 and f9_2 = 2L * f9 in
   let h0 =
     (f0 * g0) + (f1_2 * g9_19) + (f2 * g8_19) + (f3_2 * g7_19) + (f4 * g6_19) + (f5_2 * g5_19)
     + (f6 * g4_19) + (f7_2 * g3_19) + (f8 * g2_19) + (f9_2 * g1_19)
@@ -120,12 +142,13 @@ let mul f g =
 (* Dedicated squaring (ref10 fe_sq): ~30% cheaper than mul, and point
    doubling — the bulk of every scalar multiplication — is four squares. *)
 let square f =
-  let f0 = l f 0 and f1 = l f 1 and f2 = l f 2 and f3 = l f 3 and f4 = l f 4 in
-  let f5 = l f 5 and f6 = l f 6 and f7 = l f 7 and f8 = l f 8 and f9 = l f 9 in
-  let f0_2 = 2 * f0 and f1_2 = 2 * f1 and f2_2 = 2 * f2 and f3_2 = 2 * f3 in
-  let f4_2 = 2 * f4 and f5_2 = 2 * f5 and f6_2 = 2 * f6 and f7_2 = 2 * f7 in
-  let f5_38 = 38 * f5 and f6_19 = 19 * f6 and f7_38 = 38 * f7 in
-  let f8_19 = 19 * f8 and f9_38 = 38 * f9 in
+  let f0 = w f 0 and f1 = w f 1 and f2 = w f 2 and f3 = w f 3 and f4 = w f 4 in
+  let f5 = w f 5 and f6 = w f 6 and f7 = w f 7 and f8 = w f 8 and f9 = w f 9 in
+  let open I in
+  let f0_2 = 2L * f0 and f1_2 = 2L * f1 and f2_2 = 2L * f2 and f3_2 = 2L * f3 in
+  let f4_2 = 2L * f4 and f5_2 = 2L * f5 and f6_2 = 2L * f6 and f7_2 = 2L * f7 in
+  let f5_38 = 38L * f5 and f6_19 = 19L * f6 and f7_38 = 38L * f7 in
+  let f8_19 = 19L * f8 and f9_38 = 38L * f9 in
   let h0 = (f0 * f0) + (f1_2 * f9_38) + (f2_2 * f8_19) + (f3_2 * f7_38) + (f4_2 * f6_19) + (f5 * f5_38) in
   let h1 = (f0_2 * f1) + (f2 * f9_38) + (f3_2 * f8_19) + (f4 * f7_38) + (f5_2 * f6_19) in
   let h2 = (f0_2 * f2) + (f1_2 * f1) + (f3_2 * f9_38) + (f4_2 * f8_19) + (f5_2 * f7_38) + (f6 * f6_19) in
@@ -139,8 +162,9 @@ let square f =
   carry h0 h1 h2 h3 h4 h5 h6 h7 h8 h9
 
 let mul_small f c =
-  carry (l f 0 * c) (l f 1 * c) (l f 2 * c) (l f 3 * c) (l f 4 * c) (l f 5 * c) (l f 6 * c)
-    (l f 7 * c) (l f 8 * c) (l f 9 * c)
+  let c = I.of_int c in
+  I.(carry (w f 0 * c) (w f 1 * c) (w f 2 * c) (w f 3 * c) (w f 4 * c) (w f 5 * c) (w f 6 * c)
+       (w f 7 * c) (w f 8 * c) (w f 9 * c))
 
 (* Off-heap limb storage: ten 32-bit limbs per element, so a large table
    of field elements costs the GC one custom block, not one array each,
@@ -170,7 +194,7 @@ let store (b : buf) o f =
 
 (* Canonical reduction and little-endian packing (ref10 fe_tobytes). *)
 let to_bytes f =
-  let h = carry (l f 0) (l f 1) (l f 2) (l f 3) (l f 4) (l f 5) (l f 6) (l f 7) (l f 8) (l f 9) in
+  let h = carry (w f 0) (w f 1) (w f 2) (w f 3) (w f 4) (w f 5) (w f 6) (w f 7) (w f 8) (w f 9) in
   let q = ref (((19 * h.(9)) + (1 lsl 24)) asr 25) in
   for i = 0 to 9 do
     let sz = if i land 1 = 0 then 26 else 25 in

@@ -1,9 +1,10 @@
 (** Arithmetic in GF(2^255 − 19), the base field of Curve25519.
 
     Representation follows the classic "ref10" layout: ten limbs holding
-    alternately 26 and 25 bits, kept as signed native ints, so every
-    product and limb-sum stays far below the 63-bit native range. Values
-    are immutable by convention (operations return fresh arrays).
+    alternately 26 and 25 bits, kept as signed native ints. {!mul},
+    {!square} and {!mul_small} compute on untagged 64-bit values, and
+    every product and limb-sum stays below 2^62. Values are immutable by
+    convention (operations return fresh arrays).
 
     Correctness is cross-checked by qcheck against a {!Bigint} reference
     implementation in the test suite. *)

@@ -27,12 +27,14 @@ let bucket_sum buckets used =
    c-bit digits (the top digit keeps the recoding's carry), and each
    window of n points costs n madds into the buckets, the 2·2^(c−1)
    additions of the suffix sum and c doublings of the accumulator.  The
-   unit costs are the fe-kernel rows of [bench group] on a quiet x86-64
-   core: point.madd ~630 ns, point.add ~875 ns and point.double ~770 ns;
-   only their ratio matters.  At n = 1024 and b = 253 the model
-   picks c = 8 (128 buckets, 32 windows), where the old c = lg n − 1
-   unsigned rule took c = 9 (511 buckets, 29 windows) and paid as many
-   suffix-sum additions as bucket madds. *)
+   unit costs are the fe-kernel rows of [bench group] for the earlier
+   tagged-int field kernel (madd 630, add 875, double 770 ns); only their
+   ratio matters.  The untagged-limb kernel's rows (about 370/470/335 ns)
+   pick the same c up to n = 1024 and c = 9 at n = 3072, where c = 8
+   timed as fast or faster, so the weights stay.  At n = 1024 and
+   b = 253 the model picks c = 8 (128 buckets, 32 windows), where the
+   old c = lg n − 1 unsigned rule took c = 9 (511 buckets, 29 windows)
+   and paid as many suffix-sum additions as bucket madds. *)
 let madd_ns = 630
 let add_ns = 875
 let double_ns = 770

@@ -49,15 +49,26 @@ let sub a b =
   if Bigint.sign s < 0 then Bigint.add s order else s
 
 let neg a = if Bigint.is_zero a then a else Bigint.sub order a
-let mul a b = barrett (Bigint.mul a b)
+
+(* one count per multiplication ([mul], [square], [mul_small]) and per
+   inversion: the scalar share of a round's cost *)
+let c_mul = Telemetry.Counter.make "scalar.mul"
+let c_inv = Telemetry.Counter.make "scalar.inv"
+
+let mul a b =
+  Telemetry.Counter.incr c_mul;
+  barrett (Bigint.mul a b)
+
 let square a = mul a a
 
 let mul_small a c =
+  Telemetry.Counter.incr c_mul;
   if c >= 0 then barrett (Bigint.mul a (Bigint.of_int c))
   else neg (barrett (Bigint.mul a (Bigint.of_int (-c))))
 
 let inv a =
   if Bigint.is_zero a then raise Division_by_zero;
+  Telemetry.Counter.incr c_inv;
   Bigint.mod_inv a order
 
 let equal = Bigint.equal

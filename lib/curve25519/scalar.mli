@@ -32,12 +32,16 @@ val to_int_signed : t -> int
 val add : t -> t -> t
 val sub : t -> t -> t
 val neg : t -> t
+
+(** [mul a b]; each call of {!mul}, {!square} and {!mul_small} adds
+    one to the [scalar.mul] telemetry counter. *)
 val mul : t -> t -> t
 
 (** [mul_small x c] multiplies by a native int (any sign, |c| < 2^62). *)
 val mul_small : t -> int -> t
 
-(** [inv x] — multiplicative inverse. @raise Division_by_zero on zero. *)
+(** [inv x] — multiplicative inverse, counted by [scalar.inv].
+    @raise Division_by_zero on zero. *)
 val inv : t -> t
 
 (** [square x] = [mul x x]. *)

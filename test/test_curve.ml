@@ -48,8 +48,12 @@ let test_fe_ops_vs_bigint () =
    y))], madd's [sub (add z z) c]) and sums of a freshly decoded,
    unreduced element with a carried one (add's [sub y x] after
    decompression).  Build those at the largest limb magnitudes and check
-   every product against Bigint: an intermediate past the 63-bit range
-   would wrap and show up as a wrong value. *)
+   every product against Bigint.  The kernels compute in 64-bit ints, and
+   ref10's bound keeps every intermediate below 2^62: an input that broke
+   it would wrap past 2^63 and show up as a wrong value.  The same inputs
+   go through [mul_small] by 2 (as point doubling uses it) and by 121666
+   (as the curve constant's check does), and through the two addition
+   chains, whose first step squares the input as it stands. *)
 let test_fe_uncarried_headroom () =
   let offsets = [| 0; 26; 51; 77; 102; 128; 153; 179; 204; 230 |] in
   (* carried extreme: each even limb 2^25 - 1, each odd limb 2^24 - 1 *)
@@ -89,8 +93,42 @@ let test_fe_uncarried_headroom () =
             (Printf.sprintf "mul %s %s" na nb)
             (fe_ref_op B.mul ab bb)
             (Fe.to_bigint (Fe.mul a b)))
-        inputs)
+        inputs;
+      List.iter
+        (fun c ->
+          check_fe
+            (Printf.sprintf "mul_small %s %d" na c)
+            (fe_ref_op B.mul ab (B.of_int c))
+            (Fe.to_bigint (Fe.mul_small a c)))
+        [ 2; 121666 ];
+      check_fe ("invert " ^ na) (B.mod_pow ab (B.sub Fe.p B.two) Fe.p) (Fe.to_bigint (Fe.invert a));
+      check_fe ("pow_p58 " ^ na) (B.mod_pow ab p58 Fe.p) (Fe.to_bigint (Fe.pow_p58 a)))
     inputs
+
+(* The kernels keep their limbs in unboxed 64-bit locals and allocate
+   only the 10-limb result (11 words with its header).  A change that
+   boxed one of those locals would still compute the right values, just
+   slower; this catches it.  Bytecode boxes every int64, so the budget
+   holds only for native code. *)
+let test_fe_allocation_budget () =
+  if Sys.backend_type <> Sys.Native then Alcotest.skip ();
+  let a = rand_fe () and b = rand_fe () in
+  let calls = 1000 in
+  List.iter
+    (fun (name, f) ->
+      ignore (Sys.opaque_identity (f ()));
+      let w0 = Gc.minor_words () in
+      for _ = 1 to calls do
+        ignore (Sys.opaque_identity (f ()))
+      done;
+      let per_call = (Gc.minor_words () -. w0) /. float_of_int calls in
+      (* one boxed local would add three words per call *)
+      Alcotest.(check int) (name ^ " words per call") 11 (Float.to_int (Float.round per_call)))
+    [
+      ("mul", fun () -> Fe.mul a b);
+      ("square", fun () -> Fe.square a);
+      ("mul_small", fun () -> Fe.mul_small a 121666);
+    ]
 
 let test_fe_invert () =
   for _ = 1 to 20 do
@@ -383,6 +421,7 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_fe_roundtrip;
           Alcotest.test_case "ops vs bigint" `Quick test_fe_ops_vs_bigint;
           Alcotest.test_case "un-carried headroom" `Quick test_fe_uncarried_headroom;
+          Alcotest.test_case "allocation budget" `Quick test_fe_allocation_budget;
           Alcotest.test_case "invert" `Quick test_fe_invert;
           Alcotest.test_case "mul_small" `Quick test_fe_mul_small;
           Alcotest.test_case "sqrt(-1)" `Quick test_fe_sqrt_m1;

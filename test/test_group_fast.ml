@@ -370,6 +370,71 @@ let test_fixed_matches () =
   Alcotest.check_raises "index out of range" (Invalid_argument "Msm.Fixed.msm: base index out of range")
     (fun () -> ignore (Msm.Fixed.msm fixed [| (Scalar.one, nb) |]))
 
+(* --- golden group-layer bytes ---
+
+   Every other test here compares one fast path with another or with a
+   slow reference built on the same field kernel, so a kernel change
+   that moved a limb would move both sides.  This one pins the canonical
+   encodings of a seeded chain of group-layer outputs — each step feeds
+   the next — to a fixed SHA-256: point formulas, variable- and
+   fixed-base multiplication, tables and combs, MSMs on both sides of
+   [Msm.straus_cutoff], decoding and the field's addition chains. *)
+
+let golden_group_digest () =
+  let module Fe = Curve25519.Fe in
+  let d = Prng.Drbg.create_string "golden-group" in
+  let out = Buffer.create 8192 in
+  let emit p = Buffer.add_bytes out (Point.compress p) in
+  let emit_fe x = Buffer.add_bytes out (Fe.to_bytes x) in
+  let s () = Scalar.random d in
+  let small () = Prng.Drbg.uniform_int d (1 lsl 31) - (1 lsl 30) in
+  let p = ref (Point.mul_base (s ())) and q = ref (Point.mul_base (s ())) in
+  for _ = 1 to 8 do
+    let nq = (Point.to_niels_batch [| !q |]).(0) in
+    let a = Point.add !p !q in
+    let b = Point.double a in
+    let c = Point.madd b nq in
+    let e = Point.msub c nq in
+    let f = Point.mul (s ()) e in
+    let g = Point.double_mul (s ()) f (s ()) a in
+    List.iter emit [ a; b; c; e; f; g ];
+    p := g;
+    q := f
+  done;
+  let tbl = Point.Table.make !p in
+  let t1 = Point.Table.mul tbl (s ()) in
+  let t2 = Point.Table.mul_small tbl (small ()) in
+  List.iter emit [ t1; t2 ];
+  let bases = Array.init 9 (fun i -> Point.mul_small (i + 2) (if i mod 2 = 0 then t1 else t2)) in
+  Array.iter emit (Point.Comb.mul_all (Point.Comb.make bases) (s ()) (fun _ p -> p));
+  let fixed = Msm.Fixed.make bases in
+  emit (Msm.Fixed.msm fixed (Array.init 20 (fun i -> (s (), i * 4 mod Array.length bases))));
+  let c = Msm.straus_cutoff in
+  List.iter
+    (fun n ->
+      let terms = Array.init n (fun i -> (s (), Point.mul_small (small ()) bases.(i mod Array.length bases))) in
+      emit (Msm.msm ~jobs:1 terms);
+      emit (Msm.msm_small ~jobs:1 (Array.map (fun (_, p) -> (small (), p)) terms)))
+    [ c; c + 1 ];
+  (* decoding: the chain's own encodings and raw DRBG bytes, of which
+     about half are not on the curve *)
+  for i = 0 to 15 do
+    let enc = if i mod 2 = 0 then Point.compress (Point.mul (s ()) !p) else Prng.Drbg.bytes d 32 in
+    match Point.decompress_unchecked enc with
+    | Some x -> emit x
+    | None -> Buffer.add_string out "none"
+  done;
+  for _ = 1 to 8 do
+    let x = Fe.of_bytes (Prng.Drbg.bytes d 32) in
+    emit_fe (Fe.invert x);
+    emit_fe (Fe.pow_p58 x)
+  done;
+  Hashfn.Sha256.hex_digest_string (Buffer.contents out)
+
+let test_golden_group_bytes () =
+  Alcotest.(check string) "group-layer chain digest"
+    "3cbc794f3785bcb7abb4d03bbd23f4a1412cc8d0006da087d95abdb29d20ae91" (golden_group_digest ())
+
 (* --- Dlog edge cases --- *)
 
 let test_dlog_zero_range () =
@@ -571,6 +636,7 @@ let () =
           Alcotest.test_case "msm Straus/Pippenger crossover" `Quick test_msm_crossover;
           Alcotest.test_case "signed Pippenger vs naive" `Quick test_pippenger_differential;
           Alcotest.test_case "fixed-base tables vs msm" `Quick test_fixed_matches;
+          Alcotest.test_case "golden group-layer digest" `Quick test_golden_group_bytes;
         ] );
       ( "dlog",
         [

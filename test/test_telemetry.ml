@@ -65,6 +65,30 @@ let test_parallel_counts () =
       done);
   Alcotest.(check int) "shards merge to the exact total" n (Telemetry.Counter.value c)
 
+(* --- the scalar-field counters: one per multiplication or inversion --- *)
+
+let test_scalar_counters () =
+  let module Scalar = Curve25519.Scalar in
+  Telemetry.reset ();
+  Telemetry.enable ();
+  Fun.protect ~finally:Telemetry.disable @@ fun () ->
+  let c_mul = Telemetry.Counter.make "scalar.mul" and c_inv = Telemetry.Counter.make "scalar.inv" in
+  let a = Scalar.of_int 12345 and b = Scalar.of_int (-678) in
+  let x = Scalar.mul a b in
+  Alcotest.(check (pair int int)) "mul" (1, 0) (Telemetry.Counter.value c_mul, Telemetry.Counter.value c_inv);
+  let x = Scalar.square x in
+  Alcotest.(check (pair int int)) "square counts once" (2, 0)
+    (Telemetry.Counter.value c_mul, Telemetry.Counter.value c_inv);
+  let x = Scalar.mul_small (Scalar.mul_small x 7) (-9) in
+  Alcotest.(check (pair int int)) "mul_small, both signs" (4, 0)
+    (Telemetry.Counter.value c_mul, Telemetry.Counter.value c_inv);
+  let y = Scalar.inv x in
+  Alcotest.(check (pair int int)) "inv" (4, 1) (Telemetry.Counter.value c_mul, Telemetry.Counter.value c_inv);
+  (* add, sub, neg and the conversions are not multiplications *)
+  ignore (Scalar.to_bytes (Scalar.neg (Scalar.sub (Scalar.add x y) (Scalar.of_int 3))));
+  Alcotest.check_raises "inv 0" Division_by_zero (fun () -> ignore (Scalar.inv Scalar.zero));
+  Alcotest.(check (pair int int)) "totals" (4, 1) (Telemetry.Counter.value c_mul, Telemetry.Counter.value c_inv)
+
 (* --- span nesting, attribution, JSON round-trip --- *)
 
 let test_span_json_roundtrip () =
@@ -175,6 +199,7 @@ let () =
           Alcotest.test_case "disabled is a no-op" `Quick test_disabled_noop;
           Alcotest.test_case "enabled counts" `Quick test_enabled_counts;
           Alcotest.test_case "sharded merge under parallel_for" `Quick test_parallel_counts;
+          Alcotest.test_case "scalar.mul and scalar.inv" `Quick test_scalar_counters;
         ] );
       ( "spans",
         [ Alcotest.test_case "nesting + JSON round-trip" `Quick test_span_json_roundtrip ] );
