@@ -104,6 +104,8 @@ group-smoke:
 	  && grep -q '"name": "fe-kernel/point.comb_mul-ns"' /tmp/group-smoke.json \
 	  && grep -q '"name": "fe-kernel/point.comb_build-ns"' /tmp/group-smoke.json \
 	  || { echo "group-smoke: fe-kernel records missing from bench JSON" >&2; exit 1; }
+	@grep -q '"name": "scalar-kernel/scalar.mul-ns"' /tmp/group-smoke.json \
+	  || { echo "group-smoke: scalar-kernel records missing from bench JSON" >&2; exit 1; }
 
 # Deployment-transport gate: a real multi-process CLI
 # walkthrough on a Unix socket with client 2 mounting the scaling

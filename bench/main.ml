@@ -864,12 +864,56 @@ let run_prover_kernels () =
       record ~target:"group" ~name:(Printf.sprintf "range-prove@%dx%d" bits m) ~jobs:1 ~n:m s)
     shapes
 
-(* Per-operation cost of the field and point kernels.  Each trial times a
-   loop of [iters] calls sized to a few milliseconds; a row is the median
-   of the trials' ns/op, recorded as [fe-kernel/<op>-ns]. *)
+(* the result escapes, so the compiler cannot drop the call *)
+let keep f () = ignore (Sys.opaque_identity (f ()))
+
+(* Per-operation kernel cost.  Each trial times a loop of [iters] calls
+   sized to a few milliseconds; a row is the median of the trials' ns/op,
+   recorded as [<prefix>/<op>-ns]. *)
+let ns_per_op iters f =
+  let trials = if config.smoke then 5 else 15 in
+  let trial () =
+    let (), secs =
+      Telemetry.Clock.time (fun () ->
+          for _ = 1 to iters do
+            f ()
+          done)
+    in
+    secs *. 1e9 /. float_of_int iters
+  in
+  let xs = List.sort compare (List.init trials (fun _ -> trial ())) in
+  List.nth xs (trials / 2)
+
+let kernel_rows ~title ~prefix rows =
+  pf "%s (median of %d trials, ns/op):\n" title (if config.smoke then 5 else 15);
+  List.iter
+    (fun (op, iters, f) ->
+      let ns = ns_per_op iters f in
+      pf "  %-28s %12.1f\n" op ns;
+      record ~target:"group" ~name:(Printf.sprintf "%s/%s-ns" prefix op) ~jobs:1 ns)
+    rows
+
+(* Z_ℓ: the twelve-limb kernel and the recoding every table loop reads *)
+let run_scalar_kernel () =
+  let drbg = Prng.Drbg.create_string (ns_seed "bench-group/scalar") in
+  let a = Scalar.random drbg and b = Scalar.random drbg in
+  let wide = Prng.Drbg.bytes drbg 64 in
+  let c = Prng.Drbg.bits drbg 62 - (1 lsl 61) in
+  kernel_rows ~title:"Z_l kernel" ~prefix:"scalar-kernel"
+    [
+      ("scalar.mul", 100_000, keep (fun () -> Scalar.mul a b));
+      ("scalar.square", 100_000, keep (fun () -> Scalar.square a));
+      ("scalar.mul_small", 100_000, keep (fun () -> Scalar.mul_small a c));
+      ("scalar.add", 200_000, keep (fun () -> Scalar.add a b));
+      ("scalar.sub", 200_000, keep (fun () -> Scalar.sub a b));
+      ("scalar.inv", 400, keep (fun () -> Scalar.inv a));
+      ("scalar.random", 20_000, keep (fun () -> Scalar.random drbg));
+      ("scalar.of_bytes_wide", 100_000, keep (fun () -> Scalar.of_bytes_wide wide));
+      ("scalar.to_digits", 100_000, keep (fun () -> Scalar.to_digits ~bits:8 ~count:32 a));
+    ]
+
 let run_fe_kernel () =
   let module Fe = Curve25519.Fe in
-  let trials = if config.smoke then 5 else 15 in
   let drbg = Prng.Drbg.create_string (ns_seed "bench-group/fe") in
   let rand_fe () = Fe.of_bigint (Bigint.random ~bits:255 (Prng.Drbg.rand26 drbg)) in
   let a = rand_fe () and b = rand_fe () in
@@ -883,30 +927,7 @@ let run_fe_kernel () =
   let table = Point.Table.make q in
   let comb = Point.Comb.make [| q |] in
   let comb_batch = Array.init 16 (fun _ -> Point.mul_base (Scalar.random drbg)) in
-  (* the result escapes, so the compiler cannot drop the call *)
-  let keep f () = ignore (Sys.opaque_identity (f ())) in
-  let median xs =
-    let xs = List.sort compare xs in
-    List.nth xs (List.length xs / 2)
-  in
-  let ns_per_op iters f =
-    let trial () =
-      let (), secs =
-        Telemetry.Clock.time (fun () ->
-            for _ = 1 to iters do
-              f ()
-            done)
-      in
-      secs *. 1e9 /. float_of_int iters
-    in
-    median (List.init trials (fun _ -> trial ()))
-  in
-  pf "field/point kernels (median of %d trials, ns/op):\n" trials;
-  List.iter
-    (fun (op, iters, f) ->
-      let ns = ns_per_op iters f in
-      pf "  %-28s %12.1f\n" op ns;
-      record ~target:"group" ~name:(Printf.sprintf "fe-kernel/%s-ns" op) ~jobs:1 ns)
+  kernel_rows ~title:"field/point kernels" ~prefix:"fe-kernel"
     [
       ("fe.mul", 40_000, keep (fun () -> Fe.mul a b));
       ("fe.square", 40_000, keep (fun () -> Fe.square a));
@@ -1041,6 +1062,7 @@ let run_group () =
     [ 1.0; 4.0 ];
   run_prover_kernels ();
   run_fe_kernel ();
+  run_scalar_kernel ();
   match !group_gate with
   | Some thr when speedup < thr ->
       pf "GATE FAIL: warm-cache precompute speedup %.2fx below threshold %.2fx\n" speedup thr;

@@ -15,7 +15,10 @@ perfbench/run.py runs: `rflbench.exe --workload W --seed N --seconds S
 
 Prints one markdown table: for every end-to-end metric BENCHMARK.json
 declares, plus the peak RSS of the rflbench.exe process (read from
-os.wait4 on that child alone, so the dune build never counts), the
+os.wait4 on that child alone, so the dune build never counts) and,
+next to it, the number of rounds the run fitted into its S seconds
+(the result's `attempted`: a faster tree runs more rounds, and the
+process's peak RSS grows with the round count), the
 base and change medians, the base's interquartile range, the change
 in the medians, the pairs the change won, and the range of the
 per-pair changes. A row is flagged only when the medians differ by
@@ -111,6 +114,7 @@ def run_once(exe, tree, workload, seed, seconds):
     if not result.get("correct") or result.get("failed"):
         fail("run reported failed rounds: %s" % " ".join(cmd))
     metrics = {k: v["value"] for k, v in result["metrics"].items()}
+    metrics["rounds"] = result["attempted"]
     return metrics, usage.ru_maxrss / 1024.0  # Linux reports KiB
 
 
@@ -188,8 +192,8 @@ def main():
                 metrics, rss = run_once(exes[side], trees[side], args.workload, args.seed + i, seconds)
                 metrics["peak_rss_mb"] = rss
                 runs[side].append(metrics)
-                print("pairs: pair %d %s round_s=%.4f rss=%.1f MB" % (i, side, metrics.get("round_s", 0.0), rss),
-                      file=sys.stderr)
+                print("pairs: pair %d %s round_s=%.4f rss=%.1f MB rounds=%d" % (
+                    i, side, metrics.get("round_s", 0.0), rss, metrics["rounds"]), file=sys.stderr)
     finally:
         if not args.scratch:
             shutil.rmtree(scratch, ignore_errors=True)
@@ -198,7 +202,7 @@ def main():
         args.workload, base_rev, args.pairs, seconds, args.seed, args.seed + args.pairs - 1,
         os.cpu_count() or 0))
     print()
-    print(table(rows + [("peak_rss_mb", "MB", "lower")], runs["base"], runs["change"]))
+    print(table(rows + [("peak_rss_mb", "MB", "lower"), ("rounds", "count", "higher")], runs["base"], runs["change"]))
 
 
 if __name__ == "__main__":

@@ -1,9 +1,10 @@
 (** Arbitrary-precision signed integers.
 
     This module is the numeric bedrock of the repository: the offline switch
-    has no [zarith], so curve constants, Barrett parameters, serialization
-    and the reference implementations used to cross-check the fixed-width
-    field arithmetic are all built on it.
+    has no [zarith], so curve constants, the scalar field's boundary
+    conversions, serialization and the reference implementations used to
+    cross-check the fixed-width field and scalar arithmetic are all built
+    on it.
 
     Representation: sign-magnitude with little-endian arrays of 26-bit limbs,
     always normalized (no leading zero limbs; zero has an empty magnitude and

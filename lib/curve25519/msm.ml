@@ -131,7 +131,7 @@ let pippenger ?jobs pairs =
     let digits =
       Array.map
         (fun (s, _) ->
-          Point.Niels_store.signed_digits ~bits:c (Bigint.to_digits ~bits:c ~count:nwindows (Scalar.to_bigint s)))
+          Point.Niels_store.signed_digits ~bits:c (Scalar.to_digits ~bits:c ~count:nwindows s))
         pairs
     in
     run ?jobs ~c ~nwindows ~npoints:n ~digits ~points:(Array.map snd pairs) ()
@@ -266,7 +266,7 @@ module Fixed = struct
     Array.iter
       (fun (s, l) ->
         if l < 0 || l >= length t then invalid_arg "Msm.Fixed.msm: base index out of range";
-        let ds = Store.signed_digits ~bits:8 (Bigint.to_digits ~bits:8 ~count:windows (Scalar.to_bigint s)) in
+        let ds = Store.signed_digits ~bits:8 (Scalar.to_digits ~bits:8 ~count:windows s) in
         for w = 0 to windows - 1 do
           let d = ds.(w) in
           if d <> 0 then begin

@@ -422,7 +422,7 @@ module Table = struct
   (* scalars are < 2^253, so the top window never carries out *)
   let mul tbl s =
     Telemetry.Counter.incr c_scalarmul;
-    add_digits tbl (Niels_store.signed_digits ~bits:4 (Bigint.to_digits ~bits:4 ~count:windows (Scalar.to_bigint s)))
+    add_digits tbl (Niels_store.signed_digits ~bits:4 (Scalar.to_digits ~bits:4 ~count:windows s))
 
   (* |n| < 2^62 fills at most 16 nibbles; one more digit takes the carry *)
   let mul_small tbl n =
@@ -560,9 +560,8 @@ let mul_base s = Table.mul base_table s
    scalars, ~1.5x faster than two independent multiplications.  This is
    the hot path of every Sigma-protocol verification and every IPA fold. *)
 let double_mul s p t q =
-  let es = Scalar.to_bigint s and et = Scalar.to_bigint t in
-  if Bigint.is_zero es then mul t q
-  else if Bigint.is_zero et then mul s p
+  if Scalar.is_zero s then mul t q
+  else if Scalar.is_zero t then mul s p
   else begin
     Telemetry.Counter.add c_scalarmul 2;
     Telemetry.Counter.add c_wnaf_width (2 * Scalar.wnaf_window);

@@ -2,9 +2,11 @@
     ℓ = 2^252 + 27742317777372353535851937790883648493 (prime).
 
     This is ℤ_p of the paper — the exponent field for all commitments,
-    secret shares and proofs. Built on {!Bigint} with Barrett reduction so
-    no per-operation division is performed. Values are always canonical
-    representatives in [0, ℓ). *)
+    secret shares and proofs. A value is twelve 21-bit limbs holding the
+    canonical representative in [0, ℓ); multiplication, squaring and the
+    64-byte reduction run ref10's fixed-width kernel (sc_muladd /
+    sc_reduce) on native 64-bit limbs. {!Bigint} appears only at the
+    boundary: {!of_bigint}, {!to_bigint}, {!to_int_signed} and {!pp}. *)
 
 type t
 
@@ -37,7 +39,8 @@ val neg : t -> t
     one to the [scalar.mul] telemetry counter. *)
 val mul : t -> t -> t
 
-(** [mul_small x c] multiplies by a native int (any sign, |c| < 2^62). *)
+(** [mul_small x c] multiplies by any native int, [min_int] and
+    [max_int] included. *)
 val mul_small : t -> int -> t
 
 (** [inv x] — multiplicative inverse, counted by [scalar.inv].
@@ -62,8 +65,9 @@ val of_bytes : Bytes.t -> t
     [None] on wrong length or a non-canonical encoding, never raises. *)
 val of_bytes_opt : Bytes.t -> t option
 
-(** [of_bytes_wide b] reduces an arbitrary-length byte string modulo ℓ —
-    unbiased when [b] is 64 uniform bytes (used for hash-to-scalar). *)
+(** [of_bytes_wide b] reduces 64 little-endian bytes modulo ℓ —
+    unbiased when they are uniform (hash-to-scalar, {!random}).
+    @raise Invalid_argument if [b] is not 64 bytes. *)
 val of_bytes_wide : Bytes.t -> t
 
 (** [random drbg] draws a uniform scalar. *)
@@ -73,6 +77,12 @@ val random : Prng.Drbg.t -> t
     intermediate overflow (the O(kd) field-arithmetic inner products of the
     probabilistic check). Arrays must have equal length. *)
 val dot_ints : int array -> int array -> t
+
+(** [to_digits ~bits ~count x] — the first [count] little-endian
+    [bits]-wide digits of [x] (digits past bit 252 are 0), read from the
+    limbs: the unsigned input of every windowed recoding.
+    [1 <= bits <= 30]. *)
+val to_digits : bits:int -> count:int -> t -> int array
 
 (** Nominal window width of {!to_wnaf} (5: digits are odd with
     |digit| <= 2^(w−1) − 1 = 15, needing an 8-entry odd-multiples

@@ -181,14 +181,6 @@ let test_scalar_inv () =
       check_fe "inv" B.one (Scalar.to_bigint (Scalar.mul a (Scalar.inv a)))
   done
 
-let test_scalar_mul_small () =
-  for _ = 1 to 40 do
-    let a = rand_scalar () in
-    let c = Prng.Drbg.bits drbg 30 - (1 lsl 29) in
-    check_fe "mul_small"
-      (B.erem (B.mul (Scalar.to_bigint a) (B.of_int c)) Scalar.order)
-      (Scalar.to_bigint (Scalar.mul_small a c))
-  done
 
 let test_scalar_signed () =
   Alcotest.(check int) "small" 42 (Scalar.to_int_signed (Scalar.of_int 42));
@@ -215,6 +207,157 @@ let test_scalar_dot_ints () =
     in
     check_fe "dot" (B.erem expected Scalar.order) (Scalar.to_bigint (Scalar.dot_ints a u))
   done
+
+(* --- golden Z_ℓ bytes ---
+
+   The checks above compare the kernel with Bigint on random values;
+   this one pins the canonical encodings of a seeded chain of scalar
+   outputs — each step feeds the next — to a fixed SHA-256, so a change
+   of representation has to reproduce every residue and every recoded
+   digit bit for bit. *)
+
+let golden_scalar_digest () =
+  let d = Prng.Drbg.create_string "golden-scalar" in
+  let out = Buffer.create 65536 in
+  let emit x = Buffer.add_bytes out (Scalar.to_bytes x) in
+  let emit_digits ds =
+    Array.iter
+      (fun v ->
+        Buffer.add_string out (string_of_int v);
+        Buffer.add_char out ',')
+      ds
+  in
+  let small () = Prng.Drbg.bits d 62 - (1 lsl 61) in
+  let x = ref (Scalar.random d) and y = ref (Scalar.of_bytes_wide (Prng.Drbg.bytes d 64)) in
+  for i = 1 to 64 do
+    let a = Scalar.mul !x !y in
+    let b = Scalar.square a in
+    let c = Scalar.mul_small b (if i mod 8 = 0 then max_int else small ()) in
+    let e = Scalar.add c !x in
+    let f = Scalar.sub e b in
+    let g = Scalar.neg f in
+    let h = Scalar.inv g in
+    List.iter emit [ a; b; c; e; f; g; h ];
+    emit_digits (Scalar.to_wnaf h);
+    List.iter (fun bits -> emit_digits (Scalar.to_digits ~bits ~count:((256 / bits) + 2) g)) [ 4; 5; 8 ];
+    x := h;
+    y := Scalar.add (Scalar.random d) (Scalar.of_bytes_wide (Prng.Drbg.bytes d 64))
+  done;
+  Hashfn.Sha256.hex_digest_string (Buffer.contents out)
+
+let test_golden_scalar_bytes () =
+  Alcotest.(check string) "Z_l chain digest"
+    "e2a19077f4b5d22b76e1a1311a19bc1a4c12aeef4716db7f31d93403d8bd4a1e" (golden_scalar_digest ())
+
+(* --- limb and reduction boundaries, against Bigint --- *)
+
+let l = Scalar.order
+let pow2 n = B.shift_left B.one n
+
+(* 2^(21i) ± 1, ℓ − 1, ℓ − 2, 2^252, 2^252 − 1 and (ℓ − 1)², each
+   reduced mod ℓ by the reference *)
+let boundary_values =
+  let around i = [ B.add (pow2 (21 * i)) B.one; B.sub (pow2 (21 * i)) B.one ] in
+  List.concat_map around (List.init 13 Fun.id)
+  @ [ B.sub l B.one; B.sub l B.two; pow2 252; B.sub (pow2 252) B.one; B.mul (B.sub l B.one) (B.sub l B.one) ]
+  |> List.map (fun v -> B.erem v l)
+
+let test_scalar_boundaries () =
+  let vs = List.map (fun v -> (v, Scalar.of_bigint v)) boundary_values in
+  let chk msg expect got = check_fe msg expect (Scalar.to_bigint got) in
+  List.iter
+    (fun (a, sa) ->
+      let na = B.to_hex a in
+      chk ("roundtrip " ^ na) a sa;
+      chk ("bytes " ^ na) a (Scalar.of_bytes (B.to_bytes_le ~len:32 a));
+      chk ("square " ^ na) (B.erem (B.mul a a) l) (Scalar.square sa);
+      chk ("neg " ^ na) (B.erem (B.neg a) l) (Scalar.neg sa);
+      if not (B.is_zero a) then chk ("inv " ^ na) (B.mod_inv a l) (Scalar.inv sa);
+      List.iter
+        (fun bits ->
+          let count = (256 / bits) + 2 in
+          Alcotest.(check (array int))
+            (Printf.sprintf "to_digits %d %s" bits na)
+            (B.to_digits ~bits ~count a)
+            (Scalar.to_digits ~bits ~count sa))
+        [ 1; 4; 5; 8; 13; 21; 30 ];
+      List.iter
+        (fun (b, sb) ->
+          let nb = na ^ " " ^ B.to_hex b in
+          chk ("add " ^ nb) (B.erem (B.add a b) l) (Scalar.add sa sb);
+          chk ("sub " ^ nb) (B.erem (B.sub a b) l) (Scalar.sub sa sb);
+          chk ("mul " ^ nb) (B.erem (B.mul a b) l) (Scalar.mul sa sb))
+        vs)
+    vs;
+  (* 64-byte reductions: all zeros, all ones, and every boundary value
+     placed at the bottom and at the top of the wide input *)
+  let wide b =
+    check_fe ("wide " ^ B.to_hex b) (B.erem b l) (Scalar.to_bigint (Scalar.of_bytes_wide (B.to_bytes_le ~len:64 b)))
+  in
+  wide B.zero;
+  check_fe "wide 0xff bytes" (B.erem (B.sub (pow2 512) B.one) l)
+    (Scalar.to_bigint (Scalar.of_bytes_wide (Bytes.make 64 '\xff')));
+  List.iter
+    (fun v ->
+      wide v;
+      wide (B.shift_left v 256);
+      wide (B.add (B.shift_left v 259) (B.sub l B.one)))
+    boundary_values;
+  (* decoding: ℓ − 1 is the largest canonical encoding; ℓ, ℓ + 1 and
+     anything with bit 253, 254 or 255 set are not *)
+  let decodes v = Scalar.of_bytes_opt (B.to_bytes_le ~len:32 v) <> None in
+  Alcotest.(check bool) "l-1 accepted" true (decodes (B.sub l B.one));
+  let rejects v = Alcotest.(check bool) ("rejects " ^ B.to_hex v) false (decodes v) in
+  List.iter rejects [ l; B.add l B.one; B.sub (pow2 256) B.one ];
+  List.iter
+    (fun bit -> List.iter (fun v -> rejects (B.add v (pow2 bit))) (B.zero :: boundary_values))
+    [ 253; 254; 255 ];
+  Alcotest.(check bool) "short input" true (Scalar.of_bytes_opt (Bytes.make 31 '\000') = None)
+
+(* random 30-bit multipliers, and every native int at the limb and
+   sign edges, min_int included, gives the canonical product *)
+let test_scalar_mul_small () =
+  let chk a c =
+    check_fe
+      (Printf.sprintf "mul_small %s %d" (B.to_hex (Scalar.to_bigint a)) c)
+      (B.erem (B.mul (Scalar.to_bigint a) (B.of_int c)) l)
+      (Scalar.to_bigint (Scalar.mul_small a c))
+  in
+  for _ = 1 to 40 do
+    chk (rand_scalar ()) (Prng.Drbg.bits drbg 30 - (1 lsl 29))
+  done;
+  List.iter
+    (fun a ->
+      List.iter (chk a) [ min_int; min_int + 1; max_int; 0; 1; -1; 1 lsl 42; -(1 lsl 42); (1 lsl 21) - 1 ])
+    (List.map Scalar.of_bigint boundary_values @ List.init 8 (fun _ -> rand_scalar ()));
+  check_fe "of_int min_int" (B.erem (B.of_int min_int) l) (Scalar.to_bigint (Scalar.of_int min_int));
+  let m3 = Scalar.mul_small (Scalar.of_int 3) min_int in
+  Alcotest.(check bool) "3 * min_int canonical" true (B.compare (Scalar.to_bigint m3) l < 0)
+
+(* A kernel allocates only its 12-limb result (13 words with the
+   header).  A re-boxed 64-bit local or a closure would still compute
+   the right values, just slower; this catches it.  Bytecode boxes
+   every int64, so the budget holds only for native code. *)
+let test_scalar_allocation_budget () =
+  if Sys.backend_type <> Sys.Native then Alcotest.skip ();
+  let a = rand_scalar () and b = rand_scalar () in
+  let calls = 1000 in
+  List.iter
+    (fun (name, f) ->
+      ignore (Sys.opaque_identity (f ()));
+      let w0 = Gc.minor_words () in
+      for _ = 1 to calls do
+        ignore (Sys.opaque_identity (f ()))
+      done;
+      let per_call = (Gc.minor_words () -. w0) /. float_of_int calls in
+      Alcotest.(check int) (name ^ " words per call") 13 (Float.to_int (Float.round per_call)))
+    [
+      ("mul", fun () -> Scalar.mul a b);
+      ("square", fun () -> Scalar.square a);
+      ("add", fun () -> Scalar.add a b);
+      ("sub", fun () -> Scalar.sub a b);
+      ("neg", fun () -> Scalar.neg a);
+    ]
 
 (* --- point --- *)
 
@@ -436,6 +579,9 @@ let () =
           Alcotest.test_case "signed" `Quick test_scalar_signed;
           Alcotest.test_case "bytes" `Quick test_scalar_bytes;
           Alcotest.test_case "dot_ints" `Quick test_scalar_dot_ints;
+          Alcotest.test_case "golden Z_l digest" `Quick test_golden_scalar_bytes;
+          Alcotest.test_case "limb and reduction boundaries" `Quick test_scalar_boundaries;
+          Alcotest.test_case "allocation budget" `Quick test_scalar_allocation_budget;
         ] );
       ( "point",
         [
